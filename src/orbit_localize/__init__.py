@@ -30,6 +30,7 @@ from .algebra import (
     killing_form,
     pair,
     reduce_to_cartan,
+    standard_spectrum,
 )
 from .fixedpoints import (
     FixedPoint,

@@ -23,7 +23,7 @@ read-only) and every operation is a pure function.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -52,6 +52,7 @@ __all__ = [
     "coroot",
     "iwasawa_decomposition",
     "reduce_to_cartan",
+    "standard_spectrum",
 ]
 
 # Relative eigenvalue-separation tolerance used to decide regularity.
@@ -135,33 +136,35 @@ def _check_same(x: AlgebraElement, y: AlgebraElement) -> None:
         raise AlgebraError("coordinate dimension mismatch")
 
 
+def _unit(n: int, j: int, k: int) -> np.ndarray:
+    """The elementary matrix E_jk."""
+    m = np.zeros((n, n), dtype=complex)
+    m[j, k] = 1.0
+    return m
+
+
 def _basis_matrices(family: str, n: int) -> tuple[list[np.ndarray], list[str]]:
     mats: list[np.ndarray] = []
     labels: list[str] = []
 
-    def e(j, k):
-        m = np.zeros((n, n), dtype=complex)
-        m[j, k] = 1.0
-        return m
-
     if family == "sl_real":
         for k in range(n - 1):
-            mats.append(e(k, k) - e(k + 1, k + 1))
+            mats.append(_unit(n, k, k) - _unit(n, k + 1, k + 1))
             labels.append(f"h{k + 1}")
         for j in range(n):
             for k in range(n):
                 if j != k:
-                    mats.append(e(j, k))
+                    mats.append(_unit(n, j, k))
                     labels.append(f"e{j + 1}{k + 1}")
     elif family == "su":
         for k in range(n - 1):
-            mats.append(1j * (e(k, k) - e(k + 1, k + 1)))
+            mats.append(1j * (_unit(n, k, k) - _unit(n, k + 1, k + 1)))
             labels.append(f"d{k + 1}")
         for j in range(n):
             for k in range(j + 1, n):
-                mats.append(e(j, k) - e(k, j))
+                mats.append(_unit(n, j, k) - _unit(n, k, j))
                 labels.append(f"s{j + 1}{k + 1}")
-                mats.append(1j * (e(j, k) + e(k, j)))
+                mats.append(1j * (_unit(n, j, k) + _unit(n, k, j)))
                 labels.append(f"a{j + 1}{k + 1}")
     else:
         raise AlgebraError(f"unsupported family: {family!r}")
@@ -304,19 +307,32 @@ def adjoint_matrix(x: AlgebraElement) -> np.ndarray:
     return np.einsum("i,ijk->kj", x.coords, x.algebra.structure)
 
 
-def _defining_eigenvalues(x: AlgebraElement) -> np.ndarray:
-    """Eigenvalues of the defining matrix, canonically ordered.
+def _regular_spectrum(x: AlgebraElement) -> Optional[np.ndarray]:
+    """Defining-matrix eigenvalues of a regular x, canonically ordered.
 
     Order: descending real part, ties broken by descending imaginary part.
     For regular elements the order identifies the dominant chamber.
+    Returns None when x is not regular (see is_regular_semisimple).
     """
     m = x.matrix
+    scale = float(np.linalg.norm(m))
+    if scale == 0.0:
+        return None
     if x.algebra.family == "su" and not np.iscomplexobj(x.coords):
         ev = -1j * np.linalg.eigvalsh(1j * m)
     else:
         ev = np.linalg.eigvals(m)
-    order = np.lexsort((-ev.imag, -ev.real))
-    return ev[order]
+    ev = ev[np.lexsort((-ev.imag, -ev.real))]
+    gaps = np.abs(np.subtract.outer(ev, ev))
+    np.fill_diagonal(gaps, np.inf)
+    sep = float(np.min(gaps)) / scale
+    if sep < REGULAR_TOL:
+        return None
+    if sep < 10 * REGULAR_TOL:
+        raise IndeterminateRegularityError(
+            f"eigenvalue separation {sep:.3e} within the indeterminate band"
+        )
+    return ev
 
 
 def is_regular_semisimple(x: AlgebraElement) -> bool:
@@ -327,21 +343,7 @@ def is_regular_semisimple(x: AlgebraElement) -> bool:
     eigenvalue distinctness.  Near-degenerate spectra (relative separation
     in [REGULAR_TOL, 10*REGULAR_TOL)) raise IndeterminateRegularityError.
     """
-    scale = float(np.linalg.norm(x.matrix))
-    if scale == 0.0:
-        return False
-    ev = _defining_eigenvalues(x)
-    n = x.algebra.n
-    sep = min(
-        abs(ev[i] - ev[j]) for i in range(n) for j in range(i + 1, n)
-    ) / scale
-    if sep < REGULAR_TOL:
-        return False
-    if sep < 10 * REGULAR_TOL:
-        raise IndeterminateRegularityError(
-            f"eigenvalue separation {sep:.3e} within the indeterminate band"
-        )
-    return True
+    return _regular_spectrum(x) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +358,7 @@ class WeylElement:
     word: tuple[int, ...]     # indices of simple reflections, left to right
     matrix: np.ndarray        # (rank, rank): xi |-> matrix @ xi
     determinant: float
+    perm: tuple[int, ...]     # w maps the root e_i - e_j to e_perm[i] - e_perm[j]
 
     def apply(self, covector: np.ndarray) -> np.ndarray:
         return self.matrix @ covector
@@ -384,6 +387,11 @@ class CartanDatum:
     def rank(self) -> int:
         return len(self.basis)
 
+    @property
+    def root_pairs(self) -> list[tuple[int, int]]:
+        """(i, j) for each root e_i - e_j, in root order."""
+        return _root_pairs(self.algebra.n)
+
     def root_index(self, vec: np.ndarray) -> int:
         key = tuple(np.round(np.asarray(vec).real, 6))
         try:
@@ -410,44 +418,61 @@ def coroot(cartan: CartanDatum, root_idx: int) -> np.ndarray:
     return 2.0 * t / (alpha @ t)
 
 
-def _reflection_matrix(cartan_gram: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    t = np.linalg.solve(cartan_gram, alpha)
-    cv = 2.0 * t / (alpha @ t)
-    return np.eye(len(alpha)) - np.outer(alpha, cv)
+def _root_pairs(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
-def _weyl_closure(gram: np.ndarray, roots: np.ndarray,
-                  simple_idx: Sequence[int]) -> list[WeylElement]:
-    """Breadth-first closure over simple reflections with canonical labels."""
-    rank = gram.shape[0]
-    gens = [_reflection_matrix(gram, roots[i]) for i in simple_idx]
+def _root_values(n: int) -> np.ndarray:
+    """Values of the roots e_i - e_j on h_k = E_kk - E_(k+1)(k+1), in root order."""
+    eye = np.eye(n)
+    diffs = np.array([eye[i] - eye[j] for i, j in _root_pairs(n)])
+    return diffs @ (eye[:-1] - eye[1:]).T
 
-    def key(m: np.ndarray):
-        return tuple(np.round(m, 9).ravel())
 
-    ident = np.eye(rank)
-    seen = {key(ident): ("e", ())}
-    frontier = [(ident, ())]
-    out = [WeylElement("e", (), _readonly(ident), 1.0)]
-    while frontier:
-        nxt = []
-        candidates = []
-        for m, word in frontier:
-            for gi, g in enumerate(gens):
-                candidates.append((m @ g, word + (gi + 1,)))
-        # lexicographic tie-break on the word keeps labels deterministic
-        candidates.sort(key=lambda t: t[1])
-        for m, word in candidates:
-            k = key(m)
-            if k in seen:
-                continue
-            label = "s" + "s".join(str(i) for i in word)
-            seen[k] = (label, word)
-            det = float(np.sign(np.linalg.det(m)))
-            out.append(WeylElement(label, word, _readonly(m), det))
-            nxt.append((m, word))
-        frontier = nxt
-    out.sort(key=lambda w: (len(w.word), w.word))
+def _reduced_word(perm: Sequence[int]) -> tuple[int, ...]:
+    """Lexicographically smallest reduced word of a permutation of range(n).
+
+    Letter k is the simple reflection swapping k-1 and k.  The smallest
+    word starts with the smallest left descent (a k with pos[k-1] > pos[k],
+    pos the inverse permutation); peeling it off and repeating is a bubble
+    sort of pos.
+    """
+    pos = sorted(range(len(perm)), key=perm.__getitem__)
+    word = []
+    k = 0
+    while k < len(pos) - 1:
+        if pos[k] > pos[k + 1]:
+            pos[k], pos[k + 1] = pos[k + 1], pos[k]
+            word.append(k + 1)
+            k = max(k - 1, 0)
+        else:
+            k += 1
+    return tuple(word)
+
+
+def _weyl_group(roots: np.ndarray, simple: Sequence[int]) -> list[WeylElement]:
+    """S_n acting on covector value-vectors, in (length, word) order.
+
+    Each permutation is labelled by its lexicographically smallest reduced
+    word; its matrix is the product of the (integer) simple reflections
+    along that word, and its determinant is the permutation sign.
+    """
+    rank = roots.shape[1]
+    eye = np.eye(rank)
+    # s_k(xi) = xi - xi(H_k) alpha_k, and the coroot H_k is the k-th basis element.
+    gens = [eye - np.outer(roots[r], eye[k]) for k, r in enumerate(simple)]
+    words = {perm: _reduced_word(perm)
+             for perm in itertools.permutations(range(rank + 1))}
+    matrices: dict[tuple[int, ...], np.ndarray] = {(): eye}
+    out = []
+    for perm, word in sorted(words.items(), key=lambda t: (len(t[1]), t[1])):
+        if word:
+            # The smallest word of w minus its last letter is the smallest
+            # word of a shorter element, whose matrix is already known.
+            matrices[word] = matrices[word[:-1]] @ gens[word[-1] - 1]
+        label = "s" + "s".join(map(str, word)) if word else "e"
+        out.append(WeylElement(label, word, _readonly(matrices[word]),
+                               float((-1) ** len(word)), perm))
     return out
 
 
@@ -503,50 +528,17 @@ def cartan_of(x: AlgebraElement) -> CartanDatum:
     vinv = np.linalg.inv(vecs)
 
     def conj(mat):
-        return vecs @ mat @ vinv
+        return element_from_matrix(spec, vecs @ mat @ vinv)
 
-    def e(j, k):
-        mm = np.zeros((n, n), dtype=complex)
-        mm[j, k] = 1.0
-        return mm
-
-    basis = [element_from_matrix(spec, conj(e(k, k) - e(k + 1, k + 1)))
-             for k in range(n - 1)]
-    roots = []
-    root_vectors = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            vec = np.zeros(n - 1)
-            for k in range(n - 1):
-                vec[k] = (1.0 if i == k else 0.0) - (1.0 if i == k + 1 else 0.0) \
-                    - (1.0 if j == k else 0.0) + (1.0 if j == k + 1 else 0.0)
-            roots.append(vec)
-            root_vectors.append(element_from_matrix(spec, conj(e(i, j))))
-    roots = np.array(roots)
-    positive = tuple(
-        r for r, (i, j) in enumerate(
-            (i, j) for i in range(n) for j in range(n) if i != j)
-        if i < j
-    )
-    # Simple positive roots: not a sum of two positive roots.
-    pos_set = {tuple(np.round(roots[r], 6)) for r in positive}
-    simple = tuple(
-        r for r in positive
-        if not any(
-            tuple(np.round(roots[r] - roots[q], 6)) in pos_set
-            for q in positive if q != r
-        )
-    )
-    gram = np.zeros((n - 1, n - 1))
-    for a in range(n - 1):
-        for b in range(n - 1):
-            gram[a, b] = np.real(
-                basis[a].coords @ spec.killing @ basis[b].coords
-            )
-    weyl = _weyl_closure(gram, roots, simple)
-    cart = CartanDatum(
+    basis = [conj(_unit(n, k, k) - _unit(n, k + 1, k + 1)) for k in range(n - 1)]
+    pairs = _root_pairs(n)
+    roots = _root_values(n)
+    root_vectors = [conj(_unit(n, i, j)) for i, j in pairs]
+    positive = tuple(r for r, (i, j) in enumerate(pairs) if i < j)
+    simple = tuple(r for r, (i, j) in enumerate(pairs) if j == i + 1)
+    cols = np.stack([h.coords for h in basis])
+    gram = np.real(cols @ spec.killing @ cols.T)
+    return CartanDatum(
         algebra=spec,
         basis=tuple(basis),
         real_basis=tuple(_real_form_basis(spec, basis)),
@@ -554,14 +546,9 @@ def cartan_of(x: AlgebraElement) -> CartanDatum:
         root_vectors=tuple(root_vectors),
         positive=positive,
         simple=simple,
-        weyl=tuple(weyl),
+        weyl=tuple(_weyl_group(roots, simple)),
         gram=_readonly(gram),
     )
-    if len(cart.weyl) != math.factorial(n):
-        raise AlgebraError(
-            f"Weyl closure produced {len(cart.weyl)} elements, expected {math.factorial(n)}"
-        )
-    return cart
 
 
 def cartan_coordinates(cartan: CartanDatum, x: AlgebraElement) -> np.ndarray:
@@ -606,11 +593,6 @@ def iwasawa_decomposition(spec: AlgebraSpec) -> IwasawaDatum:
     def coords_of(m):
         return element_from_matrix(spec, m)
 
-    def e(j, k):
-        mm = np.zeros((n, n), dtype=complex)
-        mm[j, k] = 1.0
-        return mm
-
     if spec.family == "su":
         theta = np.eye(spec.dim)
         k_basis = tuple(element(spec, row) for row in np.eye(spec.dim))
@@ -633,31 +615,17 @@ def iwasawa_decomposition(spec: AlgebraSpec) -> IwasawaDatum:
         theta[:, i] = _matrix_to_coords(spec._proj, img)
     theta[np.abs(theta) < 1e-13] = 0.0
 
-    k_basis = tuple(coords_of(e(i, j) - e(j, i))
-                    for i in range(n) for j in range(i + 1, n))
-    p_basis = tuple(
-        [coords_of(e(k, k) - e(k + 1, k + 1)) for k in range(n - 1)]
-        + [coords_of(e(i, j) + e(j, i)) for i in range(n) for j in range(i + 1, n)]
-    )
+    def e(j, k):
+        return _unit(n, j, k)
+
+    upper = [(i, j) for i, j in _root_pairs(n) if i < j]
+    k_basis = tuple(coords_of(e(i, j) - e(j, i)) for i, j in upper)
     a_basis = tuple(coords_of(e(k, k) - e(k + 1, k + 1)) for k in range(n - 1))
-    n_basis = tuple(coords_of(e(i, j))
-                    for i in range(n) for j in range(n) if i > j)
+    p_basis = a_basis + tuple(coords_of(e(i, j) + e(j, i)) for i, j in upper)
+    n_basis = tuple(coords_of(e(i, j)) for i, j in _root_pairs(n) if i > j)
 
     # Restricted roots: e_i - e_j as functionals on a, i != j.
-    res = []
-    pos = []
-    idx = 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            vec = np.zeros(n - 1)
-            for k in range(n - 1):
-                vec[k] = (i == k) - (i == k + 1) - (j == k) + (j == k + 1)
-            res.append(vec)
-            if i < j:
-                pos.append(idx)
-            idx += 1
+    pos = [r for r, (i, j) in enumerate(_root_pairs(n)) if i < j]
     return IwasawaDatum(
         algebra=spec,
         involution=_readonly(theta),
@@ -666,7 +634,7 @@ def iwasawa_decomposition(spec: AlgebraSpec) -> IwasawaDatum:
         a_basis=a_basis,
         m_basis=(),
         n_basis=n_basis,
-        restricted_roots=_readonly(np.array(res)),
+        restricted_roots=_readonly(_root_values(n)),
         restricted_positive=tuple(pos),
     )
 
@@ -686,6 +654,28 @@ class CartanReduction:
 
     group_element: np.ndarray   # defining-representation matrix, det 1
     reduced: AlgebraElement
+
+
+def _non_real(ev: np.ndarray) -> bool:
+    """A spectrum with no real conjugation into the split Cartan."""
+    scale = max(1.0, float(np.max(np.abs(ev))))
+    return bool(np.max(np.abs(ev.imag)) > 1e-9 * scale)
+
+
+def standard_spectrum(x: AlgebraElement) -> Optional[np.ndarray]:
+    """Canonically ordered spectrum ev of a regular x, without eigenvectors.
+
+    reduce_to_cartan conjugates x to diag(ev): over the standard Cartan
+    basis its coordinates are cumsum(ev)[:-1], its root values ev_i - ev_j.
+    Returns None where reduce_to_cartan does (sl(n,R): a non-real
+    spectrum); raises AlgebraError when x is not regular semisimple.
+    """
+    ev = _regular_spectrum(x)
+    if ev is None:
+        raise AlgebraError("evaluation point must be regular semisimple")
+    if x.algebra.family == "su":
+        return ev
+    return None if _non_real(ev) else ev.real
 
 
 def reduce_to_cartan(x: AlgebraElement,
@@ -721,8 +711,7 @@ def reduce_to_cartan(x: AlgebraElement,
         return CartanReduction(_readonly(g), reduced)
 
     ev, vecs = np.linalg.eig(m)
-    scale = max(1.0, float(np.max(np.abs(ev))))
-    if np.max(np.abs(ev.imag)) > 1e-9 * scale:
+    if _non_real(ev):
         return None
     order = np.argsort(-ev.real)
     ev, vecs = ev[order].real, vecs[:, order]

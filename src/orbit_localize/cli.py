@@ -7,11 +7,8 @@ timestamps or machine state, so identical configs produce byte-identical
 result files.
 
 Subcommands: eval, verify, calibrate, oracle, cycle-limit.
-Exit codes: 0 success, 2 configuration error, 3 degenerate-only grid,
-4 verification failure.
-
-The only environment knob is ORBIT_LOCALIZE_THREADS, a cap on concurrent
-grid evaluation; file writes are always single-threaded and ordered.
+Exit codes: 0 success, 2 configuration error (malformed fields included),
+3 degenerate-only grid, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,6 +83,36 @@ def _require(cfg: dict, key: str, context: str) -> object:
     return cfg[key]
 
 
+def _number(value, name: str) -> float:
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(out):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return out
+
+
+def _numbers(values, name: str) -> tuple[float, ...]:
+    return tuple(_number(v, f"{name}[{i}]") for i, v in enumerate(values))
+
+
+def _integer(value, name: str) -> int:
+    if isinstance(value, int):
+        return value
+    out = _number(value, name)
+    if not out.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(out)
+
+
+def _block(cfg: dict, key: str) -> dict:
+    value = cfg.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object")
+    return value
+
+
 def load_config(path: str) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text())
@@ -93,39 +120,48 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    try:
+        return _parse_config(raw)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed config: {exc}")
 
+
+def _parse_config(raw: dict) -> RunConfig:
     algebra = _require(raw, "algebra", "")
     family = _require(algebra, "family", "algebra")
-    n = int(_require(algebra, "n", "algebra"))
-    weight = tuple(float(v) for v in _require(raw, "weight", ""))
+    n = _integer(_require(algebra, "n", "algebra"), "algebra.n")
+    weight = _numbers(_require(raw, "weight", ""), "weight")
     mode = raw.get("mode")
-    s0 = int(raw.get("s0", 1))
+    s0 = _integer(raw.get("s0", 1), "s0")
     mults = raw.get("multiplicities")
 
     axes = []
-    grid = raw.get("grid", {})
-    for i, axis in enumerate(grid.get("axes", [])):
+    for i, axis in enumerate(_block(raw, "grid").get("axes", [])):
+        where = f"grid.axes[{i}]"
         if "steps" not in axis:
-            raise ConfigError(f"missing grid.axes[{i}].steps")
-        steps = int(axis["steps"])
+            raise ConfigError(f"missing {where}.steps")
+        steps = _integer(axis["steps"], f"{where}.steps")
         if steps < 1:
-            raise ConfigError(f"grid.axes[{i}].steps must be >= 1")
+            raise ConfigError(f"{where}.steps must be >= 1")
         direction = axis.get("direction")
         axes.append(
             GridAxis(
-                start=float(axis.get("start", 0.0)),
-                stop=float(axis.get("stop", 0.0)),
+                start=_number(axis.get("start", 0.0), f"{where}.start"),
+                stop=_number(axis.get("stop", 0.0), f"{where}.stop"),
                 steps=steps,
-                direction=tuple(float(c) for c in direction) if direction else None,
+                direction=(_numbers(direction, f"{where}.direction")
+                           if direction else None),
             )
         )
 
-    oracle = raw.get("oracle", {})
+    oracle = _block(raw, "oracle")
     seed = oracle.get("seed")
-    if seed is not None:
-        seed = int(seed)
-    eps = tuple(float(e) for e in oracle.get("eps_schedule", (0.2, 0.1, 0.05, 0.025)))
-    output = raw.get("output", {})
+    seed = None if seed is None else _integer(seed, "oracle.seed")
+    eps = _numbers(oracle.get("eps_schedule", (0.2, 0.1, 0.05, 0.025)),
+                   "oracle.eps_schedule")
+    output = _block(raw, "output")
     out_format = output.get("format", "csv")
     if out_format not in ("csv", "json"):
         raise ConfigError("output.format must be csv or json")
@@ -138,9 +174,10 @@ def load_config(path: str) -> RunConfig:
         multiplicities=mults,
         axes=tuple(axes),
         seed=seed,
-        mc_samples=int(oracle.get("samples", 200_000)),
+        mc_samples=_integer(oracle.get("samples", 200_000), "oracle.samples"),
         eps_schedule=eps,
-        scale_log2=int(oracle.get("scale_schedule_log2", 20)),
+        scale_log2=_integer(oracle.get("scale_schedule_log2", 20),
+                            "oracle.scale_schedule_log2"),
         out_format=out_format,
         out_path=output.get("path"),
         raw=raw,
@@ -201,13 +238,6 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ORBIT_LOCALIZE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -215,7 +245,7 @@ def _threads() -> int:
 def cmd_eval(cfg: RunConfig, out: Optional[str], fmt: str) -> int:
     orbit = _build_orbit(cfg)
     coords_list, points = _grid_points(cfg, orbit)
-    results = fourier_grid(orbit, points, threads=_threads())
+    results = fourier_grid(orbit, points)
 
     n_axes = len(cfg.axes)
     if fmt == "csv":

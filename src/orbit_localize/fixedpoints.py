@@ -95,12 +95,13 @@ def enumerate_fixed_points(cartan: CartanDatum,
     if not is_regular_covector(cartan, covector):
         raise AlgebraError("orbit covector is singular (vanishing coroot pairing)")
 
-    negative = [cartan.root_index(-cartan.roots[r]) for r in cartan.positive]
+    pairs = cartan.root_pairs
+    index = {pair: r for r, pair in enumerate(pairs)}
+    negative = [(j, i) for i, j in (pairs[r] for r in cartan.positive)]
     out = []
     for w in cartan.weyl:
-        borel = tuple(
-            sorted(cartan.root_index(w.apply(cartan.roots[r])) for r in negative)
-        )
+        p = w.perm
+        borel = tuple(sorted(index[p[i], p[j]] for i, j in negative))
         out.append(
             FixedPoint(
                 weyl=w,

@@ -5,12 +5,16 @@ the induced flag-variety vector field:
 
     sum over w of  d_w * exp(<X, w.weight>) / prod(alpha(X) over Borel roots)
 
-Evaluation is routed through conjugation into the standard Cartan of the
-realization (justified by Ad-invariance of the transform), which avoids any
-flag-variety geometry in rank above one.  The reduction orders eigenvalues
-canonically, so inputs from one adjoint orbit share a representative and
-invariance holds by construction; in split mode the multiplicity pattern is
-tied to that canonical chamber.
+The transform is Ad-invariant, so it is evaluated at the representative
+diag(ev) of X in the standard Cartan, ev the defining eigenvalues of X in
+canonical (descending) order; no flag-variety geometry is needed in rank
+above one.  For su(n) and sl(n,R) the fixed points are the permutations w
+in S_n, the root values at diag(ev) are the differences ev_i - ev_j, and
+the Cartan coordinates are t = cumsum(ev)[:-1].  Each point therefore costs
+one eigenvalue solve plus array arithmetic over W with the weights, Borel
+root lists and multiplicities that ``make_orbit`` lays out once.  Inputs
+from one adjoint orbit share ev, so invariance holds by construction; in
+split mode the multiplicity pattern is tied to the canonical chamber.
 
 Conventions: the orbit parameter is purely imaginary, ``i`` times the
 Killing dual of a real Cartan element.  The ``weight`` sequence supplied by
@@ -23,8 +27,7 @@ the standard Cartan in split mode.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -35,13 +38,11 @@ from .algebra import (
     AlgebraSpec,
     CartanDatum,
     IndeterminateRegularityError,
-    cartan_coordinates,
     cartan_of,
     element,
     element_from_matrix,
-    is_regular_semisimple,
     killing_form,
-    reduce_to_cartan,
+    standard_spectrum,
 )
 from .fixedpoints import (
     FixedPoint,
@@ -96,21 +97,10 @@ def standard_cartan(spec: AlgebraSpec) -> CartanDatum:
         seed = element_from_matrix(spec, 1j * np.diag(seed_diag))
     else:
         seed = element_from_matrix(spec, np.diag(seed_diag))
-    cart = cartan_of(seed)
     real_basis = tuple(
         element(spec, np.eye(spec.dim)[k]) for k in range(spec.rank)
     )
-    cart = CartanDatum(
-        algebra=cart.algebra,
-        basis=cart.basis,
-        real_basis=real_basis,
-        roots=cart.roots,
-        root_vectors=cart.root_vectors,
-        positive=cart.positive,
-        simple=cart.simple,
-        weyl=cart.weyl,
-        gram=cart.gram,
-    )
+    cart = replace(cartan_of(seed), real_basis=real_basis)
     _STANDARD_CARTANS[key] = cart
     return cart
 
@@ -128,6 +118,21 @@ class OrbitSpec:
     fixed_points: tuple[FixedPoint, ...]
     assignment: MultiplicityAssignment
     user_multiplicities: Optional[Mapping[str, int]] = None
+    # The fixed points as arrays over W, in label order, for the evaluator.
+    _labels: tuple[str, ...] = field(init=False, repr=False)
+    _weights: np.ndarray = field(init=False, repr=False)     # (|W|, rank)
+    _borel: np.ndarray = field(init=False, repr=False)       # (|W|, |positive|)
+    _multiplicities: np.ndarray = field(init=False, repr=False)
+    _root_cells: np.ndarray = field(init=False, repr=False)  # i*n + j per root
+
+    def __post_init__(self) -> None:
+        fps, n, put = self.fixed_points, self.algebra.n, object.__setattr__
+        put(self, "_labels", tuple(fp.weyl.label for fp in fps))
+        put(self, "_weights", np.array([fp.weight for fp in fps], dtype=complex))
+        put(self, "_borel", np.array([fp.borel_roots for fp in fps], dtype=np.intp))
+        put(self, "_multiplicities", np.array([fp.multiplicity for fp in fps]))
+        put(self, "_root_cells",
+            np.array([i * n + j for i, j in self.cartan.root_pairs]))
 
     @property
     def dual_element(self) -> AlgebraElement:
@@ -241,33 +246,13 @@ class EvalResult:
     conjugacy: str    # "cartan" or "outside"
 
 
-_ZERO_OUTSIDE = "outside"
-
-
-def _evaluate_at_cartan(orbit: OrbitSpec, t_coords: np.ndarray,
-                        fixed_points: Sequence[FixedPoint]) -> EvalResult:
-    terms = []
-    total = 0.0 + 0.0j
-    for fp in fixed_points:
-        denom = 1.0 + 0.0j
-        for r in fp.borel_roots:
-            denom *= complex(np.dot(orbit.cartan.roots[r], t_coords))
-        expo = complex(np.dot(fp.weight, t_coords))
-        val = fp.multiplicity * np.exp(expo) / denom
-        terms.append(
-            TermBreakdown(
-                label=fp.weyl.label,
-                exponent=expo,
-                denominator=denom,
-                multiplicity=fp.multiplicity,
-                value=complex(val),
-            )
-        )
-        total += val
-    return EvalResult(
-        value=complex(total), terms=tuple(terms), degenerate=False,
-        conjugacy="cartan",
-    )
+# Not conjugate into the split Cartan: the transform vanishes identically
+# on the conjugacy class.
+_OUTSIDE = EvalResult(value=0.0 + 0.0j, terms=(), degenerate=False,
+                      conjugacy="outside")
+# Too close to a root hyperplane, or not regular: no value is reported.
+_DEGENERATE = EvalResult(value=complex("nan"), terms=(), degenerate=True,
+                         conjugacy="cartan")
 
 
 def fourier_value(orbit: OrbitSpec, x: AlgebraElement,
@@ -278,48 +263,44 @@ def fourier_value(orbit: OrbitSpec, x: AlgebraElement,
     ``on_degenerate="flag"``, in which case a degenerate result row is
     returned instead.
     """
-    if not is_regular_semisimple(x):
-        raise AlgebraError("evaluation point must be regular semisimple")
-    reduction = reduce_to_cartan(x, orbit.cartan)
-    if reduction is None:
-        # Not conjugate into the split Cartan: the transform vanishes
-        # identically on this conjugacy class.
-        return EvalResult(
-            value=0.0 + 0.0j, terms=(), degenerate=False, conjugacy=_ZERO_OUTSIDE
-        )
-    t = cartan_coordinates(orbit.cartan, reduction.reduced)
-    root_vals = orbit.cartan.roots @ t
+    ev = standard_spectrum(x)
+    if ev is None:
+        return _OUTSIDE
+    root_vals = np.subtract.outer(ev, ev).ravel()[orbit._root_cells]
     scale = max(1.0, float(np.max(np.abs(root_vals))))
     if float(np.min(np.abs(root_vals))) < WALL_TOL * scale:
         if on_degenerate == "raise":
             raise DegenerateInputError(
                 "evaluation point within tolerance of a root hyperplane"
             )
-        return EvalResult(
-            value=complex("nan"), terms=(), degenerate=True, conjugacy="cartan"
-        )
-    return _evaluate_at_cartan(orbit, t, orbit.fixed_points)
+        return _DEGENERATE
+    exponents = orbit._weights @ np.cumsum(ev)[:-1]
+    denominators = np.prod(root_vals[orbit._borel], axis=1).astype(complex)
+    values = orbit._multiplicities * np.exp(exponents) / denominators
+    terms = tuple(map(
+        TermBreakdown, orbit._labels, exponents.tolist(),
+        denominators.tolist(), orbit._multiplicities.tolist(), values.tolist(),
+    ))
+    return EvalResult(
+        value=complex(sum(t.value for t in terms)), terms=terms,
+        degenerate=False, conjugacy="cartan",
+    )
 
 
-def fourier_grid(orbit: OrbitSpec, samples: Sequence[AlgebraElement],
-                 threads: int = 1) -> tuple[EvalResult, ...]:
+def fourier_grid(orbit: OrbitSpec,
+                 samples: Sequence[AlgebraElement]) -> tuple[EvalResult, ...]:
     """Evaluate a batch; degenerate or non-regular rows are flagged, not dropped.
 
-    Output order matches input order regardless of thread count.
+    Each row is ``fourier_value(..., on_degenerate="flag")``, or a
+    degenerate row where that raises; output order matches input order.
     """
     def one(x: AlgebraElement) -> EvalResult:
         try:
             return fourier_value(orbit, x, on_degenerate="flag")
-        except (IndeterminateRegularityError, AlgebraError):
-            return EvalResult(
-                value=complex("nan"), terms=(), degenerate=True, conjugacy="cartan"
-            )
+        except AlgebraError:
+            return _DEGENERATE
 
-    samples = list(samples)
-    if threads <= 1 or len(samples) <= 1:
-        return tuple(one(x) for x in samples)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return tuple(pool.map(one, samples))
+    return tuple(one(x) for x in samples)
 
 
 # ---------------------------------------------------------------------------

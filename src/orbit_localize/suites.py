@@ -19,12 +19,11 @@ from .algebra import (
     adjoint_matrix,
     bracket,
     build_algebra,
-    cartan_coordinates,
     element,
     element_from_matrix,
-    is_regular_semisimple,
     iwasawa_decomposition,
     reduce_to_cartan,
+    standard_spectrum,
 )
 from .fixedpoints import (
     assign_multiplicities,
@@ -91,25 +90,26 @@ def _orbit(st: SuiteSettings) -> OrbitSpec:
                       user_multiplicities=st.user_multiplicities)
 
 
+def _root_gaps(ev: np.ndarray) -> np.ndarray:
+    """|alpha(x)| over the roots, from the standard-Cartan spectrum of x."""
+    i, j = np.triu_indices(len(ev), 1)
+    return np.abs(ev[i] - ev[j])
+
+
 def _random_regular(spec: AlgebraSpec, rng: np.random.Generator,
                     split_only: bool = False):
     """Gaussian ambient coordinates, filtered to the regular (split) set."""
-    cart = standard_cartan(spec)
     for _ in range(400):
         x = element(spec, rng.standard_normal(spec.dim) * 0.7)
         try:
-            ok = is_regular_semisimple(x)
-        except Exception:
+            ev = standard_spectrum(x)
+        except AlgebraError:
             continue
-        if not ok:
-            continue
-        red = reduce_to_cartan(x, cart)
-        if red is None:
+        if ev is None:
             if split_only:
                 continue
             return x
-        t_coords = cartan_coordinates(cart, red.reduced)
-        vals = np.abs(cart.roots @ t_coords)
+        vals = _root_gaps(ev)
         if vals.min() > 0.15 and vals.max() < 40.0:
             return x
     raise RuntimeError("failed to sample a usable regular element")
@@ -124,7 +124,6 @@ def _casimir_point(orbit: OrbitSpec, rng: np.random.Generator):
     escapes the h^2 error budget.
     """
     spec = orbit.algebra
-    cart = orbit.cartan
     split = spec.family == "sl_real"
     if split:
         # Largest achievable gap-to-norm ratio: equally spaced spectrum.
@@ -135,14 +134,12 @@ def _casimir_point(orbit: OrbitSpec, rng: np.random.Generator):
     for _ in range(5000):
         x = element(spec, rng.standard_normal(spec.dim) * 0.7)
         try:
-            if not is_regular_semisimple(x):
-                continue
-        except Exception:
+            ev = standard_spectrum(x)
+        except AlgebraError:
             continue
-        red = reduce_to_cartan(x, cart)
-        if red is None:
+        if ev is None:
             continue
-        vals = np.abs(cart.roots @ cartan_coordinates(cart, red.reduced))
+        vals = _root_gaps(ev)
         gap = float(vals.min())
         if gap < gap_min or vals.max() > 40.0:
             continue

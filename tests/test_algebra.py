@@ -5,6 +5,9 @@ commutators, brute-force ad traces, eigensolves) rather than through the
 package's own killing/bracket helpers, so the two routes check each other.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,8 @@ from orbit_localize.algebra import (
     pair,
     reduce_to_cartan,
 )
+from orbit_localize.fixedpoints import enumerate_fixed_points
+from orbit_localize.localize import standard_cartan
 
 RNG = np.random.default_rng(20240811)
 
@@ -209,11 +214,28 @@ def test_root_vector_eigenproperty():
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
-def test_weyl_group_closure_and_root_permutation():
+def _reflection(gram, alpha):
+    """s_alpha on covector value-vectors, from the Gram matrix alone."""
+    t = np.linalg.solve(gram, alpha)
+    return np.eye(len(alpha)) - np.outer(alpha, 2.0 * t / (alpha @ t))
+
+
+def _product(matrices, word, rank):
+    out = np.eye(rank)
+    for k in word:
+        out = out @ matrices[k - 1]
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_weyl_group_closure_and_root_permutation(n):
+    diag = np.roll(np.arange(n, dtype=float) ** 2, 1)
     cart = cartan_of(element_from_matrix(
-        build_algebra("sl_real", 3), np.diag([1.0, 2.0, -3.0])
+        build_algebra("sl_real", n), np.diag(diag - diag.mean())
     ))
+    rank = n - 1
     keys = {tuple(np.round(w.matrix, 8).ravel()) for w in cart.weyl}
+    assert len(keys) == len(cart.weyl) == math.factorial(n)
     for w1 in cart.weyl:
         for w2 in cart.weyl:
             assert tuple(np.round(w1.matrix @ w2.matrix, 8).ravel()) in keys
@@ -221,6 +243,43 @@ def test_weyl_group_closure_and_root_permutation():
     for w in cart.weyl:
         for r in cart.roots:
             assert tuple(np.round(w.apply(r), 8)) in root_keys
+
+    reflections = [_reflection(cart.gram, cart.roots[r]) for r in cart.simple]
+    simple = [np.round(m) for m in reflections]
+    assert all(np.max(np.abs(m - s)) < 1e-12 for m, s in zip(reflections, simple))
+    for w in cart.weyl:
+        assert np.array_equal(w.matrix, np.round(w.matrix))
+        assert np.array_equal(w.matrix, _product(simple, w.word, rank))
+        assert w.label == ("s" + "s".join(map(str, w.word)) if w.word else "e")
+        inversions = sum(
+            w.perm[a] > w.perm[b] for a in range(n) for b in range(a + 1, n)
+        )
+        assert len(w.word) == inversions
+        assert w.determinant == (-1) ** len(w.word)
+        assert np.linalg.det(w.matrix) == pytest.approx(w.determinant)
+
+    if n <= 4:
+        # Brute force: the first word of each length, in lexicographic
+        # order, to reach a matrix is that element's smallest reduced word.
+        smallest = {}
+        for length in range(n * (n - 1) // 2 + 1):
+            for word in itertools.product(range(1, n), repeat=length):
+                key = tuple(_product(simple, word, rank).ravel())
+                smallest.setdefault(key, word)
+        assert len(smallest) == len(cart.weyl)
+        for w in cart.weyl:
+            assert w.word == smallest[tuple(w.matrix.ravel())]
+
+    # Borel lists agree with transporting the negative roots through the
+    # rounded root lookup.
+    for family in ("su", "sl_real") if n <= 4 else ("su",):
+        std = standard_cartan(build_algebra(family, n))
+        negatives = [std.root_index(-std.roots[r]) for r in std.positive]
+        covector = np.arange(1.0, n) * 1.37 + 0.21
+        for fp in enumerate_fixed_points(std, covector):
+            assert fp.borel_roots == tuple(sorted(
+                std.root_index(fp.weyl.apply(std.roots[r])) for r in negatives
+            ))
 
 
 # --- iwasawa ----------------------------------------------------------------

@@ -228,6 +228,51 @@ def test_seed_required_for_oracle_commands(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+SU3 = {
+    "algebra": {"family": "su", "n": 3},
+    "weight": [0.9, 0.4],
+    "grid": {"axes": [{"start": 0.3, "stop": 0.9, "steps": 3}]},
+    "oracle": {"seed": 9, "samples": 20000},
+    "output": {"format": "csv"},
+}
+SL3 = dict(SU3, algebra={"family": "sl_real", "n": 3})
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("base,path,value", [
+    (SU2, ("grid", "axes", 0, "start"), NAN),
+    (SU3, ("grid", "axes", 0, "start"), NAN),
+    (SL3, ("grid", "axes", 0, "stop"), NAN),
+    (SU3, ("grid", "axes", 0, "direction"), [0.1] * 7 + [NAN]),
+    (SU3, ("weight", 1), float("inf")),
+    (SU3, ("algebra", "n"), 3.7),
+    (SU3, ("algebra", "n"), "three"),
+    (SU3, ("grid", "axes", 0, "steps"), "x"),
+    (SU3, ("grid", "axes", 0, "steps"), 2.5),
+    (SU3, ("s0",), 1.5),
+    (SU3, ("oracle", "seed"), 2.5),
+    (SU3, ("oracle", "samples"), "many"),
+    (SU3, ("weight",), 5),
+    (SU3, ("grid",), [1]),
+], ids=[
+    "su2-start-nan", "su3-start-nan", "sl3-stop-nan", "direction-nan",
+    "weight-inf", "n-fractional", "n-text", "steps-text", "steps-fractional",
+    "s0-fractional", "seed-fractional", "samples-text", "weight-scalar",
+    "grid-list",
+])
+def test_malformed_fields_exit_2(tmp_path, capsys, base, path, value):
+    cfg = json.loads(json.dumps(base))
+    target = cfg
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    out = tmp_path / "out.csv"
+    assert main(["eval", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_eval_thread_cap_env(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, SU2)
     serial = tmp_path / "serial.csv"

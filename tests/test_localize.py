@@ -12,12 +12,15 @@ import pytest
 from orbit_localize.algebra import (
     AlgebraError,
     build_algebra,
+    cartan_coordinates,
     element,
     element_from_matrix,
     killing_form,
+    reduce_to_cartan,
 )
 from orbit_localize.localize import (
     DegenerateInputError,
+    EvalResult,
     casimir_check,
     fourier_grid,
     fourier_value,
@@ -93,6 +96,42 @@ def test_total_equals_term_sum():
     assert len(res.terms) == 6
 
 
+@pytest.mark.parametrize("family,n,weight", [
+    ("su", 2, (1.3,)),
+    ("su", 3, (0.9, 0.4)),
+    ("su", 4, (0.9, 0.4, 0.3)),
+    ("sl_real", 3, (0.9, 0.4)),
+    ("sl_real", 4, (0.9, 0.4, 0.15)),
+])
+def test_terms_match_reduction_loop(family, n, weight):
+    # Reference: conjugate into the Cartan with eigenvectors, solve for the
+    # Cartan coordinates, and take each term one fixed point at a time.
+    rng = np.random.default_rng(3)
+    orbit = make_orbit(build_algebra(family, n), weight)
+    cart = orbit.cartan
+    checked = 0
+    for _ in range(12):
+        x = element(orbit.algebra, rng.standard_normal(orbit.algebra.dim))
+        red = reduce_to_cartan(x, cart)
+        res = fourier_value(orbit, x)
+        if red is None:
+            assert res.conjugacy == "outside" and res.value == 0
+            continue
+        t = cartan_coordinates(cart, red.reduced)
+        assert len(res.terms) == len(orbit.fixed_points)
+        for fp, term in zip(orbit.fixed_points, res.terms):
+            expo = complex(fp.weight @ t)
+            denom = complex(np.prod([cart.roots[r] @ t for r in fp.borel_roots]))
+            assert (term.label, term.multiplicity) == (fp.weyl.label, fp.multiplicity)
+            assert term.exponent == pytest.approx(expo, rel=1e-12, abs=1e-12)
+            assert term.denominator == pytest.approx(denom, rel=1e-10)
+            assert term.value == pytest.approx(
+                fp.multiplicity * np.exp(expo) / denom, rel=1e-10, abs=1e-300
+            )
+        checked += 1
+    assert checked >= 3
+
+
 def test_weyl_symmetry_under_negation_su2():
     orbit = su2_orbit()
     x = element(orbit.algebra, [0.9, 0.4, -0.2])
@@ -122,15 +161,43 @@ def test_grid_empty_and_flagging():
     assert rows[0].value == pytest.approx(rows[2].value, rel=1e-12)
 
 
-def test_grid_threaded_matches_serial():
-    orbit = make_orbit(build_algebra("su", 3), [0.9, 0.4])
-    xs = [element(orbit.algebra, RNG.standard_normal(8)) for _ in range(12)]
-    serial = fourier_grid(orbit, xs, threads=1)
-    threaded = fourier_grid(orbit, xs, threads=4)
-    for a, b in zip(serial, threaded):
-        assert a.degenerate == b.degenerate
-        if not a.degenerate:
-            assert a.value == b.value
+def _row_key(r):
+    """Every field of a result row, in a form that compares bit for bit."""
+    return repr((
+        r.value, r.degenerate, r.conjugacy,
+        [(t.label, t.exponent, t.denominator, t.multiplicity, t.value)
+         for t in r.terms],
+    ))
+
+
+def test_grid_matches_pointwise():
+    su3 = make_orbit(build_algebra("su", 3), [0.9, 0.4])
+    sl3 = make_orbit(build_algebra("sl_real", 3), [0.9, 0.4])
+    rotation = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    cases = []
+    for orbit in (su3, sl3):
+        spec = orbit.algebra
+        xs = [element(spec, RNG.standard_normal(8)) for _ in range(8)]
+        xs.append(element(spec, 1e-10 * RNG.standard_normal(8)))  # wall
+        xs.append(element(spec, np.zeros(8)))                     # non-regular
+        cases.append((orbit, xs))
+    cases.append((sl3, [element_from_matrix(sl3.algebra, rotation)]))  # outside
+
+    seen = set()
+    for orbit, xs in cases:
+        rows = fourier_grid(orbit, xs)
+        assert len(rows) == len(xs)
+        for x, row in zip(xs, rows):
+            try:
+                expected = fourier_value(orbit, x, on_degenerate="flag")
+                seen.add("outside" if expected.conjugacy == "outside" else
+                         "wall" if expected.degenerate else "value")
+            except AlgebraError:
+                seen.add("raise")
+                expected = EvalResult(value=complex("nan"), terms=(),
+                                      degenerate=True, conjugacy="cartan")
+            assert _row_key(row) == _row_key(expected)
+    assert seen == {"value", "wall", "raise", "outside"}
 
 
 def test_casimir_residuals():
