@@ -25,10 +25,7 @@ from .algebra import (
     element_from_matrix,
     is_regular_semisimple,
     iwasawa_decomposition,
-    killing_dual,
-    killing_dual_inverse,
     killing_form,
-    pair,
     reduce_to_cartan,
     standard_spectrum,
 )

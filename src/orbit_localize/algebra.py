@@ -11,9 +11,10 @@ Matrix realizations, fixed once and for all:
   j < k, by the real rotation ``E_jk - E_kj`` and the imaginary symmetric
   ``i (E_jk + E_kj)``.
 
-Structure constants and the Killing matrix are derived from these matrices
-at build time and validated (antisymmetry, Jacobi, invariance, the expected
-signature).  Everything downstream -- brackets, ad matrices, Cartan data,
+No structure constants are stored: brackets are matrix commutators
+projected back onto the basis, and the Killing form is the trace form
+B(X, Y) = 2n tr(XY), whose matrix over the basis is an exact integer
+matrix.  Everything downstream -- brackets, ad matrices, Cartan data,
 Weyl groups, Iwasawa decompositions, conjugation into a Cartan -- is
 expressed against this fixed basis, so all coordinates are reproducible.
 
@@ -43,9 +44,6 @@ __all__ = [
     "element_from_matrix",
     "bracket",
     "killing_form",
-    "killing_dual",
-    "killing_dual_inverse",
-    "pair",
     "adjoint_matrix",
     "is_regular_semisimple",
     "cartan_of",
@@ -89,9 +87,8 @@ class AlgebraSpec:
     dim: int
     rank: int
     labels: tuple[str, ...]
-    basis: np.ndarray       # (dim, n, n) complex
-    structure: np.ndarray   # (dim, dim, dim): [e_i, e_j] = sum_k c[i,j,k] e_k
-    killing: np.ndarray     # (dim, dim) real symmetric
+    basis: np.ndarray       # (dim, n, n) complex defining matrices e_i
+    killing: np.ndarray     # (dim, dim) integer-valued: 2n Re tr(e_i e_j)
     _proj: np.ndarray = field(repr=False, default=None)  # matrix -> coords
 
     def __repr__(self) -> str:
@@ -172,80 +169,47 @@ def _basis_matrices(family: str, n: int) -> tuple[list[np.ndarray], list[str]]:
 
 
 def _matrix_to_coords(proj: np.ndarray, m: np.ndarray) -> np.ndarray:
-    flat = np.concatenate([m.real.ravel(), m.imag.ravel()])
-    return proj @ flat
+    """Real-linear coordinates of matrices stacked along the last two axes."""
+    flat = np.concatenate([m.real, m.imag], axis=-2)
+    return flat.reshape(flat.shape[:-2] + (-1,)) @ proj.T
+
+
+def _project(spec: AlgebraSpec, m: np.ndarray, complex_out: bool) -> np.ndarray:
+    """Coordinates of matrices in the span; complex-linear when complex_out."""
+    coords = _matrix_to_coords(spec._proj, m)
+    if complex_out:
+        coords = coords + 1j * _matrix_to_coords(spec._proj, -1j * m)
+    return coords
 
 
 def build_algebra(family: str, n: int) -> AlgebraSpec:
-    """Construct and validate a realization of su(n) or sl(n,R)."""
+    """Construct a realization of su(n) or sl(n,R)."""
     if family not in ("su", "sl_real"):
         raise AlgebraError(f"unsupported family: {family!r}")
     if n < 2:
         raise AlgebraError(f"rank parameter must satisfy n >= 2, got {n}")
 
     mats, labels = _basis_matrices(family, n)
-    dim = len(mats)
-    assert dim == n * n - 1
+    basis = np.stack(mats)
+    assert len(mats) == n * n - 1
 
     # Real-linear projector onto the basis: coordinates are real for
     # real-form elements and extend complex-linearly on the complexification.
-    flat = np.stack(
-        [np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats]
-    )
+    flat = np.concatenate([basis.real, basis.imag], axis=1).reshape(len(mats), -1)
     proj = np.linalg.pinv(flat.T)
+    # Basis entries are 0, +-1, +-i, so the trace form is exact.
+    killing = 2 * n * np.einsum("iab,jba->ij", basis, basis).real
 
-    structure = np.zeros((dim, dim, dim))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            c = _matrix_to_coords(proj, mats[i] @ mats[j] - mats[j] @ mats[i])
-            structure[i, j] = c
-            structure[j, i] = -c
-    structure[np.abs(structure) < 1e-13] = 0.0
-
-    # Killing matrix from the structure tensor: B_ij = tr(ad e_i ad e_j).
-    killing = np.einsum("ilk,jkl->ij", structure, structure)
-    killing[np.abs(killing) < 1e-10] = 0.0
-
-    spec = AlgebraSpec(
+    return AlgebraSpec(
         family=family,
         n=n,
-        dim=dim,
+        dim=len(mats),
         rank=n - 1,
         labels=tuple(labels),
-        basis=_readonly(np.stack(mats)),
-        structure=_readonly(structure),
+        basis=_readonly(basis),
         killing=_readonly(killing),
         _proj=_readonly(proj),
     )
-    _validate_spec(spec)
-    return spec
-
-
-def _validate_spec(spec: AlgebraSpec) -> None:
-    c, B = spec.structure, spec.killing
-    if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > 1e-12:
-        raise AlgebraError("structure constants not antisymmetric")
-    # Jacobi: sum over cyclic permutations of [[e_i,e_j],e_k] vanishes.
-    jac = (
-        np.einsum("ijm,mkl->ijkl", c, c)
-        + np.einsum("jkm,mil->ijkl", c, c)
-        + np.einsum("kim,mjl->ijkl", c, c)
-    )
-    if np.max(np.abs(jac)) > 1e-12:
-        raise AlgebraError("Jacobi identity fails")
-    if np.max(np.abs(B - B.T)) > 1e-12:
-        raise AlgebraError("Killing matrix not symmetric")
-    # Invariance: B([z,x],y) + B(x,[z,y]) = 0 on all basis triples.
-    inv = np.einsum("zxm,my->zxy", c, B) + np.einsum("zym,xm->zxy", c, B)
-    if np.max(np.abs(inv)) > 1e-10:
-        raise AlgebraError("Killing form not invariant")
-    eigs = np.linalg.eigvalsh(B)
-    if spec.family == "su":
-        if eigs.max() > -1e-9:
-            raise AlgebraError("Killing form of su(n) must be negative definite")
-    else:
-        if np.min(np.abs(eigs)) < 1e-9 or eigs.max() < 0 or eigs.min() > 0:
-            raise AlgebraError("Killing form of sl(n,R) must be indefinite nondegenerate")
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +228,7 @@ def element(spec: AlgebraSpec, coords: Sequence) -> AlgebraElement:
 def element_from_matrix(spec: AlgebraSpec, m: np.ndarray) -> AlgebraElement:
     """Coordinates of a matrix lying in the algebra or its complexification."""
     m = np.asarray(m, dtype=complex)
-    re = _matrix_to_coords(spec._proj, m)
-    im = _matrix_to_coords(spec._proj, -1j * m)
-    coords = re + 1j * im
+    coords = _project(spec, m, complex_out=True)
     if np.max(np.abs(coords.imag)) < 1e-12:
         coords = coords.real
     recon = np.tensordot(coords, spec.basis, axes=(0, 0))
@@ -276,9 +238,11 @@ def element_from_matrix(spec: AlgebraSpec, m: np.ndarray) -> AlgebraElement:
 
 
 def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """[x, y] as the projected matrix commutator; complex if either input is."""
     _check_same(x, y)
-    c = x.algebra.structure
-    out = np.einsum("i,j,ijk->k", x.coords, y.coords, c)
+    mx, my = x.matrix, y.matrix
+    complex_out = np.iscomplexobj(x.coords) or np.iscomplexobj(y.coords)
+    out = _project(x.algebra, mx @ my - my @ mx, complex_out)
     return AlgebraElement(x.algebra, _readonly(out))
 
 
@@ -288,23 +252,10 @@ def killing_form(x: AlgebraElement, y: AlgebraElement):
     return complex(val) if np.iscomplexobj(val) else float(val)
 
 
-def killing_dual(x: AlgebraElement) -> AlgebraElement:
-    """The covector B(x, .), stored through its defining vector."""
-    return AlgebraElement(x.algebra, x.coords)
-
-
-def killing_dual_inverse(xi: AlgebraElement) -> AlgebraElement:
-    return AlgebraElement(xi.algebra, xi.coords)
-
-
-def pair(xi: AlgebraElement, y: AlgebraElement):
-    """Evaluate a covector (stored via killing_dual) on an element."""
-    return killing_form(xi, y)
-
-
 def adjoint_matrix(x: AlgebraElement) -> np.ndarray:
     """Matrix of ad(x) on the algebra basis: column j holds [x, e_j]."""
-    return np.einsum("i,ijk->kj", x.coords, x.algebra.structure)
+    basis, m = x.algebra.basis, x.matrix
+    return _project(x.algebra, m @ basis - basis @ m, np.iscomplexobj(x.coords)).T
 
 
 def _regular_spectrum(x: AlgebraElement) -> Optional[np.ndarray]:
@@ -609,10 +560,7 @@ def iwasawa_decomposition(spec: AlgebraSpec) -> IwasawaDatum:
         )
 
     # theta on coordinates from its action on basis matrices
-    theta = np.zeros((spec.dim, spec.dim))
-    for i in range(spec.dim):
-        img = -spec.basis[i].T
-        theta[:, i] = _matrix_to_coords(spec._proj, img)
+    theta = _matrix_to_coords(spec._proj, -np.swapaxes(spec.basis, 1, 2)).T
     theta[np.abs(theta) < 1e-13] = 0.0
 
     def e(j, k):

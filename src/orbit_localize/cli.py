@@ -136,6 +136,10 @@ def _parse_config(raw: dict) -> RunConfig:
     mode = raw.get("mode")
     s0 = _integer(raw.get("s0", 1), "s0")
     mults = raw.get("multiplicities")
+    if mults is not None:
+        if not isinstance(mults, dict):
+            raise ConfigError("multiplicities must be an object")
+        mults = {k: _integer(v, f"multiplicities.{k}") for k, v in mults.items()}
 
     axes = []
     for i, axis in enumerate(_block(raw, "grid").get("axes", [])):
@@ -161,10 +165,16 @@ def _parse_config(raw: dict) -> RunConfig:
     seed = None if seed is None else _integer(seed, "oracle.seed")
     eps = _numbers(oracle.get("eps_schedule", (0.2, 0.1, 0.05, 0.025)),
                    "oracle.eps_schedule")
+    samples = _integer(oracle.get("samples", 200_000), "oracle.samples")
+    if samples < 2:
+        raise ConfigError(f"oracle.samples must be >= 2, got {samples}")
     output = _block(raw, "output")
     out_format = output.get("format", "csv")
     if out_format not in ("csv", "json"):
         raise ConfigError("output.format must be csv or json")
+    out_path = output.get("path")
+    if out_path is not None and not isinstance(out_path, str):
+        raise ConfigError(f"output.path must be a string, got {out_path!r}")
     return RunConfig(
         family=family,
         n=n,
@@ -174,12 +184,12 @@ def _parse_config(raw: dict) -> RunConfig:
         multiplicities=mults,
         axes=tuple(axes),
         seed=seed,
-        mc_samples=_integer(oracle.get("samples", 200_000), "oracle.samples"),
+        mc_samples=samples,
         eps_schedule=eps,
         scale_log2=_integer(oracle.get("scale_schedule_log2", 20),
                             "oracle.scale_schedule_log2"),
         out_format=out_format,
-        out_path=output.get("path"),
+        out_path=out_path,
         raw=raw,
     )
 

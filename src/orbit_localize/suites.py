@@ -159,7 +159,9 @@ def _algebra_suite(st: SuiteSettings) -> list[CheckResult]:
     spec = build_algebra(st.family, st.n)
     out = []
 
-    c = spec.structure
+    # Structure tensor [e_i, e_j] = sum_k c[i,j,k] e_k, only for these checks.
+    units = [element(spec, row) for row in np.eye(spec.dim)]
+    c = np.array([[bracket(u, v).coords for v in units] for u in units])
     jac = (
         np.einsum("ijm,mkl->ijkl", c, c)
         + np.einsum("jkm,mil->ijkl", c, c)

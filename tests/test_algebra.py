@@ -7,6 +7,7 @@ package's own killing/bracket helpers, so the two routes check each other.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,10 +23,7 @@ from orbit_localize.algebra import (
     element_from_matrix,
     is_regular_semisimple,
     iwasawa_decomposition,
-    killing_dual,
-    killing_dual_inverse,
     killing_form,
-    pair,
     reduce_to_cartan,
 )
 from orbit_localize.fixedpoints import enumerate_fixed_points
@@ -122,6 +120,55 @@ def test_killing_symmetry_and_trace_identity():
         )
 
 
+@pytest.mark.parametrize("family,n", [
+    ("su", 2), ("su", 3), ("su", 4),
+    ("sl_real", 2), ("sl_real", 3), ("sl_real", 4),
+])
+def test_trace_form_and_commutator_bracket(family, n):
+    spec = build_algebra(family, n)
+    units = [element(spec, row) for row in np.eye(spec.dim)]
+    # Killing matrix = brute-force tr(ad e_i ad e_j) over the defining matrices.
+    ads = [brute_force_ad(list(spec.basis), m) for m in spec.basis]
+    brute = np.array([[np.trace(a @ b) for b in ads] for a in ads])
+    assert np.max(np.abs(spec.killing - brute)) < 1e-10
+    # Jacobi and invariance on all basis triples, through bracket alone.
+    c = np.array([[bracket(u, v).coords for v in units] for u in units])
+    jac = (np.einsum("ijm,mkl->ijkl", c, c) + np.einsum("jkm,mil->ijkl", c, c)
+           + np.einsum("kim,mjl->ijkl", c, c))
+    assert np.max(np.abs(jac)) < 1e-12
+    B = spec.killing
+    inv = np.einsum("zxm,my->zxy", c, B) + np.einsum("zym,xm->zxy", c, B)
+    assert np.max(np.abs(inv)) < 1e-10
+    eigs = np.linalg.eigvalsh(B)
+    if family == "su":
+        assert eigs.max() < -1e-9
+    else:
+        assert np.min(np.abs(eigs)) > 1e-9 and eigs.min() < 0 < eigs.max()
+    # bracket = matrix commutator, real in real out, complex in complex out.
+    for cplx in (False, True):
+        cx = RNG.standard_normal(spec.dim)
+        if cplx:
+            cx = cx + 1j * RNG.standard_normal(spec.dim)
+        x, y = element(spec, cx), element(spec, RNG.standard_normal(spec.dim))
+        got = bracket(x, y)
+        assert np.iscomplexobj(got.coords) == cplx
+        assert np.iscomplexobj(bracket(y, x).coords) == cplx
+        direct = x.matrix @ y.matrix - y.matrix @ x.matrix
+        scale = max(1.0, np.max(np.abs(direct)))
+        assert np.max(np.abs(got.matrix - direct)) < 1e-12 * scale
+
+
+def test_build_memory_stays_small():
+    # A dim^3 structure tensor would make su(7) cost about 86 MB here.
+    tracemalloc.start()
+    try:
+        build_algebra("su", 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+
+
 def test_killing_negative_definite_on_su2():
     spec = su(2)
     for _ in range(100):
@@ -129,20 +176,6 @@ def test_killing_negative_definite_on_su2():
         if np.linalg.norm(x.coords) < 1e-6:
             continue
         assert killing_form(x, x) < 0
-
-
-# --- duality ----------------------------------------------------------------
-
-def test_killing_dual_roundtrip_and_pairing():
-    spec = sl2()
-    for _ in range(20):
-        x = element(spec, RNG.standard_normal(3))
-        y = element(spec, RNG.standard_normal(3))
-        xi = killing_dual(x)
-        assert np.allclose(killing_dual_inverse(xi).coords, x.coords, atol=1e-12)
-        assert pair(xi, y) == pytest.approx(killing_form(x, y), abs=1e-12)
-    H = element(spec, [1.0, 0.0, 0.0])
-    assert pair(killing_dual(H), H) == pytest.approx(8.0)
 
 
 # --- adjoint matrices -------------------------------------------------------

@@ -236,6 +236,7 @@ SU3 = {
     "output": {"format": "csv"},
 }
 SL3 = dict(SU3, algebra={"family": "sl_real", "n": 3})
+USER = dict(SL2, mode="user_supplied", multiplicities={"e": -1, "s1": 1})
 NAN = float("nan")
 
 
@@ -254,11 +255,20 @@ NAN = float("nan")
     (SU3, ("oracle", "samples"), "many"),
     (SU3, ("weight",), 5),
     (SU3, ("grid",), [1]),
+    (USER, ("multiplicities",), {"e": "x"}),
+    (USER, ("multiplicities",), [1]),
+    (USER, ("multiplicities",), {"e": None}),
+    (SU2, ("oracle", "samples"), 0),
+    (SU2, ("oracle", "samples"), -5),
+    (SU2, ("oracle", "samples"), 1),
+    (SU3, ("output", "path"), 5),
 ], ids=[
     "su2-start-nan", "su3-start-nan", "sl3-stop-nan", "direction-nan",
     "weight-inf", "n-fractional", "n-text", "steps-text", "steps-fractional",
     "s0-fractional", "seed-fractional", "samples-text", "weight-scalar",
-    "grid-list",
+    "grid-list", "multiplicity-text", "multiplicities-list",
+    "multiplicity-null", "samples-zero", "samples-negative", "samples-one",
+    "path-number",
 ])
 def test_malformed_fields_exit_2(tmp_path, capsys, base, path, value):
     cfg = json.loads(json.dumps(base))
@@ -270,6 +280,16 @@ def test_malformed_fields_exit_2(tmp_path, capsys, base, path, value):
     assert main(["eval", "--config", write_config(tmp_path, cfg),
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_oracle_refuses_too_few_samples(tmp_path, capsys):
+    cfg = json.loads(json.dumps(SU2))
+    cfg["oracle"]["samples"] = 0
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    assert "oracle.samples" in capsys.readouterr().err
     assert not out.exists()
 
 
