@@ -19,7 +19,6 @@ from .algebra import (
     adjoint_matrix,
     bracket,
     build_algebra,
-    cartan_of,
     coroot,
     element,
     element_from_matrix,

@@ -18,6 +18,12 @@ matrix.  Everything downstream -- brackets, ad matrices, Cartan data,
 Weyl groups, Iwasawa decompositions, conjugation into a Cartan -- is
 expressed against this fixed basis, so all coordinates are reproducible.
 
+The only Cartan is the standard diagonal one, and its data is index data:
+roots are index pairs (i, j), root vectors the elementary matrices E_ij,
+and the Weyl group the permutations of range(n).  Points are brought to
+it by their spectrum (``standard_spectrum``) or, with a group element,
+by ``reduce_to_cartan``.
+
 All public values are immutable after construction (arrays are marked
 read-only) and every operation is a pure function.
 """
@@ -46,7 +52,6 @@ __all__ = [
     "killing_form",
     "adjoint_matrix",
     "is_regular_semisimple",
-    "cartan_of",
     "coroot",
     "iwasawa_decomposition",
     "reduce_to_cartan",
@@ -317,11 +322,13 @@ class WeylElement:
 
 @dataclass(frozen=True, eq=False)
 class CartanDatum:
-    """A Cartan subalgebra with its roots, root vectors and Weyl group.
+    """The standard (diagonal) Cartan with its roots, root vectors and Weyl group.
 
-    Roots are stored as value-vectors on the complex Cartan basis
-    (``roots[r, k] = alpha_r(basis[k])``); functionals on the Cartan use the
-    same representation throughout.
+    Everything is index data: the basis is E_kk - E_(k+1)(k+1), root r is
+    e_i - e_j for ``root_pairs[r] = (i, j)`` with root vector E_ij, and the
+    Weyl group is S_n.  Roots are stored as value-vectors on the complex
+    Cartan basis (``roots[r, k] = alpha_r(basis[k])``); functionals on the
+    Cartan use the same representation throughout.
     """
 
     algebra: AlgebraSpec
@@ -342,18 +349,6 @@ class CartanDatum:
     def root_pairs(self) -> list[tuple[int, int]]:
         """(i, j) for each root e_i - e_j, in root order."""
         return _root_pairs(self.algebra.n)
-
-    def root_index(self, vec: np.ndarray) -> int:
-        key = tuple(np.round(np.asarray(vec).real, 6))
-        try:
-            return self._root_table[key]
-        except AttributeError:
-            table = {
-                tuple(np.round(self.roots[r], 6)): r
-                for r in range(len(self.roots))
-            }
-            object.__setattr__(self, "_root_table", table)
-            return self._root_table[key]
 
     def weyl_by_label(self, label: str) -> WeylElement:
         for w in self.weyl:
@@ -427,78 +422,30 @@ def _weyl_group(roots: np.ndarray, simple: Sequence[int]) -> list[WeylElement]:
     return out
 
 
-def _real_form_basis(spec: AlgebraSpec,
-                     cartan_basis: list[AlgebraElement]) -> list[AlgebraElement]:
-    """Basis of the real points t intersect g_R inside the complex span."""
-    rank = len(cartan_basis)
-    cols = np.stack([h.coords.astype(complex) for h in cartan_basis], axis=1)
-    # Real combinations sum_j (a_j + i b_j) H_j with real coordinates:
-    # stack real and imaginary parts and take the null space of the
-    # imaginary component.
-    m = np.concatenate([cols.real, -cols.imag], axis=1)  # real part map
-    mi = np.concatenate([cols.imag, cols.real], axis=1)  # imag part map
-    _, s, vh = np.linalg.svd(mi)
-    null = vh[np.sum(s > 1e-9):].T  # (2*rank, rank) real coefficients
-    out = []
-    for j in range(null.shape[1]):
-        ab = null[:, j]
-        coords = m @ ab
-        norm = np.linalg.norm(coords)
-        if norm < 1e-12:
-            continue
-        out.append(element(spec, coords / norm))
-    if len(out) != rank:
-        raise AlgebraError("failed to extract a real basis of the Cartan")
-    return out
+def _standard_cartan(spec: AlgebraSpec) -> CartanDatum:
+    """The diagonal Cartan, laid out from index data alone.
 
-
-def cartan_of(x: AlgebraElement) -> CartanDatum:
-    """Cartan data of the unique Cartan subalgebra through a regular x.
-
-    The basis is ``V (E_kk - E_(k+1)(k+1)) V^-1`` with V the (canonically
-    ordered and phase-normalized) eigenvector matrix of the defining
-    matrix of x; root vectors are the conjugated elementary matrices.
+    Basis h_k = E_kk - E_(k+1)(k+1); real basis the first rank coordinate
+    rows (h_k for sl(n,R), i h_k for su(n)); root vectors E_ij for the
+    roots e_i - e_j.  No eigenvectors are involved.
     """
-    if not is_regular_semisimple(x):
-        raise AlgebraError("cartan_of requires a regular semisimple element")
-    spec = x.algebra
     n = spec.n
-    m = x.matrix
-    if spec.family == "su" and not np.iscomplexobj(x.coords):
-        vals, vecs = np.linalg.eigh(1j * m)
-        ev = -1j * vals
-    else:
-        ev, vecs = np.linalg.eig(m)
-    order = np.lexsort((-ev.imag, -ev.real))
-    ev, vecs = ev[order], vecs[:, order]
-    # Deterministic phase: largest-modulus entry of each eigenvector real > 0.
-    for k in range(n):
-        i = int(np.argmax(np.abs(vecs[:, k])))
-        ph = vecs[i, k] / abs(vecs[i, k])
-        vecs[:, k] = vecs[:, k] / ph
-    vinv = np.linalg.inv(vecs)
-
-    def conj(mat):
-        return element_from_matrix(spec, vecs @ mat @ vinv)
-
-    basis = [conj(_unit(n, k, k) - _unit(n, k + 1, k + 1)) for k in range(n - 1)]
+    basis = [element_from_matrix(spec, _unit(n, k, k) - _unit(n, k + 1, k + 1))
+             for k in range(n - 1)]
     pairs = _root_pairs(n)
     roots = _root_values(n)
-    root_vectors = [conj(_unit(n, i, j)) for i, j in pairs]
-    positive = tuple(r for r, (i, j) in enumerate(pairs) if i < j)
     simple = tuple(r for r, (i, j) in enumerate(pairs) if j == i + 1)
     cols = np.stack([h.coords for h in basis])
-    gram = np.real(cols @ spec.killing @ cols.T)
     return CartanDatum(
         algebra=spec,
         basis=tuple(basis),
-        real_basis=tuple(_real_form_basis(spec, basis)),
+        real_basis=tuple(element(spec, row) for row in np.eye(spec.dim)[: n - 1]),
         roots=_readonly(roots),
-        root_vectors=tuple(root_vectors),
-        positive=positive,
+        root_vectors=tuple(element_from_matrix(spec, _unit(n, i, j)) for i, j in pairs),
+        positive=tuple(r for r, (i, j) in enumerate(pairs) if i < j),
         simple=simple,
         weyl=tuple(_weyl_group(roots, simple)),
-        gram=_readonly(gram),
+        gram=_readonly(np.real(cols @ spec.killing @ cols.T)),
     )
 
 

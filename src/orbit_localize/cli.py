@@ -69,6 +69,7 @@ class RunConfig:
     multiplicities: Optional[dict]
     axes: tuple[GridAxis, ...]
     seed: Optional[int]
+    reference: Optional[tuple[float, ...]]  # calibration point, basis coords
     mc_samples: int
     eps_schedule: tuple[float, ...]
     scale_log2: int
@@ -94,6 +95,8 @@ def _number(value, name: str) -> float:
 
 
 def _numbers(values, name: str) -> tuple[float, ...]:
+    if not isinstance(values, list):
+        raise ConfigError(f"{name} must be an array of numbers, got {values!r}")
     return tuple(_number(v, f"{name}[{i}]") for i, v in enumerate(values))
 
 
@@ -155,15 +158,18 @@ def _parse_config(raw: dict) -> RunConfig:
                 start=_number(axis.get("start", 0.0), f"{where}.start"),
                 stop=_number(axis.get("stop", 0.0), f"{where}.stop"),
                 steps=steps,
-                direction=(_numbers(direction, f"{where}.direction")
-                           if direction else None),
+                direction=(None if direction is None
+                           else _numbers(direction, f"{where}.direction")),
             )
         )
 
     oracle = _block(raw, "oracle")
     seed = oracle.get("seed")
     seed = None if seed is None else _integer(seed, "oracle.seed")
-    eps = _numbers(oracle.get("eps_schedule", (0.2, 0.1, 0.05, 0.025)),
+    reference = oracle.get("reference")
+    if reference is not None:
+        reference = _numbers(reference, "oracle.reference")
+    eps = _numbers(oracle.get("eps_schedule", [0.2, 0.1, 0.05, 0.025]),
                    "oracle.eps_schedule")
     samples = _integer(oracle.get("samples", 200_000), "oracle.samples")
     if samples < 2:
@@ -184,6 +190,7 @@ def _parse_config(raw: dict) -> RunConfig:
         multiplicities=mults,
         axes=tuple(axes),
         seed=seed,
+        reference=reference,
         mc_samples=samples,
         eps_schedule=eps,
         scale_log2=_integer(oracle.get("scale_schedule_log2", 20),
@@ -313,7 +320,8 @@ def cmd_verify(cfg: RunConfig, suite: str, out: Optional[str],
                seed_override: Optional[int]) -> int:
     if suite not in SUITE_NAMES + ("all",):
         raise ConfigError(f"unknown suite {suite!r}")
-    if suite in ("oracle", "all") and cfg.seed is None and seed_override is None:
+    seed = seed_override if seed_override is not None else cfg.seed
+    if suite in ("oracle", "all") and seed is None:
         raise ConfigError("missing oracle.seed (required for oracle runs)")
     settings = SuiteSettings(
         family=cfg.family,
@@ -321,7 +329,7 @@ def cmd_verify(cfg: RunConfig, suite: str, out: Optional[str],
         weight=cfg.weight,
         mode=cfg.mode,
         s0=cfg.s0,
-        seed=seed_override if seed_override is not None else (cfg.seed or 20240801),
+        seed=20240801 if seed is None else seed,
         mc_samples=cfg.mc_samples,
         eps_schedule=cfg.eps_schedule,
         user_multiplicities=cfg.multiplicities,
@@ -363,9 +371,8 @@ def cmd_calibrate(cfg: RunConfig, config_path: str, out: Optional[str],
     if seed is None:
         raise ConfigError("missing oracle.seed")
     orbit = _build_orbit(cfg)
-    reference = cfg.raw["oracle"].get("reference")
-    if reference is not None:
-        x0 = element(orbit.algebra, np.asarray(reference, dtype=float))
+    if cfg.reference is not None:
+        x0 = element(orbit.algebra, cfg.reference)
     else:
         x0 = _default_reference(orbit)
     result = calibrate(orbit, x0, seed, cfg.mc_samples)

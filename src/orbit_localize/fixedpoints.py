@@ -140,26 +140,6 @@ def split_positive_system(cartan: CartanDatum, x_coords: np.ndarray,
     return tuple(lower), tuple(upper)
 
 
-def _sigma_stable(cartan: CartanDatum, borel_roots: Sequence[int]) -> bool:
-    """Whether the Borel is stable under coordinate conjugation.
-
-    Conjugation with respect to the real form acts on complexified
-    coordinates entrywise; the Borel (Cartan plus the listed root vectors)
-    is defined over R iff conjugation maps its span into itself.
-    """
-    span_cols = [h.coords.astype(complex) for h in cartan.basis]
-    span_cols += [cartan.root_vectors[r].coords.astype(complex)
-                  for r in borel_roots]
-    a = np.stack(span_cols, axis=1)
-    for r in borel_roots:
-        target = np.conj(cartan.root_vectors[r].coords.astype(complex))
-        sol, *_ = np.linalg.lstsq(a, target, rcond=None)
-        resid = np.max(np.abs(a @ sol - target))
-        if resid > 1e-8 * max(1.0, float(np.max(np.abs(target)))):
-            return False
-    return True
-
-
 def closed_orbit_support(cartan: CartanDatum,
                          fixed_points: Sequence[FixedPoint],
                          real_form: str) -> tuple[FixedPoint, ...]:
@@ -167,17 +147,13 @@ def closed_orbit_support(cartan: CartanDatum,
 
     Compact form: the whole flag variety is one orbit, so every point is
     flagged.  Split form: a fixed point is in the support iff its Borel is
-    stable under the real structure; over the split Cartan this holds for
-    all of them.
+    defined over R.  Over the split (diagonal) Cartan every Borel is: the
+    Cartan and each root vector E_ij are real matrices.  So every point is
+    flagged here too, with no numerical test.
     """
-    if real_form == "su":
-        return tuple(replace(fp, in_closed_orbit=True) for fp in fixed_points)
-    if real_form != "sl_real":
+    if real_form not in ("su", "sl_real"):
         raise AlgebraError(f"unsupported real form {real_form!r}")
-    return tuple(
-        replace(fp, in_closed_orbit=_sigma_stable(cartan, fp.borel_roots))
-        for fp in fixed_points
-    )
+    return tuple(replace(fp, in_closed_orbit=True) for fp in fixed_points)
 
 
 def assign_multiplicities(fixed_points: Sequence[FixedPoint],

@@ -27,7 +27,7 @@ the standard Cartan in split mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -38,7 +38,7 @@ from .algebra import (
     AlgebraSpec,
     CartanDatum,
     IndeterminateRegularityError,
-    cartan_of,
+    _standard_cartan,
     element,
     element_from_matrix,
     killing_form,
@@ -89,20 +89,9 @@ def standard_cartan(spec: AlgebraSpec) -> CartanDatum:
     meaning across runs.
     """
     key = (spec.family, spec.n)
-    if key in _STANDARD_CARTANS:
-        return _STANDARD_CARTANS[key]
-    n = spec.n
-    seed_diag = np.array([n - 1 - 2 * k for k in range(n)], dtype=float)
-    if spec.family == "su":
-        seed = element_from_matrix(spec, 1j * np.diag(seed_diag))
-    else:
-        seed = element_from_matrix(spec, np.diag(seed_diag))
-    real_basis = tuple(
-        element(spec, np.eye(spec.dim)[k]) for k in range(spec.rank)
-    )
-    cart = replace(cartan_of(seed), real_basis=real_basis)
-    _STANDARD_CARTANS[key] = cart
-    return cart
+    if key not in _STANDARD_CARTANS:
+        _STANDARD_CARTANS[key] = _standard_cartan(spec)
+    return _STANDARD_CARTANS[key]
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,10 +15,10 @@ import pytest
 from orbit_localize.algebra import (
     AlgebraError,
     IndeterminateRegularityError,
+    _standard_cartan,
     adjoint_matrix,
     bracket,
     build_algebra,
-    cartan_of,
     element,
     element_from_matrix,
     is_regular_semisimple,
@@ -207,22 +207,9 @@ def test_indeterminate_band_raises():
 
 # --- cartan data ------------------------------------------------------------
 
-def test_cartan_of_su2():
-    spec = su(2)
-    x = element(spec, [0.4, -0.2, 0.9])
-    cart = cartan_of(x)
-    assert cart.rank == 1
-    assert len(cart.roots) == 2
-    assert len(cart.weyl) == 2
-    # x lies in its Cartan: commutes with every basis element
-    for h in cart.basis:
-        assert np.max(np.abs(bracket(h, element(spec, x.coords.astype(complex))).coords)) < 1e-9
-
-
 def test_cartan_of_sl3():
     spec = build_algebra("sl_real", 3)
-    x = element_from_matrix(spec, np.diag([1.0, 2.0, -3.0]))
-    cart = cartan_of(x)
+    cart = standard_cartan(spec)
     assert cart.rank == 2
     assert len(cart.roots) == 6
     assert len(cart.weyl) == 6
@@ -232,19 +219,39 @@ def test_cartan_of_sl3():
     for a in cart.basis:
         for b in cart.basis:
             assert np.max(np.abs(bracket(a, b).coords)) < 1e-9
+    # The basis is the diagonal-difference family, the real basis its
+    # real-form multiple: both from index data.
+    for k, (h, hr) in enumerate(zip(cart.basis, cart.real_basis)):
+        assert np.allclose(h.matrix, np.diag(np.eye(3)[k] - np.eye(3)[k + 1]),
+                           atol=1e-15)
+        assert np.array_equal(hr.coords, np.eye(spec.dim)[k])
+
+
+def test_standard_cartan_needs_no_factorization(monkeypatch):
+    specs = [build_algebra(f, n) for f in ("su", "sl_real") for n in (2, 3, 4)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorization while building the standard Cartan")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "inv",
+                 "pinv", "lstsq", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for spec in specs:
+        assert len(_standard_cartan(spec).weyl) == math.factorial(spec.n)
 
 
 def test_root_vector_eigenproperty():
-    spec = su(3)
-    x = element(spec, RNG.standard_normal(8))
-    assert is_regular_semisimple(x)
-    cart = cartan_of(x)
-    for r in range(len(cart.roots)):
-        vec = cart.root_vectors[r]
-        for k, h in enumerate(cart.basis):
-            lhs = bracket(h, vec).coords
-            rhs = cart.roots[r][k] * vec.coords
-            assert np.max(np.abs(lhs - rhs)) < 1e-10
+    for family, n in itertools.product(("su", "sl_real"), (2, 3, 4)):
+        cart = standard_cartan(build_algebra(family, n))
+        assert len(cart.root_vectors) == len(cart.roots) == n * (n - 1)
+        for r, (i, j) in enumerate(cart.root_pairs):
+            vec = cart.root_vectors[r]
+            assert np.allclose(vec.matrix, np.eye(n)[:, [i]] @ np.eye(n)[[j]],
+                               atol=1e-15)
+            for k, h in enumerate(cart.basis):
+                lhs = bracket(h, vec).coords
+                rhs = cart.roots[r][k] * vec.coords
+                assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def _reflection(gram, alpha):
@@ -262,10 +269,7 @@ def _product(matrices, word, rank):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_weyl_group_closure_and_root_permutation(n):
-    diag = np.roll(np.arange(n, dtype=float) ** 2, 1)
-    cart = cartan_of(element_from_matrix(
-        build_algebra("sl_real", n), np.diag(diag - diag.mean())
-    ))
+    cart = standard_cartan(build_algebra("sl_real", n))
     rank = n - 1
     keys = {tuple(np.round(w.matrix, 8).ravel()) for w in cart.weyl}
     assert len(keys) == len(cart.weyl) == math.factorial(n)
@@ -303,15 +307,20 @@ def test_weyl_group_closure_and_root_permutation(n):
         for w in cart.weyl:
             assert w.word == smallest[tuple(w.matrix.ravel())]
 
-    # Borel lists agree with transporting the negative roots through the
+    # Borel lists agree with transporting the negative roots through a
     # rounded root lookup.
     for family in ("su", "sl_real") if n <= 4 else ("su",):
         std = standard_cartan(build_algebra(family, n))
-        negatives = [std.root_index(-std.roots[r]) for r in std.positive]
+        index = {tuple(np.round(v, 6)): r for r, v in enumerate(std.roots)}
+
+        def lookup(vec):
+            return index[tuple(np.round(np.real(vec), 6))]
+
+        negatives = [lookup(-std.roots[r]) for r in std.positive]
         covector = np.arange(1.0, n) * 1.37 + 0.21
         for fp in enumerate_fixed_points(std, covector):
             assert fp.borel_roots == tuple(sorted(
-                std.root_index(fp.weyl.apply(std.roots[r])) for r in negatives
+                lookup(fp.weyl.apply(std.roots[r])) for r in negatives
             ))
 
 
@@ -371,7 +380,7 @@ def test_iwasawa_nilradical_is_nilpotent():
 
 def test_reduce_rotation_is_not_conjugate():
     spec = sl2()
-    cart = cartan_of(element(spec, [1.0, 0.0, 0.0]))
+    cart = standard_cartan(spec)
     rot = element_from_matrix(spec, np.array([[0.0, 1.0], [-1.0, 0.0]]))
     assert reduce_to_cartan(rot, cart) is None
 
@@ -379,7 +388,7 @@ def test_reduce_rotation_is_not_conjugate():
 def test_reduce_symmetric_matrix():
     # Independent eigendecomposition: [[0,1],[1,0]] has eigenvalues +-1.
     spec = sl2()
-    cart = cartan_of(element(spec, [1.0, 0.0, 0.0]))
+    cart = standard_cartan(spec)
     x = element_from_matrix(spec, np.array([[0.0, 1.0], [1.0, 0.0]]))
     red = reduce_to_cartan(x, cart)
     assert red is not None
@@ -393,7 +402,7 @@ def test_reduce_symmetric_matrix():
 
 def test_reduce_identity_on_dominant_diagonal():
     spec = sl2()
-    cart = cartan_of(element(spec, [1.0, 0.0, 0.0]))
+    cart = standard_cartan(spec)
     x = element(spec, [0.7, 0.0, 0.0])
     red = reduce_to_cartan(x, cart)
     assert np.array_equal(red.group_element, np.eye(2))
@@ -403,13 +412,7 @@ def test_reduce_identity_on_dominant_diagonal():
 @pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("sl_real", 3)])
 def test_reduce_roundtrip_random(family, n):
     spec = build_algebra(family, n)
-    cart = cartan_of(
-        element_from_matrix(
-            spec,
-            (1j if family == "su" else 1.0)
-            * np.diag(np.arange(n, dtype=float) - (n - 1) / 2.0),
-        )
-    )
+    cart = standard_cartan(spec)
     tried = 0
     for _ in range(40):
         x = element(spec, RNG.standard_normal(spec.dim))

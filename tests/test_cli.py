@@ -149,6 +149,19 @@ def test_verify_algebra_suite_passes(tmp_path):
     assert doc["passed"] and all(c["passed"] for c in doc["checks"])
 
 
+def test_verify_honours_config_seed_zero(tmp_path, capsys):
+    cfg = json.loads(json.dumps(SU2))
+    cfg["oracle"]["seed"] = 0
+    path = write_config(tmp_path, cfg)
+    assert main(["verify", "--config", path, "--suite", "algebra"]) == 0
+    from_config = capsys.readouterr().out
+    cfg["oracle"]["seed"] = 5
+    path = write_config(tmp_path, cfg, "seed5.json")
+    assert main(["verify", "--config", path, "--suite", "algebra",
+                 "--seed", "0"]) == 0
+    assert capsys.readouterr().out == from_config
+
+
 def test_calibrate_writes_sibling_never_in_place(tmp_path, capsys):
     cfg = write_config(tmp_path, SU2)
     before = Path(cfg).read_text()
@@ -262,13 +275,22 @@ NAN = float("nan")
     (SU2, ("oracle", "samples"), -5),
     (SU2, ("oracle", "samples"), 1),
     (SU3, ("output", "path"), 5),
+    (SU3, ("oracle", "reference"), [None, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+    (SU3, ("oracle", "reference"), [NAN, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+    (SU3, ("oracle", "reference"), "ab"),
+    (SU3, ("weight",), "94"),
+    (SL2, ("grid", "axes", 0, "direction"), "123"),
+    (SL2, ("grid", "axes", 0, "direction"), ""),
+    (SL2, ("grid", "axes", 0, "direction"), []),
 ], ids=[
     "su2-start-nan", "su3-start-nan", "sl3-stop-nan", "direction-nan",
     "weight-inf", "n-fractional", "n-text", "steps-text", "steps-fractional",
     "s0-fractional", "seed-fractional", "samples-text", "weight-scalar",
     "grid-list", "multiplicity-text", "multiplicities-list",
     "multiplicity-null", "samples-zero", "samples-negative", "samples-one",
-    "path-number",
+    "path-number", "reference-null", "reference-nan", "reference-text",
+    "weight-text", "direction-text", "direction-empty-text",
+    "direction-empty",
 ])
 def test_malformed_fields_exit_2(tmp_path, capsys, base, path, value):
     cfg = json.loads(json.dumps(base))

@@ -46,8 +46,9 @@ def test_base_point_carries_negative_system():
     cart = sl3_cartan()
     fps = enumerate_fixed_points(cart, regular_covector(cart))
     base = next(fp for fp in fps if fp.weyl.label == "e")
+    index = {tuple(np.round(v, 6)): r for r, v in enumerate(cart.roots)}
     negatives = {
-        cart.root_index(-cart.roots[r]) for r in cart.positive
+        index[tuple(np.round(-cart.roots[r], 6))] for r in cart.positive
     }
     assert set(base.borel_roots) == negatives
 
@@ -132,9 +133,16 @@ def test_compact_support_is_everything():
 
 
 def test_split_sl2_support_is_everything():
-    spec = build_algebra("sl_real", 2)
-    orbit = make_orbit(spec, [1.0])
-    assert all(fp.in_closed_orbit for fp in orbit.fixed_points)
+    # sl(2..5,R): every Borel over the split Cartan is defined over R, so
+    # every fixed point carries s0 * det(w).
+    for n in range(2, 6):
+        spec = build_algebra("sl_real", n)
+        delta = np.arange(n, 0, -1.0) ** 2
+        orbit = make_orbit(spec, np.cumsum(delta - delta.mean())[:-1], s0=-1)
+        assert len(orbit.fixed_points) == len(orbit.cartan.weyl)
+        assert all(fp.in_closed_orbit for fp in orbit.fixed_points)
+        assert all(fp.multiplicity == -fp.weyl.determinant
+                   for fp in orbit.fixed_points)
 
 
 def test_unsupported_real_form_rejected():
