@@ -4,11 +4,14 @@ Two independent routes to the transform, used to validate the fixed-point
 evaluator and to pin its calibration constants:
 
 * compact forms: Monte Carlo over the orbit, sampled by conjugating the
-  dual Cartan element with Haar-random unitaries (QR of Ginibre matrices
-  with the standard phase correction).
-* sl(2,R), split parameter: Gaussian-damped quadrature over the explicit
-  one-sheeted hyperboloid carrier orbit, with a vanishing-damping schedule
-  and Richardson-style extrapolation.  Diagnostic-grade.
+  dual Cartan element with Haar-random unitaries (Gram-Schmidt of Ginibre
+  matrices, which is their QR factor with the standard phase correction).
+* sl(2,R), split parameter: Gaussian-damped integral over the explicit
+  one-sheeted hyperboloid carrier orbit, the circle angle in closed form
+  (a Bessel function) and the hyperbolic angle by Simpson quadrature, with
+  a vanishing-damping schedule and Richardson-style extrapolation.  The
+  damping error is linear in eps, so on the default schedule the
+  extrapolated limit is good to about 1%.
 
 The Haar average equals the Liouville integral only up to a constant (both
 are invariant measures on the orbit), so the compact route carries a
@@ -53,7 +56,8 @@ __all__ = [
     "richardson_extrapolate",
 ]
 
-_CHUNK = 1 << 15
+_CHUNK = 1 << 15     # Haar draws per Philox chunk
+_S_BLOCK = 1 << 16   # hyperbolic-angle nodes per summed block
 
 
 class CalibrationError(AlgebraError):
@@ -94,11 +98,24 @@ def _philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
-def _haar_unitaries(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-    q, r = np.linalg.qr(z / np.sqrt(2.0))
-    d = np.einsum("...ii->...i", r)
-    return q * (d / np.abs(d))[:, None, :]
+def _gram_schmidt(z: np.ndarray) -> np.ndarray:
+    """Orthonormalise the columns of matrices laid out (n, n, count).
+
+    Modified Gram-Schmidt with one re-orthogonalisation pass.  Each column
+    keeps a positive real component along its own input column, which is
+    the QR factor with the diagonal of R made positive: Haar-distributed
+    for Ginibre input (Mezzadri, Notices AMS 54, 2007).
+    """
+    u = np.empty_like(z)
+    for k in range(z.shape[1]):
+        v = z[:, k].copy()
+        for _ in range(2):
+            for j in range(k):
+                v -= np.einsum("it,it->t", u[:, j].conj(), v) * u[:, j]
+        v /= np.sqrt(np.einsum("it,it->t", v.real, v.real)
+                     + np.einsum("it,it->t", v.imag, v.imag))
+        u[:, k] = v
+    return u
 
 
 def haar_orbit_sample(orbit: OrbitSpec, seed: int, count: int) -> OrbitSamples:
@@ -111,18 +128,25 @@ def haar_orbit_sample(orbit: OrbitSpec, seed: int, count: int) -> OrbitSamples:
         raise AlgebraError("Haar orbit sampling requires the compact form")
     spec = orbit.algebra
     n = spec.n
-    carrier = orbit.dual_element.matrix
+    # The carrier is diagonal, so U D U^H = sum_k d_k u_k u_k^H.
+    d = np.diagonal(orbit.dual_element.matrix)
     rng = _philox(seed)
     out = np.empty((count, spec.dim))
     done = 0
     while done < count:
         take = min(_CHUNK, count - done)
-        u = _haar_unitaries(rng, take, n)
-        moved = u @ carrier @ np.conj(np.swapaxes(u, 1, 2))
+        z = np.empty((n, n, take), dtype=complex)
+        z.real = rng.standard_normal((take, n, n)).transpose(1, 2, 0)
+        z.imag = rng.standard_normal((take, n, n)).transpose(1, 2, 0)
+        u = _gram_schmidt(z)
+        uc = u.conj()
+        moved = np.zeros_like(z)
+        for k in range(n):
+            moved += (d[k] * u[:, k])[:, None] * uc[None, :, k]
         flat = np.concatenate(
-            [moved.real.reshape(take, -1), moved.imag.reshape(take, -1)], axis=1
+            [moved.real.reshape(n * n, take), moved.imag.reshape(n * n, take)]
         )
-        out[done:done + take] = flat @ spec._proj.T
+        out[done:done + take] = (spec._proj @ flat).T
         done += take
     return OrbitSamples(orbit=orbit, coords=out, seed=int(seed), count=count)
 
@@ -292,24 +316,29 @@ class DampedIntegralResult:
     extrapolated: complex
     fit_order: float
     s_nodes: int
-    phi_nodes: int
+    phi_nodes: int          # always 1: closed-form circle integral
 
 
 def damped_oscillatory_integral(orbit: OrbitSpec, x: AlgebraElement,
                                 eps_schedule: Sequence[float],
                                 s_nodes: Optional[int] = None,
-                                phi_nodes: Optional[int] = None,
                                 ) -> DampedIntegralResult:
     """Gaussian-damped transform over the hyperboloid, per damping value.
 
     Estimates the integral of exp(<x, zeta>) exp(-eps |zeta|^2) against the
-    Liouville measure by Simpson quadrature in the hyperbolic angle and a
-    periodic trapezoid rule in the circle angle; |zeta| is the Frobenius
-    norm of the carrier.  The evaluation point is conjugated into the split
-    Cartan first (elliptic points are refused); meshes scale with the phase
-    rate unless pinned explicitly.  Diagnostic: the vanishing-damping
-    extrapolation converges to the transform, slowly.
+    Liouville measure; |zeta| is the Frobenius norm of the carrier.  The
+    evaluation point is conjugated into the split Cartan first (elliptic
+    points are refused).  The damping does not depend on the circle angle,
+    so the circle integral is exact: with rho = |(kx_h, kx_e + kx_f)| and
+    c = kx_e - kx_f it is 2 pi J0(r cosh(s) rho) exp(i c r sinh(s)) (DLMF
+    10.9.1).  What remains is Simpson quadrature in the hyperbolic angle,
+    on a mesh that scales with the phase rate unless pinned by ``s_nodes``,
+    summed in fixed-size blocks of nodes.  The vanishing-damping
+    extrapolation converges to the transform; the damping error is linear
+    in eps.
     """
+    from scipy.special import j0
+
     eps_schedule = tuple(float(e) for e in eps_schedule)
     if not eps_schedule or any(
         b >= a for a, b in zip(eps_schedule, eps_schedule[1:])
@@ -326,9 +355,11 @@ def damped_oscillatory_integral(orbit: OrbitSpec, x: AlgebraElement,
         )
     kx = orbit.algebra.killing @ reduction.reduced.coords
     rate_scale = float(np.sum(np.abs(kx)))
+    rho = float(np.hypot(kx[0], kx[1] + kx[2]))
+    c = float(kx[1] - kx[2])
 
     estimates = []
-    ns_used = nphi_used = 0
+    ns_used = 0
     for eps in eps_schedule:
         s_max = float(np.arcsinh(np.sqrt(10.0 / eps) / r)) + 1.0
         kappa = max(50.0, r * np.cosh(s_max) * rate_scale)
@@ -337,31 +368,21 @@ def damped_oscillatory_integral(orbit: OrbitSpec, x: AlgebraElement,
         )
         if ns % 2 == 0:
             ns += 1
-        nphi = phi_nodes if phi_nodes is not None else max(
-            1024, int(2.5 * kappa) + 64
-        )
-        ns_used, nphi_used = ns, nphi
-
-        s = np.linspace(-s_max, s_max, ns)
-        phi = np.linspace(0.0, 2.0 * np.pi, nphi, endpoint=False)
-        w_simpson = np.ones(ns)
-        w_simpson[1:-1:2] = 4.0
-        w_simpson[2:-1:2] = 2.0
-        w_simpson *= (s[1] - s[0]) / 3.0
-        density = split_orbit_liouville_density(r, s)
-        damping = np.exp(-eps * (2.0 * r * r + 4.0 * (r * np.sinh(s)) ** 2))
+        ns_used = ns
+        step = 2.0 * s_max / (ns - 1)
 
         total = 0.0 + 0.0j
-        block = max(1, (1 << 22) // nphi)
-        for lo in range(0, ns, block):
-            hi = min(ns, lo + block)
-            carriers = split_orbit_carrier(r, s[lo:hi, None], phi[None, :])
-            phase = np.tensordot(carriers, kx, axes=(2, 0))
-            row = np.exp(1j * phase).sum(axis=1)
-            total += np.sum(
-                row * density[lo:hi] * damping[lo:hi] * w_simpson[lo:hi]
-            )
-        estimates.append(complex(total * (2.0 * np.pi / nphi)))
+        for lo in range(0, ns, _S_BLOCK):
+            i = np.arange(lo, min(ns, lo + _S_BLOCK))
+            s = i * step - s_max
+            w_simpson = np.where(i % 2 == 1, 4.0, 2.0)
+            w_simpson[(i == 0) | (i == ns - 1)] = 1.0
+            rs, rc = r * np.sinh(s), r * np.cosh(s)
+            circle = 2.0 * np.pi * j0(rc * rho) * np.exp(1j * c * rs)
+            density = split_orbit_liouville_density(r, s)
+            damping = np.exp(-eps * (2.0 * r * r + 4.0 * rs ** 2))
+            total += np.sum(circle * density * damping * w_simpson)
+        estimates.append(complex(total * step / 3.0))
     limit, order = richardson_extrapolate(eps_schedule, estimates)
     return DampedIntegralResult(
         eps_schedule=eps_schedule,
@@ -369,7 +390,7 @@ def damped_oscillatory_integral(orbit: OrbitSpec, x: AlgebraElement,
         extrapolated=limit,
         fit_order=order,
         s_nodes=ns_used,
-        phi_nodes=nphi_used,
+        phi_nodes=1,
     )
 
 

@@ -459,7 +459,7 @@ def _oracle_suite(st: SuiteSettings) -> list[CheckResult]:
         x = _random_regular(spec, rng, split_only=True)
         seq = damped_oscillatory_integral(orbit, x, st.eps_schedule)
         half = damped_oscillatory_integral(
-            orbit, x, st.eps_schedule[-1:], s_nodes=2001, phi_nodes=512
+            orbit, x, st.eps_schedule[-1:], s_nodes=2001
         )
         mesh_rel = abs(half.estimates[0] - seq.estimates[-1]) / abs(seq.estimates[-1])
         out.append(_check("quadrature stable under mesh halving", mesh_rel, 1e-2))

@@ -10,10 +10,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from orbit_localize.algebra import AlgebraError, build_algebra, element
-from orbit_localize.localize import fourier_value, make_orbit
+from orbit_localize.algebra import (
+    AlgebraError,
+    build_algebra,
+    element,
+    reduce_to_cartan,
+)
+from orbit_localize.localize import fourier_value, make_orbit, standard_cartan
 from orbit_localize.oracle import (
+    _CHUNK,
     CalibrationError,
+    _gram_schmidt,
+    _philox,
     calibrate,
     damped_oscillatory_integral,
     haar_orbit_sample,
@@ -91,6 +99,54 @@ def test_determinism_same_seed_identical():
     eb = mc_fourier_integral(orbit, element(orbit.algebra, [0.5, 0.2, 0.1]),
                              123, 5_000)
     assert ea.mean == eb.mean and ea.stderr == eb.stderr
+
+
+def _qr_haar_sample(orbit, seed, count):
+    """Reference sampler: batched LAPACK QR of Ginibre matrices with the
+    phase of R's diagonal moved into Q, conjugating the dense carrier."""
+    spec = orbit.algebra
+    n = spec.n
+    carrier = orbit.dual_element.matrix
+    rng = _philox(seed)
+    out = np.empty((count, spec.dim))
+    done = 0
+    while done < count:
+        take = min(_CHUNK, count - done)
+        z = (rng.standard_normal((take, n, n))
+             + 1j * rng.standard_normal((take, n, n)))
+        q, r = np.linalg.qr(z / np.sqrt(2.0))
+        d = np.einsum("...ii->...i", r)
+        u = q * (d / np.abs(d))[:, None, :]
+        moved = u @ carrier @ np.conj(np.swapaxes(u, 1, 2))
+        flat = np.concatenate(
+            [moved.real.reshape(take, -1), moved.imag.reshape(take, -1)], axis=1
+        )
+        out[done:done + take] = flat @ spec._proj.T
+        done += take
+    return out
+
+
+@pytest.mark.parametrize("n, weight", [(2, [1.3]), (3, [0.9, 0.4]),
+                                       (4, [1.1, 0.3, -0.2])])
+def test_haar_sample_matches_qr_reference(n, weight):
+    # One full chunk and one partial chunk of the same Philox stream.
+    orbit = make_orbit(build_algebra("su", n), weight)
+    count = _CHUNK + 1234
+    got = haar_orbit_sample(orbit, seed=7, count=count).coords
+    assert np.max(np.abs(got - _qr_haar_sample(orbit, 7, count))) <= 1e-12
+
+
+def test_gram_schmidt_columns_orthonormal():
+    rng = _philox(19)
+    n, worst = 3, 0.0
+    for _ in range((1 << 20) // _CHUNK):
+        z = np.empty((n, n, _CHUNK), dtype=complex)
+        z.real = rng.standard_normal((_CHUNK, n, n)).transpose(1, 2, 0)
+        z.imag = rng.standard_normal((_CHUNK, n, n)).transpose(1, 2, 0)
+        u = _gram_schmidt(z)
+        gram = np.einsum("ikt,ijt->kjt", u.conj(), u)
+        worst = max(worst, float(np.max(np.abs(gram - np.eye(n)[:, :, None]))))
+    assert worst <= 1e-13
 
 
 def test_stderr_scaling_dyadic():
@@ -196,12 +252,64 @@ def test_damped_integral_mesh_stability():
     orbit = sl2_orbit()
     x = element(orbit.algebra, [0.6, 0.0, 0.0])
     coarse = damped_oscillatory_integral(
-        orbit, x, (0.05,), s_nodes=4001, phi_nodes=512
+        orbit, x, (0.05,), s_nodes=4001
     ).estimates[0]
     fine = damped_oscillatory_integral(
-        orbit, x, (0.05,), s_nodes=8001, phi_nodes=1024
+        orbit, x, (0.05,), s_nodes=8001
     ).estimates[0]
     assert abs(coarse - fine) / abs(fine) < 1e-2
+
+
+def _mesh_damped_estimate(orbit, x, eps, s_nodes, phi_nodes):
+    """Reference: Simpson in the hyperbolic angle times a periodic
+    trapezoid rule in the circle angle, over the explicit carriers."""
+    r = abs(float(orbit.weight[0]))
+    reduced = reduce_to_cartan(x, standard_cartan(orbit.algebra)).reduced
+    kx = orbit.algebra.killing @ reduced.coords
+    s_max = float(np.arcsinh(np.sqrt(10.0 / eps) / r)) + 1.0
+    s = np.linspace(-s_max, s_max, s_nodes)
+    phi = np.linspace(0.0, 2.0 * np.pi, phi_nodes, endpoint=False)
+    w_simpson = np.ones(s_nodes)
+    w_simpson[1:-1:2] = 4.0
+    w_simpson[2:-1:2] = 2.0
+    w_simpson *= (s[1] - s[0]) / 3.0
+    density = split_orbit_liouville_density(r, s)
+    damping = np.exp(-eps * (2.0 * r * r + 4.0 * (r * np.sinh(s)) ** 2))
+    carriers = split_orbit_carrier(r, s[:, None], phi[None, :])
+    row = np.exp(1j * np.tensordot(carriers, kx, axes=(2, 0))).sum(axis=1)
+    return complex(np.sum(row * density * damping * w_simpson)
+                   * (2.0 * np.pi / phi_nodes))
+
+
+def test_damped_integral_matches_circle_mesh():
+    # The closed-form circle integral against the 2-D mesh it replaces, on
+    # the same pinned s mesh: random split points, conjugated off the
+    # Cartan, on orbits of random radius.
+    rng = np.random.default_rng(8)
+    eps_schedule = (0.2, 0.1)
+    checked = 0
+    while checked < 5:
+        coords = rng.uniform(-0.6, 0.6, 3)
+        if coords[0] ** 2 + coords[1] * coords[2] < 0.01:
+            continue  # elliptic or near the nilpotent cone
+        orbit = sl2_orbit(float(rng.uniform(0.5, 1.5)))
+        x = element(orbit.algebra, coords)
+        got = damped_oscillatory_integral(orbit, x, eps_schedule, s_nodes=1001)
+        assert got.phi_nodes == 1 and got.s_nodes == 1001
+        for eps, est in zip(eps_schedule, got.estimates):
+            ref = _mesh_damped_estimate(orbit, x, eps, 1001, 512)
+            assert abs(est - ref) <= 1e-12 * abs(ref)
+        checked += 1
+
+
+def test_damped_integral_small_damping_close_to_formula():
+    # At eps = 1e-5 an (s, phi) mesh has ~1e10 nodes and the s mesh alone
+    # ~9e5; the damping error is linear in eps.
+    orbit = sl2_orbit()
+    x = element(orbit.algebra, [0.3, 0.0, 0.0])
+    est = damped_oscillatory_integral(orbit, x, (1e-5,)).estimates[0]
+    fv = fourier_value(orbit, x).value
+    assert abs(est - fv) <= 1e-4 * abs(fv)
 
 
 def test_damped_integral_extrapolates_to_formula():
