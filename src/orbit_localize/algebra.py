@@ -30,6 +30,7 @@ read-only) and every operation is a pure function.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -263,32 +264,88 @@ def adjoint_matrix(x: AlgebraElement) -> np.ndarray:
     return _project(x.algebra, m @ basis - basis @ m, np.iscomplexobj(x.coords)).T
 
 
-def _regular_spectrum(x: AlgebraElement) -> Optional[np.ndarray]:
-    """Defining-matrix eigenvalues of a regular x, canonically ordered.
+# Outcomes of ``_spectra``, one per row.
+_REGULAR, _NONREAL, _SINGULAR, _INDETERMINATE, _NONFINITE = range(5)
 
-    Order: descending real part, ties broken by descending imaginary part.
-    For regular elements the order identifies the dominant chamber.
-    Returns None when x is not regular (see is_regular_semisimple).
+
+def _spectra(spec: AlgebraSpec, coords: np.ndarray, real: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonically ordered spectra of many elements, classified row by row.
+
+    ``coords`` holds one element per row over the basis; ``real`` marks
+    the rows that lie in the real form (for su(n) those matrices are
+    anti-Hermitian, and take the Hermitian eigensolver).  Returns, per row,
+    an outcome, the defining-matrix eigenvalues and their relative
+    separation (smallest gap over the Frobenius norm):
+
+    * ``_NONFINITE``: a matrix entry is inf or NaN; nothing is solved.
+    * ``_SINGULAR``: zero or non-finite norm, or separation < REGULAR_TOL.
+    * ``_INDETERMINATE``: separation in [REGULAR_TOL, 10*REGULAR_TOL).
+    * ``_NONREAL``: sl(n,R) only, a regular spectrum that is not real, so
+      no real conjugation into the split Cartan exists.
+    * ``_REGULAR``: everything else.
+
+    Spectra are (N, n) complex, ordered by descending real part with ties
+    broken by descending imaginary part; for regular elements the order
+    identifies the dominant chamber.  sl(n,R) spectra are returned real.
+    Every step is elementwise, along a row's own axis or one LAPACK call
+    per matrix, so a row's results do not depend on the rows beside it.
     """
-    m = x.matrix
-    scale = float(np.linalg.norm(m))
-    if scale == 0.0:
-        return None
-    if x.algebra.family == "su" and not np.iscomplexobj(x.coords):
-        ev = -1j * np.linalg.eigvalsh(1j * m)
-    else:
-        ev = np.linalg.eigvals(m)
-    ev = ev[np.lexsort((-ev.imag, -ev.real))]
-    gaps = np.abs(np.subtract.outer(ev, ev))
-    np.fill_diagonal(gaps, np.inf)
-    sep = float(np.min(gaps)) / scale
-    if sep < REGULAR_TOL:
-        return None
-    if sep < 10 * REGULAR_TOL:
+    rows, n = len(coords), spec.n
+    ev = np.zeros((rows, n), dtype=complex)
+    i, j = _upper_pairs(n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # Basis entries are 0, +-1 and +-i, so each entry is the same sum of
+        # at most two exact products in any summation order; adding 0.0
+        # makes the sign of zero entries the same too.
+        m = coords @ spec.basis.reshape(spec.dim, n * n) + 0.0
+        parts = m.view(np.float64)
+        scale = np.sqrt(np.add.accumulate(parts * parts, axis=1)[:, -1])
+        m = m.reshape(rows, n, n)
+        solve = (scale > 0.0) & (scale < np.inf)
+        hermitian = solve & real if spec.family == "su" else np.zeros(rows, bool)
+        general = solve & ~hermitian
+        if hermitian.any():
+            # Ascending eigenvalues of i*m: already the canonical order.
+            ev[hermitian] = -1j * np.linalg.eigvalsh(1j * m[hermitian])
+        if general.any():
+            g = np.linalg.eigvals(m[general])
+            order = np.lexsort((-g.imag, -g.real), axis=1)
+            ev[general] = g[np.arange(len(g))[:, None], order]
+        sep = np.abs(ev[:, i] - ev[:, j]).min(axis=1) / scale
+    status = np.where(sep < 10 * REGULAR_TOL, _INDETERMINATE, _REGULAR).astype(np.int8)
+    status[sep < REGULAR_TOL] = _SINGULAR
+    if not solve.all():
+        status[~solve] = np.where(np.isfinite(m[~solve]).all(axis=(1, 2)),
+                                  _SINGULAR, _NONFINITE)
+    if spec.family == "sl_real":
+        status[(status == _REGULAR) & _non_real(ev)] = _NONREAL
+        ev = ev.real.astype(complex)
+    return status, ev, sep
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of the pairs i < j of range(n)."""
+    return tuple(_readonly(a) for a in np.triu_indices(n, 1))
+
+
+def _refuse(status: int, sep: float) -> None:
+    """Raise for the outcomes that refuse a single element outright."""
+    if status == _NONFINITE:
+        raise AlgebraError("element has non-finite coordinates or matrix entries")
+    if status == _INDETERMINATE:
         raise IndeterminateRegularityError(
             f"eigenvalue separation {sep:.3e} within the indeterminate band"
         )
-    return ev
+
+
+def _spectrum(x: AlgebraElement) -> tuple[int, np.ndarray]:
+    """Outcome and spectrum of one element: the one-row slice of _spectra."""
+    status, ev, sep = _spectra(x.algebra, x.coords[None],
+                               np.array([not np.iscomplexobj(x.coords)]))
+    _refuse(int(status[0]), float(sep[0]))
+    return int(status[0]), ev[0]
 
 
 def is_regular_semisimple(x: AlgebraElement) -> bool:
@@ -297,9 +354,10 @@ def is_regular_semisimple(x: AlgebraElement) -> bool:
     For these matrix realizations the ad eigenvalues are the pairwise
     differences of defining-matrix eigenvalues, so the test reduces to
     eigenvalue distinctness.  Near-degenerate spectra (relative separation
-    in [REGULAR_TOL, 10*REGULAR_TOL)) raise IndeterminateRegularityError.
+    in [REGULAR_TOL, 10*REGULAR_TOL)) raise IndeterminateRegularityError,
+    and elements with non-finite coordinates raise AlgebraError.
     """
-    return _regular_spectrum(x) is not None
+    return _spectrum(x)[0] != _SINGULAR
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +609,10 @@ class CartanReduction:
     reduced: AlgebraElement
 
 
-def _non_real(ev: np.ndarray) -> bool:
-    """A spectrum with no real conjugation into the split Cartan."""
-    scale = max(1.0, float(np.max(np.abs(ev))))
-    return bool(np.max(np.abs(ev.imag)) > 1e-9 * scale)
+def _non_real(ev: np.ndarray) -> np.ndarray:
+    """Spectra (along the last axis) with no real conjugation into the split Cartan."""
+    scale = np.maximum(1.0, np.abs(ev).max(axis=-1))
+    return np.abs(ev.imag).max(axis=-1) > 1e-9 * scale
 
 
 def standard_spectrum(x: AlgebraElement) -> Optional[np.ndarray]:
@@ -565,12 +623,12 @@ def standard_spectrum(x: AlgebraElement) -> Optional[np.ndarray]:
     Returns None where reduce_to_cartan does (sl(n,R): a non-real
     spectrum); raises AlgebraError when x is not regular semisimple.
     """
-    ev = _regular_spectrum(x)
-    if ev is None:
+    status, ev = _spectrum(x)
+    if status == _SINGULAR:
         raise AlgebraError("evaluation point must be regular semisimple")
-    if x.algebra.family == "su":
-        return ev
-    return None if _non_real(ev) else ev.real
+    if status == _NONREAL:
+        return None
+    return ev if x.algebra.family == "su" else ev.real
 
 
 def reduce_to_cartan(x: AlgebraElement,

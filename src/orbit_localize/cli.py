@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 configuration error (malformed fields included),
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -209,8 +208,14 @@ def _build_orbit(cfg: RunConfig) -> OrbitSpec:
     )
 
 
-def _grid_points(cfg: RunConfig, orbit: OrbitSpec):
-    """Cartesian grid; default axis directions are the real Cartan basis."""
+def _grid_points(cfg: RunConfig, orbit: OrbitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Cartesian grid: the axis values and the basis coordinates of each point.
+
+    Default axis directions are the real Cartan basis.  Points run in
+    ``itertools.product`` order (last axis fastest), and coordinates are
+    summed in axis order, zeros + c0*d0 + c1*d1 + ...  Grids whose points
+    overflow to non-finite coordinates are refused.
+    """
     spec = orbit.algebra
     axes = cfg.axes
     if not axes:
@@ -229,15 +234,22 @@ def _grid_points(cfg: RunConfig, orbit: OrbitSpec):
                     f"grid.axes[{i}].direction needs {spec.dim} coordinates"
                 )
             directions.append(np.asarray(axis.direction, dtype=float))
-    ranges = [np.linspace(a.start, a.stop, a.steps) for a in axes]
-    coords_list, points = [], []
-    for combo in itertools.product(*ranges):
-        vec = np.zeros(spec.dim)
-        for c, d in zip(combo, directions):
-            vec = vec + c * d
-        coords_list.append(tuple(float(c) for c in combo))
-        points.append(element(spec, vec))
-    return coords_list, points
+    with np.errstate(over="ignore", invalid="ignore"):
+        ranges = [np.linspace(a.start, a.stop, a.steps) for a in axes]
+        values = np.stack(
+            [g.ravel() for g in np.meshgrid(*ranges, indexing="ij")], axis=1
+        )
+        coords = np.zeros((len(values), spec.dim))
+        for k, d in enumerate(directions):
+            coords = coords + values[:, k:k + 1] * d
+    finite = np.isfinite(coords).all(axis=1)
+    if not finite.all():
+        first = values[np.argmin(finite)].tolist()
+        raise ConfigError(
+            f"grid point {first} has non-finite coordinates "
+            f"({int(np.sum(~finite))} of {len(values)} points)"
+        )
+    return values, coords
 
 
 def _fmt(x: float) -> str:
@@ -261,8 +273,9 @@ def _json_dump(obj) -> str:
 
 def cmd_eval(cfg: RunConfig, out: Optional[str], fmt: str) -> int:
     orbit = _build_orbit(cfg)
-    coords_list, points = _grid_points(cfg, orbit)
-    results = fourier_grid(orbit, points)
+    grid, coords = _grid_points(cfg, orbit)
+    results = fourier_grid(orbit, coords)
+    coords_list = grid.tolist()
 
     n_axes = len(cfg.axes)
     if fmt == "csv":
@@ -416,7 +429,9 @@ def cmd_oracle(cfg: RunConfig, out: Optional[str],
     if seed is None:
         raise ConfigError("missing oracle.seed")
     orbit = _build_orbit(cfg)
-    coords_list, points = _grid_points(cfg, orbit)
+    grid, coords = _grid_points(cfg, orbit)
+    coords_list = grid.tolist()
+    points = [element(orbit.algebra, c) for c in coords]
 
     if orbit.algebra.family == "su":
         cal = calibrate(orbit, _default_reference(orbit), seed, cfg.mc_samples)

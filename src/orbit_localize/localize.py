@@ -10,11 +10,18 @@ diag(ev) of X in the standard Cartan, ev the defining eigenvalues of X in
 canonical (descending) order; no flag-variety geometry is needed in rank
 above one.  For su(n) and sl(n,R) the fixed points are the permutations w
 in S_n, the root values at diag(ev) are the differences ev_i - ev_j, and
-the Cartan coordinates are t = cumsum(ev)[:-1].  Each point therefore costs
-one eigenvalue solve plus array arithmetic over W with the weights, Borel
-root lists and multiplicities that ``make_orbit`` lays out once.  Inputs
-from one adjoint orbit share ev, so invariance holds by construction; in
-split mode the multiplicity pattern is tied to the canonical chamber.
+the Cartan coordinates are t = cumsum(ev)[:-1].  Inputs from one adjoint
+orbit share ev, so invariance holds by construction; in split mode the
+multiplicity pattern is tied to the canonical chamber.
+
+A batch of points is one pass of a block kernel (``fourier_grid``).  Each
+block of rows takes one batched eigenvalue solve and classification; the
+terms of its valued rows are (|W|, rows) arrays built from the weights,
+Borel root lists and multiplicities that ``make_orbit`` lays out once, and
+are summed in label order.  ``fourier_value`` is the one-row case.  Every
+step is elementwise or runs along a row's own axis, so each row is the
+same bit for bit whatever batch it comes in, and the block size bounds
+memory without changing any value.
 
 Conventions: the orbit parameter is purely imaginary, ``i`` times the
 Killing dual of a real Cartan element.  The ``weight`` sequence supplied by
@@ -38,11 +45,16 @@ from .algebra import (
     AlgebraSpec,
     CartanDatum,
     IndeterminateRegularityError,
+    _NONREAL,
+    _REGULAR,
+    _SINGULAR,
+    _refuse,
+    _spectra,
     _standard_cartan,
+    _upper_pairs,
     element,
     element_from_matrix,
     killing_form,
-    standard_spectrum,
 )
 from .fixedpoints import (
     FixedPoint,
@@ -112,16 +124,15 @@ class OrbitSpec:
     _weights: np.ndarray = field(init=False, repr=False)     # (|W|, rank)
     _borel: np.ndarray = field(init=False, repr=False)       # (|W|, |positive|)
     _multiplicities: np.ndarray = field(init=False, repr=False)
-    _root_cells: np.ndarray = field(init=False, repr=False)  # i*n + j per root
+    _root_ends: np.ndarray = field(init=False, repr=False)   # (2, |roots|): i, j
 
     def __post_init__(self) -> None:
-        fps, n, put = self.fixed_points, self.algebra.n, object.__setattr__
+        fps, put = self.fixed_points, object.__setattr__
         put(self, "_labels", tuple(fp.weyl.label for fp in fps))
         put(self, "_weights", np.array([fp.weight for fp in fps], dtype=complex))
         put(self, "_borel", np.array([fp.borel_roots for fp in fps], dtype=np.intp))
         put(self, "_multiplicities", np.array([fp.multiplicity for fp in fps]))
-        put(self, "_root_cells",
-            np.array([i * n + j for i, j in self.cartan.root_pairs]))
+        put(self, "_root_ends", np.array(self.cartan.root_pairs, dtype=np.intp).T)
 
     @property
     def dual_element(self) -> AlgebraElement:
@@ -225,14 +236,45 @@ class TermBreakdown:
     value: complex
 
 
-@dataclass(frozen=True, eq=False)
 class EvalResult:
-    """Value with per-fixed-point terms; the total is the label-ordered sum."""
+    """Value with per-fixed-point terms; the total is the label-ordered sum.
 
-    value: complex
-    terms: tuple[TermBreakdown, ...]
-    degenerate: bool
-    conjugacy: str    # "cartan" or "outside"
+    A row with a value keeps the spectrum it was evaluated at and builds
+    ``terms`` when that is first read, so callers that read values only
+    build no per-term objects.  Rows are read-only by convention.
+    """
+
+    __slots__ = ("value", "degenerate", "conjugacy", "_terms", "_orbit", "_ev")
+
+    def __init__(self, value: complex, terms: tuple[TermBreakdown, ...],
+                 degenerate: bool, conjugacy: str) -> None:
+        self.value = value
+        self.degenerate = degenerate
+        self.conjugacy = conjugacy    # "cartan" or "outside"
+        self._terms = terms
+        self._orbit = self._ev = None
+
+    def __repr__(self) -> str:
+        return (f"EvalResult(value={self.value!r}, degenerate={self.degenerate!r}, "
+                f"conjugacy={self.conjugacy!r}, terms={len(self.terms)})")
+
+    @property
+    def terms(self) -> tuple[TermBreakdown, ...]:
+        if self._terms is None:
+            orbit = self._orbit
+            expo, den, vals = _terms(orbit, self._ev[None])
+            self._terms = tuple(map(
+                TermBreakdown, orbit._labels, expo[:, 0].tolist(),
+                den[:, 0].tolist(), orbit._multiplicities.tolist(),
+                vals[:, 0].tolist(),
+            ))
+        return self._terms
+
+
+def _valued(orbit: OrbitSpec, value: complex, ev: np.ndarray) -> EvalResult:
+    row = EvalResult(value, None, False, "cartan")
+    row._orbit, row._ev = orbit, ev
+    return row
 
 
 # Not conjugate into the split Cartan: the transform vanishes identically
@@ -243,6 +285,76 @@ _OUTSIDE = EvalResult(value=0.0 + 0.0j, terms=(), degenerate=False,
 _DEGENERATE = EvalResult(value=complex("nan"), terms=(), degenerate=True,
                          conjugacy="cartan")
 
+# Outcome of a row within WALL_TOL of a root hyperplane, beside the
+# spectral outcomes of algebra._spectra.
+_WALL = -1
+
+# Terms (rows x |W|) evaluated per block.  It bounds the working arrays of
+# the kernel and changes no value: every row's arithmetic is elementwise
+# or runs along that row's own axis.
+_BLOCK = 1 << 16
+
+
+def _terms(orbit: OrbitSpec, ev: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exponents, Borel denominators and values of every term, (|W|, N).
+
+    ``ev`` holds the canonical spectra of N regular points, one per row.
+    The Cartan coordinates of diag(ev) are t = cumsum(ev)[:-1] and its
+    root values ev_i - ev_j.  Sums over the rank and products over the
+    Borel roots run as short loops, not as matrix products: BLAS blocks a
+    product differently for different N, which would make a row's last
+    bits depend on its batch.
+    """
+    t = np.add.accumulate(ev, axis=1).T
+    w = orbit._weights
+    expo = w[:, :1] * t[0]
+    for k in range(1, w.shape[1]):
+        expo += w[:, k:k + 1] * t[k]
+    i, j = orbit._root_ends
+    roots = (ev[:, i] - ev[:, j]).T
+    borel = orbit._borel
+    den = roots[borel[:, 0]]
+    for r in borel.T[1:]:
+        den *= roots[r]
+    return expo, den, orbit._multiplicities[:, None] * np.exp(expo) / den
+
+
+def _evaluate(orbit: OrbitSpec, coords: np.ndarray, real: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Outcome, value, spectrum and separation of each row of coordinates.
+
+    Rows go through in blocks of at most _BLOCK terms: per block one
+    batched eigensolve and classification (algebra._spectra), the wall
+    test, and the terms of the rows left, summed in label order.  Values
+    are 0 on _NONREAL rows and NaN on every refused row.
+    """
+    coords = np.asarray(coords)
+    if coords.ndim != 2 or coords.shape[1] != orbit.algebra.dim:
+        raise AlgebraError(f"expected rows of {orbit.algebra.dim} coordinates, "
+                           f"got shape {coords.shape}")
+    step = max(1, _BLOCK // len(orbit._labels))
+    blocks = [_evaluate_block(orbit, coords[lo:lo + step], real[lo:lo + step])
+              for lo in range(0, len(coords), step)]
+    if len(blocks) == 1:
+        return blocks[0]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _evaluate_block(orbit: OrbitSpec, coords: np.ndarray, real: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    code, ev, sep = _spectra(orbit.algebra, coords, real)
+    # The wall test reads the returned spectrum, which for sl(n,R) is the
+    # real part of the one the separation was measured on.
+    i, j = _upper_pairs(orbit.algebra.n)
+    gaps = np.abs(ev[:, i] - ev[:, j])
+    wall = gaps.min(axis=1) < WALL_TOL * np.maximum(1.0, gaps.max(axis=1))
+    code[(code == _REGULAR) & wall] = _WALL
+    ok = code == _REGULAR
+    values = np.where(code == _NONREAL, 0j, complex("nan"))
+    values[ok] = np.add.accumulate(_terms(orbit, ev[ok])[2], axis=0)[-1]
+    return code, values, ev, sep
+
 
 def fourier_value(orbit: OrbitSpec, x: AlgebraElement,
                   on_degenerate: str = "raise") -> EvalResult:
@@ -250,46 +362,59 @@ def fourier_value(orbit: OrbitSpec, x: AlgebraElement,
 
     Raises DegenerateInputError near root hyperplanes unless
     ``on_degenerate="flag"``, in which case a degenerate result row is
-    returned instead.
+    returned instead.  Raises AlgebraError when x is not regular
+    semisimple or has non-finite coordinates, and
+    IndeterminateRegularityError in the indeterminate band.  The result
+    is row 0 of the batch kernel, so it equals the ``fourier_grid`` row
+    of x bit for bit.
     """
-    ev = standard_spectrum(x)
-    if ev is None:
+    real = np.array([not np.iscomplexobj(x.coords)])
+    codes, values, spectra, seps = _evaluate(orbit, x.coords[None], real)
+    code = int(codes[0])
+    _refuse(code, float(seps[0]))
+    if code == _SINGULAR:
+        raise AlgebraError("evaluation point must be regular semisimple")
+    if code == _NONREAL:
         return _OUTSIDE
-    root_vals = np.subtract.outer(ev, ev).ravel()[orbit._root_cells]
-    scale = max(1.0, float(np.max(np.abs(root_vals))))
-    if float(np.min(np.abs(root_vals))) < WALL_TOL * scale:
+    if code == _WALL:
         if on_degenerate == "raise":
             raise DegenerateInputError(
                 "evaluation point within tolerance of a root hyperplane"
             )
         return _DEGENERATE
-    exponents = orbit._weights @ np.cumsum(ev)[:-1]
-    denominators = np.prod(root_vals[orbit._borel], axis=1).astype(complex)
-    values = orbit._multiplicities * np.exp(exponents) / denominators
-    terms = tuple(map(
-        TermBreakdown, orbit._labels, exponents.tolist(),
-        denominators.tolist(), orbit._multiplicities.tolist(), values.tolist(),
-    ))
-    return EvalResult(
-        value=complex(sum(t.value for t in terms)), terms=terms,
-        degenerate=False, conjugacy="cartan",
-    )
+    return _valued(orbit, complex(values[0]), spectra[0])
 
 
 def fourier_grid(orbit: OrbitSpec,
-                 samples: Sequence[AlgebraElement]) -> tuple[EvalResult, ...]:
+                 samples: Sequence[AlgebraElement] | np.ndarray,
+                 ) -> tuple[EvalResult, ...]:
     """Evaluate a batch; degenerate or non-regular rows are flagged, not dropped.
 
-    Each row is ``fourier_value(..., on_degenerate="flag")``, or a
-    degenerate row where that raises; output order matches input order.
+    ``samples`` is a sequence of elements or an (N, dim) array of basis
+    coordinates (real rows lie in the real form).  Row k equals
+    ``fourier_value(orbit, samples[k], on_degenerate="flag")`` bit for bit,
+    or is the degenerate row where that raises (non-regular,
+    indeterminate or non-finite points); output order matches input
+    order.  The whole batch is one pass of the block kernel: per block one
+    batched eigensolve, then the terms of every valued row as (|W|, rows)
+    arrays.  Rows build their term breakdown only when it is read.
     """
-    def one(x: AlgebraElement) -> EvalResult:
-        try:
-            return fourier_value(orbit, x, on_degenerate="flag")
-        except AlgebraError:
-            return _DEGENERATE
-
-    return tuple(one(x) for x in samples)
+    if isinstance(samples, np.ndarray):
+        coords = samples
+        real = np.full(len(coords), not np.iscomplexobj(coords))
+    else:
+        coords = [x.coords for x in samples]
+        real = np.array([not np.iscomplexobj(c) for c in coords], dtype=bool)
+    if len(coords) == 0:
+        return ()
+    codes, values, spectra, _ = _evaluate(orbit, coords, real)
+    out = []
+    for k, (code, value) in enumerate(zip(codes.tolist(), values.tolist())):
+        if code == _REGULAR:
+            out.append(_valued(orbit, value, spectra[k]))
+        else:
+            out.append(_OUTSIDE if code == _NONREAL else _DEGENERATE)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

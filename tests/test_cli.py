@@ -1,6 +1,7 @@
 """Command-line behavior: schemas, exit codes, determinism."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -302,6 +303,22 @@ def test_malformed_fields_exit_2(tmp_path, capsys, base, path, value):
     assert main(["eval", "--config", write_config(tmp_path, cfg),
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_eval_refuses_non_finite_grid_points(tmp_path, capsys):
+    # Two axes along e0 at 1.7e308 sum to inf: refused before evaluation,
+    # with no numpy warning on stderr.
+    cfg = json.loads(json.dumps(SU3))
+    axis = {"start": 1.7e308, "stop": 1.7e308, "steps": 1,
+            "direction": [1.0] + [0.0] * 7}
+    cfg["grid"] = {"axes": [axis, axis]}
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: grid point")
     assert not out.exists()
 
 

@@ -6,11 +6,19 @@ diag(1,-1)), giving sin- and cosine-type closed forms that the evaluator
 must reproduce; higher-rank checks are structural.
 """
 
+import math
+import tracemalloc
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from orbit_localize import localize
 from orbit_localize.algebra import (
     AlgebraError,
+    IndeterminateRegularityError,
     build_algebra,
     cartan_coordinates,
     element,
@@ -198,6 +206,206 @@ def test_grid_matches_pointwise():
                                       degenerate=True, conjugacy="cartan")
             assert _row_key(row) == _row_key(expected)
     assert seen == {"value", "wall", "raise", "outside"}
+
+
+# --- the batched kernel ------------------------------------------------------
+
+ROW_KINDS = ("regular", "wall", "zero", "indeterminate", "outside", "complex",
+             "nonfinite")
+
+
+def _orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def _sample_row(spec, kind, rng):
+    """Coordinates of one point of the given kind (see ROW_KINDS).
+
+    "indeterminate" points have relative eigenvalue separation in the
+    middle of the refused band; "outside" points have a rotation block,
+    so in sl(n,R) they are regular but not conjugate into the split
+    Cartan (in su(n) the same matrix is a complex-coordinate point).
+    """
+    dim, n = spec.dim, spec.n
+    if kind == "regular":
+        return rng.standard_normal(dim)
+    if kind == "wall":
+        return 1e-10 * rng.standard_normal(dim)
+    if kind == "zero":
+        return np.zeros(dim)
+    if kind == "complex":
+        return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    if kind == "nonfinite":
+        c = rng.standard_normal(dim)
+        c[rng.integers(dim)] = rng.choice([np.inf, -np.inf, np.nan])
+        return c
+    sep = rng.uniform(2e-8, 6e-8)
+    q = _orthogonal(rng, n)
+    if kind == "indeterminate" and n == 2:
+        # Eigenvalues +-sqrt(eps): relative separation 2 sqrt(eps).
+        m = np.array([[0.0, 1.0], [(sep / 2) ** 2, 0.0]])
+    elif kind == "indeterminate":
+        d = np.arange(n, dtype=float)
+        d[1] = d[0] + sep * np.sqrt(np.sum(d * d))
+        m = np.diag(d - d.mean())
+    else:
+        m = np.diag(np.arange(n, dtype=float) * rng.uniform(0.5, 1.5))
+        m[:2, :2] = rng.uniform(0.3, 2.0) * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        m -= np.trace(m) / n * np.eye(n)
+    m = q @ m @ q.T
+    return element_from_matrix(spec, 1j * m if spec.family == "su" else m).coords
+
+
+def _pointwise_key(orbit, x):
+    try:
+        return _row_key(fourier_value(orbit, x, on_degenerate="flag"))
+    except AlgebraError:
+        return _row_key(EvalResult(value=complex("nan"), terms=(),
+                                   degenerate=True, conjugacy="cartan"))
+
+
+_ORBITS = {}
+
+
+def _orbit(family, n):
+    if (family, n) not in _ORBITS:
+        weight = np.cumsum(np.linspace(0.9, -0.9, n) + 0.05 * np.arange(n))[:-1]
+        _ORBITS[family, n] = make_orbit(build_algebra(family, n), weight)
+    return _ORBITS[family, n]
+
+
+@pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("sl_real", 2),
+                                      ("sl_real", 3), ("sl_real", 4)])
+def test_row_kinds_reach_their_outcomes(family, n):
+    orbit = _orbit(family, n)
+    rng = np.random.default_rng(5)
+    spec = orbit.algebra
+    for kind, expect in [("regular", None), ("complex", None),
+                         ("wall", DegenerateInputError),
+                         ("zero", AlgebraError),
+                         ("indeterminate", IndeterminateRegularityError),
+                         ("nonfinite", AlgebraError)]:
+        for _ in range(5):
+            x = element(spec, _sample_row(spec, kind, rng))
+            if expect is None:
+                assert not fourier_value(orbit, x).degenerate
+            else:
+                with pytest.raises(expect):
+                    fourier_value(orbit, x)
+    outside = fourier_value(orbit, element(spec, _sample_row(spec, "outside", rng)))
+    assert outside.conjugacy == ("outside" if family == "sl_real" else "cartan")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    algebra=st.sampled_from([("su", 2), ("su", 3), ("su", 4), ("su", 5),
+                             ("sl_real", 2), ("sl_real", 3), ("sl_real", 4)]),
+    batch=st.lists(st.tuples(st.sampled_from(ROW_KINDS),
+                             st.integers(0, 2 ** 32 - 1)),
+                   min_size=1, max_size=14),
+    cut=st.integers(0, 14),
+    order=st.randoms(use_true_random=False),
+    block_rows=st.integers(1, 5),
+)
+def test_grid_rows_independent_of_batch(algebra, batch, cut, order, block_rows):
+    orbit = _orbit(*algebra)
+    spec = orbit.algebra
+    xs = [element(spec, _sample_row(spec, kind, np.random.default_rng(seed)))
+          for kind, seed in batch]
+    rows = fourier_grid(orbit, xs)
+    keys = [_row_key(r) for r in rows]
+    assert keys == [_pointwise_key(orbit, x) for x in xs]
+    for r in rows:
+        if not r.degenerate:
+            assert r.value == sum(t.value for t in r.terms)
+    cut = min(cut, len(xs))
+    split = fourier_grid(orbit, xs[:cut]) + fourier_grid(orbit, xs[cut:])
+    assert [_row_key(r) for r in split] == keys
+    perm = list(range(len(xs)))
+    order.shuffle(perm)
+    shuffled = fourier_grid(orbit, [xs[k] for k in perm])
+    assert [_row_key(r) for r in shuffled] == [keys[k] for k in perm]
+    # Several blocks in one batch: block_rows rows per block.
+    with mock.patch.object(localize, "_BLOCK", block_rows * len(orbit.fixed_points)):
+        assert [_row_key(r) for r in fourier_grid(orbit, xs)] == keys
+
+
+def test_grid_longer_than_one_block():
+    orbit = _orbit("su", 5)
+    spec = orbit.algebra
+    per_block = localize._BLOCK // len(orbit.fixed_points)
+    rng = np.random.default_rng(11)
+    kinds = rng.choice(ROW_KINDS, size=2 * per_block + 37)
+    xs = [element(spec, _sample_row(spec, k, rng)) for k in kinds]
+    keys = [_row_key(r) for r in fourier_grid(orbit, xs)]
+    assert keys == [_pointwise_key(orbit, x) for x in xs]
+    shifted = fourier_grid(orbit, xs[:41]) + fourier_grid(orbit, xs[41:])
+    assert [_row_key(r) for r in shifted] == keys
+
+
+def test_grid_array_input_matches_elements():
+    orbit = _orbit("sl_real", 3)
+    coords = np.random.default_rng(2).standard_normal((50, 8))
+    from_array = fourier_grid(orbit, coords)
+    from_elements = fourier_grid(orbit, [element(orbit.algebra, c) for c in coords])
+    assert [_row_key(r) for r in from_array] == [_row_key(r) for r in from_elements]
+    with pytest.raises(AlgebraError):
+        fourier_grid(orbit, coords[:, :5])
+
+
+def test_grid_memory_stays_blocked():
+    # One unblocked (N, |W|) complex array would take 3000 * 5040 * 16 B,
+    # 242 MB, here.
+    orbit = make_orbit(build_algebra("su", 7), [0.9, 1.5, 1.8, 1.8, 1.5, 0.9])
+    coords = np.random.default_rng(4).standard_normal((3000, orbit.algebra.dim))
+    tracemalloc.start()
+    try:
+        rows = fourier_grid(orbit, coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 3000 and not any(r.degenerate for r in rows)
+    assert peak < 64e6
+
+
+def test_grid_makes_one_eigensolve_per_block(monkeypatch):
+    orbit = _orbit("su", 3)
+    coords = np.random.default_rng(6).standard_normal((2000, 8))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    fourier_grid(orbit, coords)
+    per_block = localize._BLOCK // len(orbit.fixed_points)
+    assert 1 <= len(calls) <= math.ceil(2000 / per_block)
+    assert sum(calls) == 2000
+
+
+@pytest.mark.parametrize("family", ["su", "sl_real"])
+def test_non_finite_points_refused_without_warnings(family):
+    orbit = _orbit(family, 3)
+    spec = orbit.algebra
+    good = element(spec, np.linspace(0.2, 1.1, 8))
+    bad = [[np.inf] + [0.0] * 7, [0.0] * 5 + [np.nan, 0.0, 0.0],
+           [-np.inf, 1.0] + [0.0] * 6, [1e308, -1e308] + [0.0] * 6]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for coords in bad:
+            x = element(spec, coords)
+            with pytest.raises(AlgebraError, match="non-finite"):
+                fourier_value(orbit, x)
+            rows = fourier_grid(orbit, [x, good, x])
+            assert [r.degenerate for r in rows] == [True, False, True]
+            assert _row_key(rows[1]) == _row_key(fourier_value(orbit, good))
+        # Finite entries whose norm overflows: not regular, as before.
+        for coords in ([1e300, 1e-300] + [0.0] * 6, [0.0, 0.0, 1e308j] + [0.0] * 5):
+            with pytest.raises(AlgebraError, match="regular semisimple"):
+                fourier_value(orbit, element(spec, coords))
 
 
 def test_casimir_residuals():
