@@ -109,10 +109,6 @@ class AlgebraElement:
     coords: np.ndarray  # (dim,), float64 for g_R, complex128 for g
 
     @property
-    def field_tag(self) -> str:
-        return "complex" if np.iscomplexobj(self.coords) else "real"
-
-    @property
     def matrix(self) -> np.ndarray:
         return np.tensordot(self.coords, self.algebra.basis, axes=(0, 0))
 
@@ -407,12 +403,6 @@ class CartanDatum:
     def root_pairs(self) -> list[tuple[int, int]]:
         """(i, j) for each root e_i - e_j, in root order."""
         return _root_pairs(self.algebra.n)
-
-    def weyl_by_label(self, label: str) -> WeylElement:
-        for w in self.weyl:
-            if w.label == label:
-                return w
-        raise AlgebraError(f"unknown Weyl label {label!r}")
 
 
 def coroot(cartan: CartanDatum, root_idx: int) -> np.ndarray:

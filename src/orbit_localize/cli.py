@@ -25,7 +25,7 @@ import numpy as np
 
 from . import geometry_sl2 as geo
 from .algebra import AlgebraError, build_algebra, element
-from .localize import OrbitSpec, fourier_grid, fourier_value, make_orbit
+from .localize import OrbitSpec, fourier_grid, make_orbit
 from .oracle import (
     CalibrationError,
     calibrate,
@@ -416,10 +416,10 @@ def cmd_calibrate(cfg: RunConfig, config_path: str, out: Optional[str],
 
 
 def _default_reference(orbit: OrbitSpec):
+    # The real Cartan basis is the first rank coordinate rows.
     spec = orbit.algebra
     vec = np.zeros(spec.dim)
-    for k, h in enumerate(orbit.cartan.real_basis):
-        vec = vec + (0.7 + 0.31 * k) * h.coords
+    vec[:spec.rank] = 0.7 + 0.31 * np.arange(spec.rank)
     return element(spec, vec)
 
 
@@ -430,18 +430,19 @@ def cmd_oracle(cfg: RunConfig, out: Optional[str],
         raise ConfigError("missing oracle.seed")
     orbit = _build_orbit(cfg)
     grid, coords = _grid_points(cfg, orbit)
-    coords_list = grid.tolist()
-    points = [element(orbit.algebra, c) for c in coords]
+    # Degenerate rows (walls, non-regular and indeterminate points) have
+    # no formula value and are skipped.
+    usable = [(values, element(orbit.algebra, c), res)
+              for values, c, res in zip(grid.tolist(), coords,
+                                        fourier_grid(orbit, coords))
+              if not res.degenerate]
 
     if orbit.algebra.family == "su":
         cal = calibrate(orbit, _default_reference(orbit), seed, cfg.mc_samples)
         shared = haar_orbit_sample(orbit, seed + 1, cfg.mc_samples)
         lines = ["x_coords,re_formula,im_formula,re_mc,im_mc,stderr,agree_3sigma"]
-        for coords, x in zip(coords_list, points):
-            try:
-                fv = fourier_value(orbit, x).value
-            except AlgebraError:
-                continue
+        for values, x, res in usable:
+            fv = res.value
             est = mc_fourier_integral(
                 orbit, x, 0, 0, scale=cal.liouville_const, samples=shared
             )
@@ -451,7 +452,7 @@ def cmd_oracle(cfg: RunConfig, out: Optional[str],
             ))
             agree = abs(est.mean - fv) <= 3.0 * sigma
             lines.append(",".join([
-                ";".join(_fmt(c) for c in coords),
+                ";".join(_fmt(c) for c in values),
                 _fmt(fv.real), _fmt(fv.imag),
                 _fmt(est.mean.real), _fmt(est.mean.imag),
                 _fmt(sigma), "1" if agree else "0",
@@ -459,18 +460,10 @@ def cmd_oracle(cfg: RunConfig, out: Optional[str],
         _write_text(out, "\n".join(lines) + "\n")
         return EXIT_OK
 
-    usable = None
-    for coords, x in zip(coords_list, points):
-        try:
-            res = fourier_value(orbit, x)
-        except AlgebraError:
-            continue
-        if res.conjugacy == "cartan" and not res.degenerate:
-            usable = (coords, x, res)
-            break
-    if usable is None:
+    split = [(x, res) for _, x, res in usable if res.conjugacy == "cartan"]
+    if not split:
         return EXIT_DEGENERATE
-    coords, x, res = usable
+    x, res = split[0]
     seq = damped_oscillatory_integral(orbit, x, cfg.eps_schedule)
     lines = ["eps,re_estimate,im_estimate"]
     for eps, v in zip(seq.eps_schedule, seq.estimates):

@@ -8,20 +8,23 @@ the induced flag-variety vector field:
 The transform is Ad-invariant, so it is evaluated at the representative
 diag(ev) of X in the standard Cartan, ev the defining eigenvalues of X in
 canonical (descending) order; no flag-variety geometry is needed in rank
-above one.  For su(n) and sl(n,R) the fixed points are the permutations w
-in S_n, the root values at diag(ev) are the differences ev_i - ev_j, and
-the Cartan coordinates are t = cumsum(ev)[:-1].  Inputs from one adjoint
-orbit share ev, so invariance holds by construction; in split mode the
-multiplicity pattern is tied to the canonical chamber.
+above one.  For su(n) and sl(n,R) everything is an array of eigenvalues
+and a permutation table.  The orbit parameter is a sorted diagonal zeta,
+the fixed points are the permutations w in S_n, the exponent of w is
+s * sum_i zeta_(w^-1 i) ev_i (s = -2n for su(n), 2n i for sl(n,R)), and
+its Borel denominator is det(w) times the one Vandermonde product
+prod over i < j of (ev_j - ev_i).  Inputs from one adjoint orbit share
+ev, so invariance holds by construction; in split mode the multiplicity
+pattern is tied to the canonical chamber.
 
 A batch of points is one pass of a block kernel (``fourier_grid``).  Each
 block of rows takes one batched eigenvalue solve and classification; the
-terms of its valued rows are (|W|, rows) arrays built from the weights,
-Borel root lists and multiplicities that ``make_orbit`` lays out once, and
-are summed in label order.  ``fourier_value`` is the one-row case.  Every
-step is elementwise or runs along a row's own axis, so each row is the
-same bit for bit whatever batch it comes in, and the block size bounds
-memory without changing any value.
+terms of its valued rows are (|W|, rows) arrays built from the permuted
+diagonals, signs and multiplicities that ``make_orbit`` lays out once,
+and are summed in label order.  ``fourier_value`` is the one-row case.
+Every step is elementwise or runs along a row's own axis, so each row is
+the same bit for bit whatever batch it comes in, and the block size
+bounds memory without changing any value.
 
 Conventions: the orbit parameter is purely imaginary, ``i`` times the
 Killing dual of a real Cartan element.  The ``weight`` sequence supplied by
@@ -48,6 +51,7 @@ from .algebra import (
     _NONREAL,
     _REGULAR,
     _SINGULAR,
+    _readonly,
     _refuse,
     _spectra,
     _standard_cartan,
@@ -118,28 +122,27 @@ class OrbitSpec:
     weight_values: np.ndarray          # i * lambda'(H_k): parameter on the basis
     fixed_points: tuple[FixedPoint, ...]
     assignment: MultiplicityAssignment
+    zeta: np.ndarray                   # diagonal of the dual element, over i for su
     user_multiplicities: Optional[Mapping[str, int]] = None
     # The fixed points as arrays over W, in label order, for the evaluator.
     _labels: tuple[str, ...] = field(init=False, repr=False)
-    _weights: np.ndarray = field(init=False, repr=False)     # (|W|, rank)
-    _borel: np.ndarray = field(init=False, repr=False)       # (|W|, |positive|)
     _multiplicities: np.ndarray = field(init=False, repr=False)
-    _root_ends: np.ndarray = field(init=False, repr=False)   # (2, |roots|): i, j
+    _signs: np.ndarray = field(init=False, repr=False)       # det(w)
+    _zeta: np.ndarray = field(init=False, repr=False)        # (|W|, n)
 
     def __post_init__(self) -> None:
         fps, put = self.fixed_points, object.__setattr__
         put(self, "_labels", tuple(fp.weyl.label for fp in fps))
-        put(self, "_weights", np.array([fp.weight for fp in fps], dtype=complex))
-        put(self, "_borel", np.array([fp.borel_roots for fp in fps], dtype=np.intp))
         put(self, "_multiplicities", np.array([fp.multiplicity for fp in fps]))
-        put(self, "_root_ends", np.array(self.cartan.root_pairs, dtype=np.intp).T)
+        put(self, "_signs", np.array([fp.weyl.determinant for fp in fps]))
+        order = np.argsort([fp.weyl.perm for fp in fps], axis=1)
+        put(self, "_zeta", _scale(self.algebra) * self.zeta[order])
 
     @property
     def dual_element(self) -> AlgebraElement:
-        out = None
-        for c, h in zip(self.weight, self.cartan.real_basis):
-            out = c * h if out is None else out + (c * h)
-        return out
+        # The real Cartan basis is the first rank coordinate rows.
+        spec = self.algebra
+        return element(spec, np.pad(self.weight, (0, spec.dim - spec.rank)))
 
     def casimir_eigenvalue(self) -> complex:
         """B*(parameter, parameter); negative of the real dual's square."""
@@ -147,46 +150,31 @@ class OrbitSpec:
         return complex(-killing_form(z, z))
 
 
-def _weight_values(cartan: CartanDatum, weight: Sequence[float]) -> np.ndarray:
-    z = None
-    for c, h in zip(weight, cartan.real_basis):
-        z = c * h if z is None else z + (c * h)
-    vals = np.array(
-        [1j * killing_form(z, h) for h in cartan.basis], dtype=complex
-    )
-    return vals
+def _scale(spec: AlgebraSpec) -> complex:
+    """The s with <diag(ev), parameter> = s * sum_i zeta_i ev_i.
 
-
-def _dominant_weight(spec: AlgebraSpec, cartan: CartanDatum,
-                     weight: tuple[float, ...]) -> tuple[float, ...]:
-    """Weyl-canonical representative of the orbit parameter.
-
-    The orbits of a parameter and of its Weyl images coincide, so the
-    parameter is stored with its dual Cartan element in the canonical
-    (descending-eigenvalue) chamber.  This pins the orientation convention
-    behind the all-ones compact multiplicities and makes the transform
-    manifestly Weyl-invariant in the parameter.
+    The parameter is i B(z, .) with B = 2n tr and z = i diag(zeta) (su)
+    or diag(zeta) (sl).
     """
-    m = sum(
-        c * cartan.real_basis[k].matrix for k, c in enumerate(weight)
-    )
-    diag = np.diagonal(m)
-    if spec.family == "su":
-        ordered = 1j * np.sort(diag.imag)[::-1]
-    else:
-        ordered = np.sort(diag.real)[::-1].astype(complex)
-    dom = element_from_matrix(spec, np.diag(ordered))
-    coords = dom.coords
-    if np.iscomplexobj(coords) or np.max(np.abs(coords[spec.rank:])) > 1e-12:
-        raise AlgebraError("failed to canonicalize the orbit parameter")
-    return tuple(float(c) for c in coords[: spec.rank])
+    return -2.0 * spec.n + 0j if spec.family == "su" else 2.0j * spec.n
 
 
 def make_orbit(spec: AlgebraSpec, weight: Sequence[float], mode: str = None,
                s0: int = 1,
                user_multiplicities: Optional[Mapping[str, int]] = None,
                ) -> OrbitSpec:
-    """Validate the orbit parameter and precompute its fixed-point data."""
+    """Validate the orbit parameter and precompute its fixed-point data.
+
+    The dual Cartan element of the weight is diag(zeta) for sl(n,R) and
+    i diag(zeta) for su(n): weight coordinate c_k adds c_k to zeta_k and
+    subtracts it from zeta_(k+1).  The orbits of a parameter and of its
+    Weyl images coincide, so the automatic modes store the parameter in
+    the canonical chamber, zeta descending and weight = cumsum(zeta)[:-1].
+    This pins the orientation convention behind the all-ones compact
+    multiplicities and makes the transform manifestly Weyl-invariant in
+    the parameter.  User-supplied multiplicity labels refer to the chamber
+    of the parameter as given, so that mode keeps it as given.
+    """
     if mode is None:
         mode = "compact" if spec.family == "su" else "maximally_split"
     if mode == "compact" and spec.family != "su":
@@ -200,12 +188,13 @@ def make_orbit(spec: AlgebraSpec, weight: Sequence[float], mode: str = None,
         raise AlgebraError(
             f"weight needs {cart.rank} coordinates, got {len(weight)}"
         )
+    zeta = np.zeros(spec.n)
+    zeta[:-1] += weight
+    zeta[1:] -= weight
     if mode != "user_supplied":
-        # User-supplied multiplicity labels refer to the chamber of the
-        # parameter as given, so canonicalization applies only to the
-        # automatic modes.
-        weight = _dominant_weight(spec, cart, weight)
-    values = _weight_values(cart, weight)
+        zeta = np.sort(zeta)[::-1]
+        weight = tuple(np.cumsum(zeta)[:-1].tolist())
+    values = _scale(spec) * (zeta[:-1] - zeta[1:])
     if not is_regular_covector(cart, values):
         raise AlgebraError("orbit parameter is singular for the Cartan")
 
@@ -223,6 +212,7 @@ def make_orbit(spec: AlgebraSpec, weight: Sequence[float], mode: str = None,
         weight_values=values,
         fixed_points=fps,
         assignment=assignment,
+        zeta=_readonly(zeta),
         user_multiplicities=user_multiplicities,
     )
 
@@ -300,23 +290,22 @@ def _terms(orbit: OrbitSpec, ev: np.ndarray
     """Exponents, Borel denominators and values of every term, (|W|, N).
 
     ``ev`` holds the canonical spectra of N regular points, one per row.
-    The Cartan coordinates of diag(ev) are t = cumsum(ev)[:-1] and its
-    root values ev_i - ev_j.  Sums over the rank and products over the
-    Borel roots run as short loops, not as matrix products: BLAS blocks a
-    product differently for different N, which would make a row's last
-    bits depend on its batch.
+    The term of w at diag(ev) has the exponent s * sum_i zeta_(w^-1 i) ev_i
+    (row w of ``orbit._zeta``) and the denominator det(w) V, with
+    V = prod over i < j of (ev_j - ev_i): the Borel of w carries the roots
+    e_(w j) - e_(w i), whose product is V up to the sign of w.  V is formed
+    once per row.  The sum over i and the product over pairs run as short
+    loops and accumulates, not as matrix products: BLAS blocks a product
+    differently for different N, which would make a row's last bits depend
+    on its batch.
     """
-    t = np.add.accumulate(ev, axis=1).T
-    w = orbit._weights
-    expo = w[:, :1] * t[0]
-    for k in range(1, w.shape[1]):
-        expo += w[:, k:k + 1] * t[k]
-    i, j = orbit._root_ends
-    roots = (ev[:, i] - ev[:, j]).T
-    borel = orbit._borel
-    den = roots[borel[:, 0]]
-    for r in borel.T[1:]:
-        den *= roots[r]
+    zeta = orbit._zeta
+    expo = zeta[:, :1] * ev[:, 0]
+    for i in range(1, zeta.shape[1]):
+        expo += zeta[:, i:i + 1] * ev[:, i]
+    i, j = _upper_pairs(orbit.algebra.n)
+    vandermonde = np.multiply.accumulate(ev[:, j] - ev[:, i], axis=1)[:, -1]
+    den = orbit._signs[:, None] * vandermonde
     return expo, den, orbit._multiplicities[:, None] * np.exp(expo) / den
 
 
@@ -515,10 +504,9 @@ def invariance_checks(orbit: OrbitSpec, x: AlgebraElement,
 
 
 def _weyl_moved_weight(orbit: OrbitSpec, w) -> tuple[float, ...]:
-    """Weight coordinates of the w-image of the orbit parameter."""
-    cart = orbit.cartan
-    values = w.apply(orbit.weight_values)
-    coeff = np.linalg.solve(cart.gram.astype(complex), values / 1j)
-    m = sum(c * h.matrix for c, h in zip(coeff, cart.basis))
-    moved = element_from_matrix(orbit.algebra, m)
-    return tuple(float(c) for c in np.real(moved.coords[: orbit.algebra.rank]))
+    """Weight coordinates of the w-image of the orbit parameter.
+
+    The image has the permuted diagonal zeta_(w^-1 i), and its weight
+    coordinates are the partial sums of that diagonal.
+    """
+    return tuple(np.cumsum(orbit.zeta[np.argsort(w.perm)])[:-1].tolist())

@@ -36,6 +36,7 @@ from .algebra import (
     bracket,
     element,
     killing_form,
+    standard_spectrum,
 )
 from .localize import OrbitSpec, fourier_value
 
@@ -327,11 +328,11 @@ def damped_oscillatory_integral(orbit: OrbitSpec, x: AlgebraElement,
 
     Estimates the integral of exp(<x, zeta>) exp(-eps |zeta|^2) against the
     Liouville measure; |zeta| is the Frobenius norm of the carrier.  The
-    evaluation point is conjugated into the split Cartan first (elliptic
-    points are refused).  The damping does not depend on the circle angle,
-    so the circle integral is exact: with rho = |(kx_h, kx_e + kx_f)| and
-    c = kx_e - kx_f it is 2 pi J0(r cosh(s) rho) exp(i c r sinh(s)) (DLMF
-    10.9.1).  What remains is Simpson quadrature in the hyperbolic angle,
+    evaluation point is replaced by its conjugate diag(ev) in the split
+    Cartan, ev its sorted spectrum (elliptic points are refused).  The
+    damping does not depend on the circle angle, so the circle integral is
+    exact: with rho = |(kx_h, kx_e + kx_f)| and c = kx_e - kx_f it is
+    2 pi J0(r cosh(s) rho) exp(i c r sinh(s)) (DLMF 10.9.1).  What remains is Simpson quadrature in the hyperbolic angle,
     on a mesh that scales with the phase rate unless pinned by ``s_nodes``,
     summed in fixed-size blocks of nodes.  The vanishing-damping
     extrapolation converges to the transform; the damping error is linear
@@ -345,15 +346,15 @@ def damped_oscillatory_integral(orbit: OrbitSpec, x: AlgebraElement,
     ) or eps_schedule[-1] <= 0:
         raise AlgebraError("damping schedule must decrease to a positive value")
     r = _split_radius(orbit)
-    from .algebra import reduce_to_cartan
-    from .localize import standard_cartan
-
-    reduction = reduce_to_cartan(x, standard_cartan(orbit.algebra))
-    if reduction is None:
+    ev = standard_spectrum(x)
+    if ev is None:
         raise AlgebraError(
             "damped integral requires a split-class evaluation point"
         )
-    kx = orbit.algebra.killing @ reduction.reduced.coords
+    # diag(ev) has the coordinates cumsum(ev)[:-1] over the diagonal basis.
+    reduced = np.zeros(orbit.algebra.dim)
+    reduced[:orbit.algebra.rank] = np.cumsum(ev)[:-1]
+    kx = orbit.algebra.killing @ reduced
     rate_scale = float(np.sum(np.abs(kx)))
     rho = float(np.hypot(kx[0], kx[1] + kx[2]))
     c = float(kx[1] - kx[2])

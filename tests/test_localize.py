@@ -104,6 +104,17 @@ def test_total_equals_term_sum():
     assert len(res.terms) == 6
 
 
+def test_orbit_parameter_is_exact():
+    # The canonical weight is the partial sums of the sorted diagonal, with
+    # no projection in between: (0.9, 0.4, 0.15) has the diagonal
+    # (0.9, -0.5, -0.25, -0.15), sorted (0.9, -0.15, -0.25, -0.5).
+    orbit = make_orbit(build_algebra("sl_real", 4), (0.9, 0.4, 0.15))
+    assert orbit.weight == (0.9, 0.75, 0.5)
+    # The compact parameter values -2n (zeta_k - zeta_(k+1)) are real.
+    su3 = make_orbit(build_algebra("su", 3), (0.9, 0.4))
+    assert np.all(su3.weight_values.imag == 0.0)
+
+
 @pytest.mark.parametrize("family,n,weight", [
     ("su", 2, (1.3,)),
     ("su", 3, (0.9, 0.4)),
