@@ -423,50 +423,36 @@ def _root_values(n: int) -> np.ndarray:
     return diffs @ (eye[:-1] - eye[1:]).T
 
 
-def _reduced_word(perm: Sequence[int]) -> tuple[int, ...]:
-    """Lexicographically smallest reduced word of a permutation of range(n).
-
-    Letter k is the simple reflection swapping k-1 and k.  The smallest
-    word starts with the smallest left descent (a k with pos[k-1] > pos[k],
-    pos the inverse permutation); peeling it off and repeating is a bubble
-    sort of pos.
-    """
-    pos = sorted(range(len(perm)), key=perm.__getitem__)
-    word = []
-    k = 0
-    while k < len(pos) - 1:
-        if pos[k] > pos[k + 1]:
-            pos[k], pos[k + 1] = pos[k + 1], pos[k]
-            word.append(k + 1)
-            k = max(k - 1, 0)
-        else:
-            k += 1
-    return tuple(word)
-
-
-def _weyl_group(roots: np.ndarray, simple: Sequence[int]) -> list[WeylElement]:
+def _weyl_group(n: int) -> list[WeylElement]:
     """S_n acting on covector value-vectors, in (length, word) order.
 
     Each permutation is labelled by its lexicographically smallest reduced
-    word; its matrix is the product of the (integer) simple reflections
-    along that word, and its determinant is the permutation sign.
+    word (letter d exchanges the values d-1 and d): its smallest left
+    descent d, the smallest d whose value d-1 stands after d, then the word
+    of the permutation with those values exchanged, which comes earlier in
+    ``itertools.permutations`` order.  With pos the inverse permutation, w
+    sends the value on h_k to the value on e_pos[k] - e_pos[k+1], so its
+    matrix is M[k, m] = [pos[k] <= m] - [pos[k+1] <= m], the exact product
+    of the simple reflections along the word.  The determinant is the sign.
     """
-    rank = roots.shape[1]
-    eye = np.eye(rank)
-    # s_k(xi) = xi - xi(H_k) alpha_k, and the coroot H_k is the k-th basis element.
-    gens = [eye - np.outer(roots[r], eye[k]) for k, r in enumerate(simple)]
-    words = {perm: _reduced_word(perm)
-             for perm in itertools.permutations(range(rank + 1))}
-    matrices: dict[tuple[int, ...], np.ndarray] = {(): eye}
+    perms = itertools.permutations(range(n))
+    words = {next(perms): ()}        # the identity comes first
+    for perm in perms:
+        pos = sorted(range(n), key=perm.__getitem__)
+        d = next(d for d in range(1, n) if pos[d - 1] > pos[d])
+        prev = list(perm)
+        prev[pos[d - 1]], prev[pos[d]] = d, d - 1
+        words[perm] = (d,) + words[tuple(prev)]
+    perms = sorted(words, key=lambda p: (len(words[p]), words[p]))
+    pos = np.argsort(np.array(perms), axis=1)[:, :, None]
+    upto = np.arange(n - 1)
+    matrices = (pos[:, :-1] <= upto).astype(float) - (pos[:, 1:] <= upto)
+    matrices.setflags(write=False)   # so is every row view below
     out = []
-    for perm, word in sorted(words.items(), key=lambda t: (len(t[1]), t[1])):
-        if word:
-            # The smallest word of w minus its last letter is the smallest
-            # word of a shorter element, whose matrix is already known.
-            matrices[word] = matrices[word[:-1]] @ gens[word[-1] - 1]
+    for perm, matrix in zip(perms, matrices):
+        word = words[perm]
         label = "s" + "s".join(map(str, word)) if word else "e"
-        out.append(WeylElement(label, word, _readonly(matrices[word]),
-                               float((-1) ** len(word)), perm))
+        out.append(WeylElement(label, word, matrix, float((-1) ** len(word)), perm))
     return out
 
 
@@ -481,18 +467,16 @@ def _standard_cartan(spec: AlgebraSpec) -> CartanDatum:
     basis = [element_from_matrix(spec, _unit(n, k, k) - _unit(n, k + 1, k + 1))
              for k in range(n - 1)]
     pairs = _root_pairs(n)
-    roots = _root_values(n)
-    simple = tuple(r for r, (i, j) in enumerate(pairs) if j == i + 1)
     cols = np.stack([h.coords for h in basis])
     return CartanDatum(
         algebra=spec,
         basis=tuple(basis),
         real_basis=tuple(element(spec, row) for row in np.eye(spec.dim)[: n - 1]),
-        roots=_readonly(roots),
+        roots=_readonly(_root_values(n)),
         root_vectors=tuple(element_from_matrix(spec, _unit(n, i, j)) for i, j in pairs),
         positive=tuple(r for r, (i, j) in enumerate(pairs) if i < j),
-        simple=simple,
-        weyl=tuple(_weyl_group(roots, simple)),
+        simple=tuple(r for r, (i, j) in enumerate(pairs) if j == i + 1),
+        weyl=tuple(_weyl_group(n)),
         gram=_readonly(np.real(cols @ spec.killing @ cols.T)),
     )
 

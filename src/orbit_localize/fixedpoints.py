@@ -2,18 +2,18 @@
 
 For a regular semisimple element the zeros of the induced vector field on
 the flag variety correspond to the Borel subalgebras containing its Cartan,
-i.e. to Weyl chambers.  Each fixed point carries the transported orbit
-parameter (the Weyl image of the defining covector), the list of roots
-spanning its Borel's nilradical, a closed-orbit membership flag, and an
-integer multiplicity.
+i.e. to Weyl chambers: for su(n) and sl(n,R), the permutations in S_n.
+A fixed point stores its Weyl element, the transported orbit parameter
+(the Weyl image of the defining covector) and an integer multiplicity;
+the roots spanning its Borel's nilradical are read off the permutation.
 
 Multiplicity modes:
 
 * ``compact``      -- every fixed point carries +1.
 * ``maximally_split`` -- det(w) times a global calibration sign on the
-  closed-orbit support, 0 elsewhere.  The global sign is pinned against the
-  numeric oracle (see the oracle module); for sl(2,R) the calibrated value
-  is -1.
+  closed-orbit support, which is every fixed point.  The global sign is
+  pinned against the numeric oracle (see the oracle module); for sl(2,R)
+  the calibrated value is -1.
 * ``user_supplied`` -- explicit integer map keyed by Weyl label.
 
 For higher-rank split forms the full closed-orbit support (every Borel over
@@ -23,7 +23,7 @@ case; see README.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -50,13 +50,26 @@ MODES = ("compact", "maximally_split", "user_supplied")
 
 @dataclass(frozen=True, eq=False)
 class FixedPoint:
-    """One zero of the vector field, indexed by a Weyl element."""
+    """One zero of the vector field, indexed by a Weyl element.
+
+    Every fixed point lies over the closed orbit (``closed_orbit_support``).
+    """
 
     weyl: WeylElement
-    borel_roots: tuple[int, ...]   # indices of the roots spanning the Borel
     weight: np.ndarray             # transported covector on the Cartan basis
-    in_closed_orbit: bool
     multiplicity: int
+    in_closed_orbit = True         # a class constant, not a field
+
+    @property
+    def borel_roots(self) -> tuple[int, ...]:
+        """Indices of the w-images e_w(j) - e_w(i), i < j, of the negative roots.
+
+        Root e_a - e_b has index a(n-1) + b - [b > a] in root order.
+        """
+        p = self.weyl.perm
+        n = len(p)
+        return tuple(sorted(a * (n - 1) + b - (b > a)
+                            for i, b in enumerate(p) for a in p[i + 1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,24 +107,7 @@ def enumerate_fixed_points(cartan: CartanDatum,
         )
     if not is_regular_covector(cartan, covector):
         raise AlgebraError("orbit covector is singular (vanishing coroot pairing)")
-
-    pairs = cartan.root_pairs
-    index = {pair: r for r, pair in enumerate(pairs)}
-    negative = [(j, i) for i, j in (pairs[r] for r in cartan.positive)]
-    out = []
-    for w in cartan.weyl:
-        p = w.perm
-        borel = tuple(sorted(index[p[i], p[j]] for i, j in negative))
-        out.append(
-            FixedPoint(
-                weyl=w,
-                borel_roots=borel,
-                weight=w.apply(covector),
-                in_closed_orbit=True,
-                multiplicity=0,
-            )
-        )
-    return tuple(out)
+    return tuple(FixedPoint(w, w.apply(covector), 0) for w in cartan.weyl)
 
 
 def split_positive_system(cartan: CartanDatum, x_coords: np.ndarray,
@@ -143,17 +139,17 @@ def split_positive_system(cartan: CartanDatum, x_coords: np.ndarray,
 def closed_orbit_support(cartan: CartanDatum,
                          fixed_points: Sequence[FixedPoint],
                          real_form: str) -> tuple[FixedPoint, ...]:
-    """Flag the fixed points lying over the closed real-group orbit.
+    """The fixed points lying over the closed real-group orbit: all of them.
 
-    Compact form: the whole flag variety is one orbit, so every point is
-    flagged.  Split form: a fixed point is in the support iff its Borel is
-    defined over R.  Over the split (diagonal) Cartan every Borel is: the
-    Cartan and each root vector E_ij are real matrices.  So every point is
-    flagged here too, with no numerical test.
+    Compact form: the whole flag variety is one orbit.  Split form: a
+    fixed point is in the support iff its Borel is defined over R.  Over
+    the split (diagonal) Cartan every Borel is: the Cartan and each root
+    vector E_ij are real matrices.  So the support is every point, with no
+    numerical test, and the points are returned as given.
     """
     if real_form not in ("su", "sl_real"):
         raise AlgebraError(f"unsupported real form {real_form!r}")
-    return tuple(replace(fp, in_closed_orbit=True) for fp in fixed_points)
+    return tuple(fixed_points)
 
 
 def assign_multiplicities(fixed_points: Sequence[FixedPoint],
@@ -163,24 +159,20 @@ def assign_multiplicities(fixed_points: Sequence[FixedPoint],
                           ) -> tuple[MultiplicityAssignment, tuple[FixedPoint, ...]]:
     """Attach integer multiplicities according to the mode.
 
-    compact: all +1.  maximally_split: sign * det(w) on the closed-orbit
-    support, 0 off it.  user_supplied: validated passthrough.
+    compact: all +1.  maximally_split: sign * det(w) (the closed-orbit
+    support is every point).  user_supplied: validated passthrough, 0 for
+    unlisted labels.
     """
     if mode not in MODES:
         raise AlgebraError(f"unknown multiplicity mode {mode!r}")
     if sign not in (1, -1):
         raise AlgebraError("calibration sign must be +1 or -1")
 
-    values: dict[str, int] = {}
     if mode == "compact":
-        for fp in fixed_points:
-            values[fp.weyl.label] = 1
+        values = {fp.weyl.label: 1 for fp in fixed_points}
     elif mode == "maximally_split":
-        for fp in fixed_points:
-            if fp.in_closed_orbit:
-                values[fp.weyl.label] = sign * int(round(fp.weyl.determinant))
-            else:
-                values[fp.weyl.label] = 0
+        values = {fp.weyl.label: sign * int(round(fp.weyl.determinant))
+                  for fp in fixed_points}
     else:
         if user_values is None:
             raise AlgebraError("user_supplied mode requires a multiplicity map")
@@ -190,12 +182,10 @@ def assign_multiplicities(fixed_points: Sequence[FixedPoint],
                 raise AlgebraError(f"unknown Weyl label {key!r} in multiplicity map")
             if not float(val).is_integer():
                 raise AlgebraError(f"multiplicity for {key!r} is not an integer")
-        for fp in fixed_points:
-            raw = user_values.get(fp.weyl.label, 0)
-            values[fp.weyl.label] = int(raw) if fp.in_closed_orbit else 0
+        values = {fp.weyl.label: int(user_values.get(fp.weyl.label, 0))
+                  for fp in fixed_points}
 
-    updated = tuple(
-        replace(fp, multiplicity=values[fp.weyl.label]) for fp in fixed_points
-    )
+    updated = tuple(FixedPoint(fp.weyl, fp.weight, values[fp.weyl.label])
+                    for fp in fixed_points)
     assignment = MultiplicityAssignment(mode=mode, values=values, sign=sign)
     return assignment, updated

@@ -188,12 +188,17 @@ def make_orbit(spec: AlgebraSpec, weight: Sequence[float], mode: str = None,
         raise AlgebraError(
             f"weight needs {cart.rank} coordinates, got {len(weight)}"
         )
-    zeta = np.zeros(spec.n)
-    zeta[:-1] += weight
-    zeta[1:] -= weight
-    if mode != "user_supplied":
-        zeta = np.sort(zeta)[::-1]
-        weight = tuple(np.cumsum(zeta)[:-1].tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        zeta = np.zeros(spec.n)
+        zeta[:-1] += weight
+        zeta[1:] -= weight
+        if mode != "user_supplied":
+            zeta = np.sort(zeta)[::-1]
+            weight = tuple(np.cumsum(zeta)[:-1].tolist())
+        # The largest root pairing bounds every coroot pairing.
+        span = abs(_scale(spec)) * (zeta.max() - zeta.min())
+    if not np.isfinite([*weight, span]).all():
+        raise AlgebraError("orbit parameter is non-finite or too large to represent")
     values = _scale(spec) * (zeta[:-1] - zeta[1:])
     if not is_regular_covector(cart, values):
         raise AlgebraError("orbit parameter is singular for the Cartan")
@@ -436,15 +441,20 @@ def casimir_check(orbit: OrbitSpec, x: AlgebraElement,
     """
     spec = orbit.algebra
     dirs, signs = _orthogonal_directions(spec)
-    base = fourier_value(orbit, x).value
+    # Row 0 is x, rows 2i+1 and 2i+2 are x +- step * direction i.
+    stencil = np.repeat(x.coords[None], 2 * spec.dim + 1, axis=0)
+    stencil[1::2] += step * dirs.T
+    stencil[2::2] -= step * dirs.T
+    codes, values, _, _ = _evaluate(
+        orbit, stencil, np.full(len(stencil), not np.iscomplexobj(x.coords)))
+    refused = np.flatnonzero((codes != _REGULAR) & (codes != _NONREAL))
+    if refused.size:
+        # Raise what fourier_value raises for the first refused point.
+        fourier_value(orbit, element(spec, stencil[refused[0]]))
+    base, *moved = values.tolist()
     acc = 0.0 + 0.0j
-    for i in range(spec.dim):
-        direction = dirs[:, i]
-        xp = element(spec, x.coords + step * direction)
-        xm = element(spec, x.coords - step * direction)
-        fp = fourier_value(orbit, xp).value
-        fm = fourier_value(orbit, xm).value
-        acc += signs[i] * (fp - 2.0 * base + fm) / (step * step)
+    for sign, fp, fm in zip(signs, moved[::2], moved[1::2]):
+        acc += sign * (fp - 2.0 * base + fm) / (step * step)
     eig = orbit.casimir_eigenvalue()
     err = abs(acc - eig * base)
     if abs(base) < 1e-12:

@@ -5,6 +5,7 @@ commutators, brute-force ad traces, eigensolves) rather than through the
 package's own killing/bracket helpers, so the two routes check each other.
 """
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -322,6 +323,21 @@ def test_weyl_group_closure_and_root_permutation(n):
             assert fp.borel_roots == tuple(sorted(
                 lookup(fp.weyl.apply(std.roots[r])) for r in negatives
             ))
+
+
+@pytest.mark.parametrize("n,digest", [
+    (6, "f95b6878b3595ca7"),
+    (7, "bde932a4224d0418"),
+])
+def test_weyl_table_golden_digest(n, digest):
+    # The su(6) and su(7) tables (labels, permutations, signs, matrices in
+    # order) hashed as built by the reflection-product construction; the
+    # closure test above stops at n = 5.
+    h = hashlib.sha256()
+    for w in standard_cartan(build_algebra("su", n)).weyl:
+        h.update(repr((w.label, w.perm, w.determinant,
+                       w.matrix.astype(int).tolist())).encode())
+    assert h.hexdigest()[:16] == digest
 
 
 # --- iwasawa ----------------------------------------------------------------

@@ -283,6 +283,8 @@ NAN = float("nan")
     (SL2, ("grid", "axes", 0, "direction"), "123"),
     (SL2, ("grid", "axes", 0, "direction"), ""),
     (SL2, ("grid", "axes", 0, "direction"), []),
+    (SU3, ("weight",), [1e308, -1e308]),
+    (SL3, ("weight",), [1e308, 1e308]),
 ], ids=[
     "su2-start-nan", "su3-start-nan", "sl3-stop-nan", "direction-nan",
     "weight-inf", "n-fractional", "n-text", "steps-text", "steps-fractional",
@@ -291,7 +293,7 @@ NAN = float("nan")
     "multiplicity-null", "samples-zero", "samples-negative", "samples-one",
     "path-number", "reference-null", "reference-nan", "reference-text",
     "weight-text", "direction-text", "direction-empty-text",
-    "direction-empty",
+    "direction-empty", "weight-overflow-su", "weight-overflow-sl",
 ])
 def test_malformed_fields_exit_2(tmp_path, capsys, base, path, value):
     cfg = json.loads(json.dumps(base))

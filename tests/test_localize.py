@@ -29,6 +29,7 @@ from orbit_localize.algebra import (
 from orbit_localize.localize import (
     DegenerateInputError,
     EvalResult,
+    _orthogonal_directions,
     casimir_check,
     fourier_grid,
     fourier_value,
@@ -443,6 +444,22 @@ def test_casimir_absolute_fallback_near_zero():
     assert np.isfinite(res.residual)
 
 
+@pytest.mark.parametrize("offset,error,match", [
+    (0.0, AlgebraError, "regular semisimple"),
+    (1e-10, DegenerateInputError, "root hyperplane"),
+])
+def test_casimir_refuses_a_stencil_point_like_fourier_value(offset, error, match):
+    # x - step * d lands on 0 (singular) or within 1e-10 of it (a wall),
+    # while x and x + step * d are regular: the check raises what
+    # fourier_value raises at that stencil point.
+    orbit = su2_orbit()
+    d = _orthogonal_directions(orbit.algebra)[0][:, 0]
+    x = element(orbit.algebra, (1e-3 + offset) * d)
+    fourier_value(orbit, x)
+    with pytest.raises(error, match=match):
+        fourier_value(orbit, element(orbit.algebra, x.coords - 1e-3 * d))
+    with pytest.raises(error, match=match):
+        casimir_check(orbit, x, step=1e-3)
 def test_casimir_eigenvalue_weyl_invariant():
     orbit = make_orbit(build_algebra("su", 3), [0.9, 0.4])
     base = orbit.casimir_eigenvalue()
