@@ -18,14 +18,15 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import geometry_sl2 as geo
-from .algebra import AlgebraError, build_algebra, element
-from .localize import OrbitSpec, fourier_grid, make_orbit
+from .algebra import _NONREAL, _REGULAR, AlgebraError, build_algebra, element
+from .localize import OrbitSpec, _evaluate, _terms, fourier_grid, make_orbit
 from .oracle import (
     CalibrationError,
     calibrate,
@@ -257,10 +258,15 @@ def _fmt(x: float) -> str:
 
 
 def _write_text(path: Optional[str], text: str) -> None:
+    _write_chunks(path, (text,))
+
+
+def _write_chunks(path: Optional[str], chunks: Iterable[str]) -> None:
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(path).write_text(text)
+        with open(path, "w") as fh:
+            fh.writelines(chunks)
 
 
 def _json_dump(obj) -> str:
@@ -274,59 +280,115 @@ def _json_dump(obj) -> str:
 def cmd_eval(cfg: RunConfig, out: Optional[str], fmt: str) -> int:
     orbit = _build_orbit(cfg)
     grid, coords = _grid_points(cfg, orbit)
-    results = fourier_grid(orbit, coords)
-    coords_list = grid.tolist()
-
-    n_axes = len(cfg.axes)
+    # One pass of the block kernel; rows are classified as fourier_grid
+    # classifies them.
+    codes, values, spectra, _ = _evaluate(orbit, coords,
+                                          np.ones(len(coords), dtype=bool))
+    degenerate = (codes != _REGULAR) & (codes != _NONREAL)
     if fmt == "csv":
-        header = [f"x{i}" for i in range(n_axes)]
-        header += ["re_f", "im_f", "degenerate", "mode", "s0", "version"]
-        lines = [",".join(header)]
-        for coords, res in zip(coords_list, results):
-            row = [_fmt(c) for c in coords]
-            row += [
-                _fmt(res.value.real) if not res.degenerate else "nan",
-                _fmt(res.value.imag) if not res.degenerate else "nan",
-                "1" if res.degenerate else "0",
-                orbit.mode,
-                str(orbit.s0),
-                str(RESULT_VERSION),
-            ]
-            lines.append(",".join(row))
-        _write_text(out, "\n".join(lines) + "\n")
+        _write_text(out, _eval_csv(orbit, grid, values, degenerate))
     else:
-        rows = []
-        for coords, res in zip(coords_list, results):
-            rows.append({
-                "x": list(coords),
-                "re_f": None if res.degenerate else res.value.real,
-                "im_f": None if res.degenerate else res.value.imag,
-                "degenerate": res.degenerate,
-                "conjugacy": res.conjugacy,
-                "terms": [
-                    {
-                        "label": t.label,
-                        "re_exponent": t.exponent.real,
-                        "im_exponent": t.exponent.imag,
-                        "re_denominator": t.denominator.real,
-                        "im_denominator": t.denominator.imag,
-                        "multiplicity": t.multiplicity,
-                        "re_value": t.value.real,
-                        "im_value": t.value.imag,
-                    }
-                    for t in res.terms
-                ],
-            })
-        _write_text(out, _json_dump({
-            "config": cfg.raw,
-            "mode": orbit.mode,
-            "s0": orbit.s0,
-            "rows": rows,
-            "version": RESULT_VERSION,
-        }))
-    if results and all(r.degenerate for r in results):
+        _write_chunks(out, _eval_json(cfg, orbit, grid, codes, values, spectra))
+    if degenerate.all():
         return EXIT_DEGENERATE
     return EXIT_OK
+
+
+def _eval_csv(orbit: OrbitSpec, grid: np.ndarray, values: np.ndarray,
+              degenerate: np.ndarray) -> str:
+    header = [f"x{i}" for i in range(grid.shape[1])]
+    header += ["re_f", "im_f", "degenerate", "mode", "s0", "version"]
+    suffix = f",{orbit.mode},{orbit.s0},{RESULT_VERSION}"
+    columns = [map(repr, axis) for axis in grid.T.tolist()]
+    re = list(map(repr, values.real.tolist()))
+    im = list(map(repr, values.imag.tolist()))
+    flag = ["0"] * len(re)
+    for k in np.flatnonzero(degenerate).tolist():
+        re[k] = im[k] = "nan"
+        flag[k] = "1"
+    lines = [",".join(header)]
+    lines += [",".join(row) + suffix for row in zip(*columns, re, im, flag)]
+    return "\n".join(lines) + "\n"
+
+
+# Terms per block of the JSON writer: one _terms call and one round of
+# float encoding each.  The text of a term is some 20 times the size of its
+# arrays, so this is smaller than localize._BLOCK; it bounds the writer's
+# memory and changes no byte.
+_TEXT_BLOCK = 1 << 12
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """json's text for each float of an array, from one C-encoder call.
+
+    NaN, Infinity and -0.0 come out as they do in any json.dumps output.
+    """
+    return json.dumps(values.ravel().tolist())[1:-1].split(", ")
+
+
+def _eval_json(cfg: RunConfig, orbit: OrbitSpec, grid: np.ndarray,
+               codes: np.ndarray, values: np.ndarray, spectra: np.ndarray):
+    """The eval document, in chunks, exactly as _json_dump would write it.
+
+    json.dumps(doc, sort_keys=True, indent=1) puts each key on its own line
+    in sorted order, one space deeper per level of nesting, so the rows and
+    their terms fill fixed templates.  Floats take json's own encoding
+    (``_json_floats``) and strings ``encode_basestring_ascii``; the config
+    echo is json.dumps of the config, one level deeper.  Term values come
+    from one _terms call per block of rows, bit for bit the values of
+    ``EvalResult.terms``.
+    """
+    config = json.dumps(cfg.raw, sort_keys=True, indent=1).replace("\n", "\n ")
+    yield ('{\n "config": ' + config + ',\n "mode": '
+           + encode_basestring_ascii(orbit.mode) + ',\n "rows": [')
+
+    width, n_axes = 6 * len(orbit._labels), grid.shape[1]
+    x = ",\n    ".join(["%s"] * n_axes)
+
+    def row(conjugacy: str, degenerate: str, f: str, terms: str) -> str:
+        return ('\n  {\n   "conjugacy": "' + conjugacy + '",\n   "degenerate": '
+                + degenerate + ',\n   "im_f": ' + f + ',\n   "re_f": ' + f
+                + ',\n   "terms": [' + terms + '],\n   "x": [\n    ' + x
+                + '\n   ]\n  }')
+
+    terms = ",".join(
+        '\n    {\n     "im_denominator": %s,\n     "im_exponent": %s,'
+        '\n     "im_value": %s,\n     "label": '
+        + encode_basestring_ascii(label)
+        + ',\n     "multiplicity": ' + str(mult)
+        + ',\n     "re_denominator": %s,\n     "re_exponent": %s,'
+        '\n     "re_value": %s\n    }'
+        for label, mult in zip(orbit._labels, orbit._multiplicities.tolist())
+    ) + "\n   "
+    valued = row("cartan", "false", "%s", terms)
+    outside = row("outside", "false", "%s", "")
+    refused = row("cartan", "true", "null", "")
+
+    step = max(1, _TEXT_BLOCK // len(orbit._labels))
+    for lo in range(0, len(codes), step):
+        block = codes[lo:lo + step]
+        ok = block == _REGULAR
+        xs = _json_floats(grid[lo:lo + step])
+        re = _json_floats(values.real[lo:lo + step])
+        im = _json_floats(values.imag[lo:lo + step])
+        if ok.any():
+            expo, den, vals = _terms(orbit, spectra[lo:lo + step][ok])
+            # (rows, |W|, 6): each term's floats in key order.
+            parts = np.stack([den.imag, expo.imag, vals.imag,
+                              den.real, expo.real, vals.real], axis=-1)
+            ts = _json_floats(parts.transpose(1, 0, 2))
+        chunk, at = [], 0
+        for k, code in enumerate(block.tolist()):
+            point = xs[k * n_axes:(k + 1) * n_axes]
+            if code == _REGULAR:
+                chunk.append(valued % (im[k], re[k], *ts[at:at + width], *point))
+                at += width
+            elif code == _NONREAL:
+                chunk.append(outside % (im[k], re[k], *point))
+            else:
+                chunk.append(refused % tuple(point))
+        yield ("," if lo else "") + ",".join(chunk)
+    yield f'\n ],\n "s0": {orbit.s0},\n "version": {RESULT_VERSION}\n}}\n'
 
 
 def cmd_verify(cfg: RunConfig, suite: str, out: Optional[str],

@@ -106,7 +106,7 @@ def enumerate_fixed_points(cartan: CartanDatum,
             f"covector must have {cartan.rank} coordinates, got {covector.shape}"
         )
     if not is_regular_covector(cartan, covector):
-        raise AlgebraError("orbit covector is singular (vanishing coroot pairing)")
+        raise AlgebraError("orbit parameter is singular (vanishing coroot pairing)")
     return tuple(FixedPoint(w, w.apply(covector), 0) for w in cartan.weyl)
 
 

@@ -47,7 +47,7 @@ from .algebra import (
     AlgebraError,
     AlgebraSpec,
     CartanDatum,
-    IndeterminateRegularityError,
+    _INDETERMINATE,
     _NONREAL,
     _REGULAR,
     _SINGULAR,
@@ -66,7 +66,6 @@ from .fixedpoints import (
     assign_multiplicities,
     closed_orbit_support,
     enumerate_fixed_points,
-    is_regular_covector,
 )
 
 __all__ = [
@@ -200,9 +199,7 @@ def make_orbit(spec: AlgebraSpec, weight: Sequence[float], mode: str = None,
     if not np.isfinite([*weight, span]).all():
         raise AlgebraError("orbit parameter is non-finite or too large to represent")
     values = _scale(spec) * (zeta[:-1] - zeta[1:])
-    if not is_regular_covector(cart, values):
-        raise AlgebraError("orbit parameter is singular for the Cartan")
-
+    # Refuses a singular parameter.
     fps = enumerate_fixed_points(cart, values)
     fps = closed_orbit_support(cart, fps, spec.family)
     assignment, fps = assign_multiplicities(
@@ -365,18 +362,26 @@ def fourier_value(orbit: OrbitSpec, x: AlgebraElement,
     real = np.array([not np.iscomplexobj(x.coords)])
     codes, values, spectra, seps = _evaluate(orbit, x.coords[None], real)
     code = int(codes[0])
-    _refuse(code, float(seps[0]))
-    if code == _SINGULAR:
-        raise AlgebraError("evaluation point must be regular semisimple")
+    _refuse_row(code, float(seps[0]), walls=on_degenerate == "raise")
     if code == _NONREAL:
         return _OUTSIDE
     if code == _WALL:
-        if on_degenerate == "raise":
-            raise DegenerateInputError(
-                "evaluation point within tolerance of a root hyperplane"
-            )
         return _DEGENERATE
     return _valued(orbit, complex(values[0]), spectra[0])
+
+
+def _refuse_row(code: int, sep: float, walls: bool = True) -> None:
+    """Raise what ``fourier_value`` raises for a row's outcome, if anything.
+
+    Wall rows raise only when ``walls`` is set.
+    """
+    _refuse(code, sep)
+    if code == _SINGULAR:
+        raise AlgebraError("evaluation point must be regular semisimple")
+    if code == _WALL and walls:
+        raise DegenerateInputError(
+            "evaluation point within tolerance of a root hyperplane"
+        )
 
 
 def fourier_grid(orbit: OrbitSpec,
@@ -445,12 +450,12 @@ def casimir_check(orbit: OrbitSpec, x: AlgebraElement,
     stencil = np.repeat(x.coords[None], 2 * spec.dim + 1, axis=0)
     stencil[1::2] += step * dirs.T
     stencil[2::2] -= step * dirs.T
-    codes, values, _, _ = _evaluate(
+    codes, values, _, seps = _evaluate(
         orbit, stencil, np.full(len(stencil), not np.iscomplexobj(x.coords)))
     refused = np.flatnonzero((codes != _REGULAR) & (codes != _NONREAL))
     if refused.size:
         # Raise what fourier_value raises for the first refused point.
-        fourier_value(orbit, element(spec, stencil[refused[0]]))
+        _refuse_row(int(codes[refused[0]]), float(seps[refused[0]]))
     base, *moved = values.tolist()
     acc = 0.0 + 0.0j
     for sign, fp, fm in zip(signs, moved[::2], moved[1::2]):
@@ -486,18 +491,26 @@ def random_group_element(spec: AlgebraSpec, rng: np.random.Generator,
 
 def invariance_checks(orbit: OrbitSpec, x: AlgebraElement,
                       g: np.ndarray) -> InvarianceReport:
-    """|F(Ad(g)x) - F(x)| and, in compact mode, |F_(w.weight)(x) - F(x)|."""
-    base = fourier_value(orbit, x).value
-    gx = element_from_matrix(
-        orbit.algebra, np.asarray(g) @ x.matrix @ np.linalg.inv(np.asarray(g))
-    )
-    flagged = False
-    try:
-        moved = fourier_value(orbit, gx).value
-        ad_diff = abs(moved - base)
-    except (DegenerateInputError, IndeterminateRegularityError):
+    """|F(Ad(g)x) - F(x)| and, in compact mode, |F_(w.weight)(x) - F(x)|.
+
+    x and Ad(g)x are one two-row batch.  A refused x raises what
+    ``fourier_value`` raises; a wall or indeterminate Ad(g)x is flagged.
+    """
+    # A non-finite x is refused below, before its image is read.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gx = element_from_matrix(
+            orbit.algebra, np.asarray(g) @ x.matrix @ np.linalg.inv(np.asarray(g))
+        )
+    real = np.array([not np.iscomplexobj(x.coords), not np.iscomplexobj(gx.coords)])
+    codes, values, _, seps = _evaluate(orbit, np.stack([x.coords, gx.coords]), real)
+    _refuse_row(int(codes[0]), float(seps[0]))
+    base = complex(values[0])
+    flagged = int(codes[1]) in (_WALL, _INDETERMINATE)
+    if flagged:
         ad_diff = float("nan")
-        flagged = True
+    else:
+        _refuse_row(int(codes[1]), float(seps[1]))
+        ad_diff = abs(complex(values[1]) - base)
 
     weyl_diffs: dict[str, float] = {}
     if orbit.mode == "compact":

@@ -1,9 +1,13 @@
 """Command-line behavior: schemas, exit codes, determinism."""
 
+import hashlib
 import json
+import os
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from orbit_localize.cli import main
@@ -358,3 +362,100 @@ def test_calibrate_determinism_bytes(tmp_path, capsys):
     assert main(["calibrate", "--config", cfg, "--out", str(a)]) == 0
     assert main(["calibrate", "--config", cfg, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# --- eval output bytes ---------------------------------------------------
+
+SU3_WALL = {
+    "algebra": {"family": "su", "n": 3},
+    "weight": [0.9, 0.4],
+    "grid": {"axes": [{"start": -1.0, "stop": 1.0, "steps": 5},
+                      {"start": -1.0, "stop": 1.0, "steps": 5}]},
+    "output": {"format": "json"},
+}
+SL2_MIXED = {
+    "algebra": {"family": "sl_real", "n": 2},
+    "weight": [1.0],
+    "s0": -1,
+    "grid": {"axes": [{"start": -0.9, "stop": 0.9, "steps": 4},
+                      {"start": -0.6, "stop": 0.6, "steps": 3,
+                       "direction": [0.0, 1.0, -1.0]}]},
+    "output": {"format": "json"},
+}
+SL3_USER = {
+    "algebra": {"family": "sl_real", "n": 3},
+    "weight": [0.9, 0.4],
+    "mode": "user_supplied",
+    "multiplicities": {"e": 1, "s1": -1},
+    "grid": {"axes": [{"start": 0.3, "stop": 0.9, "steps": 3}]},
+    "output": {"format": "json"},
+}
+SL3_ROTATED = {
+    "algebra": {"family": "sl_real", "n": 3},
+    "weight": [0.9, 0.4],
+    "s0": -1,
+    "grid": {"axes": [{"start": -1.2, "stop": 1.2, "steps": 7},
+                      {"start": -0.8, "stop": 0.8, "steps": 5,
+                       "direction": [0.0, 0.0, 1.0, 0.0, -1.0, 0.0, 0.0, 0.0]}]},
+    "output": {"format": "csv"},
+}
+ECHO = dict(SU2, output={"format": "json"}, note="r\u00e9sum\u00e9 \u2014 \u03a9",
+            extra={"empty": {}, "none": [], "nested": {"b": [1, {"a": None}],
+                                                        "a": {"z": {}}}})
+
+
+def eval_output(tmp_path, cfg) -> str:
+    out = tmp_path / "eval.out"
+    assert main(["eval", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    return out.read_text()
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(SU2, output={"format": "json"}), SU3_WALL, SL2_MIXED, SL3_USER, ECHO,
+], ids=["su2", "su3-wall", "sl2-outside", "user-zero-multiplicities",
+        "config-echo"])
+def test_eval_json_is_the_sorted_indent_1_encoding(tmp_path, cfg):
+    text = eval_output(tmp_path, cfg)
+    doc = json.loads(text)
+    assert text == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    kinds = {(r["degenerate"], r["conjugacy"]) for r in doc["rows"]}
+    if cfg is SU3_WALL:
+        assert (True, "cartan") in kinds and (False, "cartan") in kinds
+    if cfg is SL2_MIXED:
+        assert (False, "outside") in kinds and (False, "cartan") in kinds
+    if cfg is SL3_USER:
+        assert {t["multiplicity"] for r in doc["rows"] for t in r["terms"]} == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("cfg,digest", [
+    (SU3_WALL, "70cc0e9f009794f6"),
+    (SL3_ROTATED, "0feef3723a47ab69"),
+], ids=["su3-json", "sl3-csv"])
+def test_eval_output_golden_digest(tmp_path, cfg, digest):
+    # Hashes of outputs written by the dict-building writer that preceded
+    # the template writers.
+    text = eval_output(tmp_path, cfg)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_eval_json_terms_stay_blocked(tmp_path):
+    # 40 su(6) rows carry 28,800 terms.  Formatted in one block, their
+    # floats and strings take about 40 MB at once; in blocks, 7 MB.
+    cfg = {
+        "algebra": {"family": "su", "n": 6},
+        "weight": [0.9, 1.5, 1.8, 1.5, 0.9],
+        "grid": {"axes": [{
+            "start": 0.5, "stop": 1.5, "steps": 40,
+            "direction": np.random.default_rng(3).standard_normal(35).tolist(),
+        }]},
+        "output": {"format": "json"},
+    }
+    path = write_config(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        assert main(["eval", "--config", path, "--out", os.devnull]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6

@@ -497,6 +497,38 @@ def test_invariance_random_sweep(family, n, weight):
     assert worst < 1e-9
 
 
+@pytest.mark.parametrize("coords", [
+    [0.5, 1.0] + [0.0] * 6,                 # on a root wall
+    [0.0] * 8,                              # singular
+    [np.inf] + [0.0] * 7,                   # non-finite
+    [1e308, -1e308, 1e308] + [0.0] * 5,     # overflows in the matrix
+], ids=["wall", "singular", "non-finite", "overflow"])
+def test_invariance_refuses_x_as_fourier_value_does(coords):
+    orbit = _orbit("su", 3)
+    x = element(orbit.algebra, coords)
+    g = random_group_element(orbit.algebra, np.random.default_rng(1))
+    with pytest.raises(AlgebraError) as expected:
+        fourier_value(orbit, x)
+    with pytest.raises(type(expected.value)) as err:
+        invariance_checks(orbit, x, g)
+    assert str(err.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("family", ["su", "sl_real"])
+def test_invariance_difference_is_the_pointwise_one(family):
+    orbit = _orbit(family, 3)
+    spec = orbit.algebra
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        x = element(spec, rng.standard_normal(spec.dim) * 0.7)
+        g = random_group_element(spec, rng)
+        gx = element_from_matrix(spec, g @ x.matrix @ np.linalg.inv(g))
+        rep = invariance_checks(orbit, x, g)
+        assert not rep.flagged
+        assert rep.ad_difference == abs(fourier_value(orbit, gx).value
+                                        - fourier_value(orbit, x).value)
+
+
 def test_sign_covariance():
     plus = sl2_orbit(s0=1)
     minus = sl2_orbit(s0=-1)
