@@ -394,6 +394,9 @@ class CartanDatum:
     simple: tuple[int, ...]
     weyl: tuple[WeylElement, ...]
     gram: np.ndarray                # B restricted to the Cartan basis
+    # The Weyl group as a table in ``weyl`` order: rows w^-1 and signs det(w).
+    _pos: np.ndarray = field(repr=False)
+    _signs: np.ndarray = field(repr=False)
 
     @property
     def rank(self) -> int:
@@ -423,7 +426,7 @@ def _root_values(n: int) -> np.ndarray:
     return diffs @ (eye[:-1] - eye[1:]).T
 
 
-def _weyl_group(n: int) -> list[WeylElement]:
+def _weyl_group(n: int) -> tuple[tuple[WeylElement, ...], np.ndarray, np.ndarray]:
     """S_n acting on covector value-vectors, in (length, word) order.
 
     Each permutation is labelled by its lexicographically smallest reduced
@@ -444,16 +447,17 @@ def _weyl_group(n: int) -> list[WeylElement]:
         prev[pos[d - 1]], prev[pos[d]] = d, d - 1
         words[perm] = (d,) + words[tuple(prev)]
     perms = sorted(words, key=lambda p: (len(words[p]), words[p]))
-    pos = np.argsort(np.array(perms), axis=1)[:, :, None]
+    pos = _readonly(np.argsort(np.array(perms), axis=1))
+    signs = _readonly(np.array([(-1.0) ** len(words[p]) for p in perms]))
     upto = np.arange(n - 1)
-    matrices = (pos[:, :-1] <= upto).astype(float) - (pos[:, 1:] <= upto)
+    matrices = (pos[:, :-1, None] <= upto).astype(float) - (pos[:, 1:, None] <= upto)
     matrices.setflags(write=False)   # so is every row view below
     out = []
-    for perm, matrix in zip(perms, matrices):
+    for perm, matrix, sign in zip(perms, matrices, signs.tolist()):
         word = words[perm]
         label = "s" + "s".join(map(str, word)) if word else "e"
-        out.append(WeylElement(label, word, matrix, float((-1) ** len(word)), perm))
-    return out
+        out.append(WeylElement(label, word, matrix, sign, perm))
+    return tuple(out), pos, signs
 
 
 def _standard_cartan(spec: AlgebraSpec) -> CartanDatum:
@@ -468,6 +472,7 @@ def _standard_cartan(spec: AlgebraSpec) -> CartanDatum:
              for k in range(n - 1)]
     pairs = _root_pairs(n)
     cols = np.stack([h.coords for h in basis])
+    weyl, pos, signs = _weyl_group(n)
     return CartanDatum(
         algebra=spec,
         basis=tuple(basis),
@@ -476,8 +481,10 @@ def _standard_cartan(spec: AlgebraSpec) -> CartanDatum:
         root_vectors=tuple(element_from_matrix(spec, _unit(n, i, j)) for i, j in pairs),
         positive=tuple(r for r, (i, j) in enumerate(pairs) if i < j),
         simple=tuple(r for r, (i, j) in enumerate(pairs) if j == i + 1),
-        weyl=tuple(_weyl_group(n)),
+        weyl=weyl,
         gram=_readonly(np.real(cols @ spec.killing @ cols.T)),
+        _pos=pos,
+        _signs=signs,
     )
 
 

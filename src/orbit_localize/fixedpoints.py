@@ -3,9 +3,11 @@
 For a regular semisimple element the zeros of the induced vector field on
 the flag variety correspond to the Borel subalgebras containing its Cartan,
 i.e. to Weyl chambers: for su(n) and sl(n,R), the permutations in S_n.
-A fixed point stores its Weyl element, the transported orbit parameter
-(the Weyl image of the defining covector) and an integer multiplicity;
-the roots spanning its Borel's nilradical are read off the permutation.
+The evaluator reads the Cartan's permutation table and one multiplicity
+array; ``FixedPoint`` objects are built only when read.  A fixed point
+stores its Weyl element, the transported orbit parameter (the Weyl image
+of the defining covector) and an integer multiplicity; the roots
+spanning its Borel's nilradical are read off the permutation.
 
 Multiplicity modes:
 
@@ -14,7 +16,8 @@ Multiplicity modes:
   closed-orbit support, which is every fixed point.  The global sign is
   pinned against the numeric oracle (see the oracle module); for sl(2,R)
   the calibrated value is -1.
-* ``user_supplied`` -- explicit integer map keyed by Weyl label.
+* ``user_supplied`` -- explicit integer map keyed by Weyl label, 0 for
+  unlisted labels; each value must fit in int64.
 
 For higher-rank split forms the full closed-orbit support (every Borel over
 the split Cartan is defined over R) is an extrapolation from the rank-one
@@ -86,8 +89,6 @@ def is_regular_covector(cartan: CartanDatum, covector: np.ndarray,
     pairings = np.array(
         [abs(np.dot(covector, coroot(cartan, r))) for r in cartan.positive]
     )
-    if pairings.size == 0:
-        return True
     scale = max(float(pairings.max()), 1e-300)
     return bool(float(pairings.min()) > tol * scale)
 
@@ -152,40 +153,43 @@ def closed_orbit_support(cartan: CartanDatum,
     return tuple(fixed_points)
 
 
+def _multiplicities(labels: Sequence[str], signs: np.ndarray, mode: str,
+                    sign: int, user_values: Optional[Mapping[str, int]],
+                    ) -> np.ndarray:
+    """int64 multiplicities by the mode rules above, ``signs`` holding det(w)."""
+    if mode not in MODES:
+        raise AlgebraError(f"unknown multiplicity mode {mode!r}")
+    if sign not in (1, -1):
+        raise AlgebraError("calibration sign must be +1 or -1")
+    if mode == "compact":
+        return np.ones(len(labels), dtype=np.int64)
+    if mode == "maximally_split":
+        return int(sign) * np.asarray(signs).astype(np.int64)
+    if user_values is None:
+        raise AlgebraError("user_supplied mode requires a multiplicity map")
+    known = set(labels)
+    for key, val in user_values.items():
+        if key not in known:
+            raise AlgebraError(f"unknown Weyl label {key!r} in multiplicity map")
+        if not (isinstance(val, int) or float(val).is_integer()):
+            raise AlgebraError(f"multiplicity for {key!r} is not an integer")
+        if not -2**63 <= int(val) < 2**63:
+            raise AlgebraError(f"multiplicity for {key!r} does not fit in int64")
+    return np.array([int(user_values.get(label, 0)) for label in labels],
+                    dtype=np.int64)
+
+
 def assign_multiplicities(fixed_points: Sequence[FixedPoint],
                           mode: str,
                           sign: int = 1,
                           user_values: Optional[Mapping[str, int]] = None,
                           ) -> tuple[MultiplicityAssignment, tuple[FixedPoint, ...]]:
-    """Attach integer multiplicities according to the mode.
-
-    compact: all +1.  maximally_split: sign * det(w) (the closed-orbit
-    support is every point).  user_supplied: validated passthrough, 0 for
-    unlisted labels.
-    """
-    if mode not in MODES:
-        raise AlgebraError(f"unknown multiplicity mode {mode!r}")
-    if sign not in (1, -1):
-        raise AlgebraError("calibration sign must be +1 or -1")
-
-    if mode == "compact":
-        values = {fp.weyl.label: 1 for fp in fixed_points}
-    elif mode == "maximally_split":
-        values = {fp.weyl.label: sign * int(round(fp.weyl.determinant))
-                  for fp in fixed_points}
-    else:
-        if user_values is None:
-            raise AlgebraError("user_supplied mode requires a multiplicity map")
-        labels = {fp.weyl.label for fp in fixed_points}
-        for key, val in user_values.items():
-            if key not in labels:
-                raise AlgebraError(f"unknown Weyl label {key!r} in multiplicity map")
-            if not float(val).is_integer():
-                raise AlgebraError(f"multiplicity for {key!r} is not an integer")
-        values = {fp.weyl.label: int(user_values.get(fp.weyl.label, 0))
-                  for fp in fixed_points}
-
-    updated = tuple(FixedPoint(fp.weyl, fp.weight, values[fp.weyl.label])
-                    for fp in fixed_points)
-    assignment = MultiplicityAssignment(mode=mode, values=values, sign=sign)
+    """Attach integer multiplicities according to the mode."""
+    labels = [fp.weyl.label for fp in fixed_points]
+    mults = _multiplicities(labels, [fp.weyl.determinant for fp in fixed_points],
+                            mode, sign, user_values).tolist()
+    updated = tuple(FixedPoint(fp.weyl, fp.weight, m)
+                    for fp, m in zip(fixed_points, mults))
+    assignment = MultiplicityAssignment(mode=mode, values=dict(zip(labels, mults)),
+                                        sign=sign)
     return assignment, updated

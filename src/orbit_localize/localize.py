@@ -20,8 +20,10 @@ pattern is tied to the canonical chamber.
 A batch of points is one pass of a block kernel (``fourier_grid``).  Each
 block of rows takes one batched eigenvalue solve and classification; the
 terms of its valued rows are (|W|, rows) arrays built from the permuted
-diagonals, signs and multiplicities that ``make_orbit`` lays out once,
-and are summed in label order.  ``fourier_value`` is the one-row case.
+diagonals, signs and multiplicities that ``make_orbit`` reads off the
+Cartan's permutation table, and are summed in label order.
+``fourier_value`` is the one-row case.  No ``FixedPoint`` object is built
+unless ``OrbitSpec.fixed_points`` is read.
 Every step is elementwise or runs along a row's own axis, so each row is
 the same bit for bit whatever batch it comes in, and the block size
 bounds memory without changing any value.
@@ -38,6 +40,7 @@ the standard Cartan in split mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -63,9 +66,11 @@ from .algebra import (
 from .fixedpoints import (
     FixedPoint,
     MultiplicityAssignment,
+    _multiplicities,
     assign_multiplicities,
     closed_orbit_support,
     enumerate_fixed_points,
+    is_regular_covector,
 )
 
 __all__ = [
@@ -111,7 +116,11 @@ def standard_cartan(spec: AlgebraSpec) -> CartanDatum:
 
 @dataclass(frozen=True, eq=False)
 class OrbitSpec:
-    """A regular orbit parameter with its Cartan and multiplicity mode."""
+    """A regular orbit parameter with its Cartan and multiplicity mode.
+
+    The evaluator reads the arrays over W, rows in the Cartan's table order;
+    ``fixed_points`` and ``assignment`` are object views built on first read.
+    """
 
     algebra: AlgebraSpec
     cartan: CartanDatum
@@ -119,23 +128,27 @@ class OrbitSpec:
     mode: str
     s0: int
     weight_values: np.ndarray          # i * lambda'(H_k): parameter on the basis
-    fixed_points: tuple[FixedPoint, ...]
-    assignment: MultiplicityAssignment
     zeta: np.ndarray                   # diagonal of the dual element, over i for su
-    user_multiplicities: Optional[Mapping[str, int]] = None
-    # The fixed points as arrays over W, in label order, for the evaluator.
-    _labels: tuple[str, ...] = field(init=False, repr=False)
-    _multiplicities: np.ndarray = field(init=False, repr=False)
-    _signs: np.ndarray = field(init=False, repr=False)       # det(w)
-    _zeta: np.ndarray = field(init=False, repr=False)        # (|W|, n)
+    user_multiplicities: Optional[Mapping[str, int]]
+    _labels: tuple[str, ...] = field(repr=False)
+    _multiplicities: np.ndarray = field(repr=False)
+    _signs: np.ndarray = field(repr=False)     # det(w)
+    _zeta: np.ndarray = field(repr=False)      # (|W|, n): row w is s * zeta_(w^-1 i)
 
-    def __post_init__(self) -> None:
-        fps, put = self.fixed_points, object.__setattr__
-        put(self, "_labels", tuple(fp.weyl.label for fp in fps))
-        put(self, "_multiplicities", np.array([fp.multiplicity for fp in fps]))
-        put(self, "_signs", np.array([fp.weyl.determinant for fp in fps]))
-        order = np.argsort([fp.weyl.perm for fp in fps], axis=1)
-        put(self, "_zeta", _scale(self.algebra) * self.zeta[order])
+    @cached_property
+    def _objects(self) -> tuple[MultiplicityAssignment, tuple[FixedPoint, ...]]:
+        fps = enumerate_fixed_points(self.cartan, self.weight_values)
+        fps = closed_orbit_support(self.cartan, fps, self.algebra.family)
+        return assign_multiplicities(fps, self.mode, sign=self.s0,
+                                     user_values=self.user_multiplicities)
+
+    @cached_property
+    def fixed_points(self) -> tuple[FixedPoint, ...]:
+        return self._objects[1]
+
+    @cached_property
+    def assignment(self) -> MultiplicityAssignment:
+        return self._objects[0]
 
     @property
     def dual_element(self) -> AlgebraElement:
@@ -162,7 +175,7 @@ def make_orbit(spec: AlgebraSpec, weight: Sequence[float], mode: str = None,
                s0: int = 1,
                user_multiplicities: Optional[Mapping[str, int]] = None,
                ) -> OrbitSpec:
-    """Validate the orbit parameter and precompute its fixed-point data.
+    """Validate the orbit parameter; read its arrays off the Cartan's table.
 
     The dual Cartan element of the weight is diag(zeta) for sl(n,R) and
     i diag(zeta) for su(n): weight coordinate c_k adds c_k to zeta_k and
@@ -199,12 +212,10 @@ def make_orbit(spec: AlgebraSpec, weight: Sequence[float], mode: str = None,
     if not np.isfinite([*weight, span]).all():
         raise AlgebraError("orbit parameter is non-finite or too large to represent")
     values = _scale(spec) * (zeta[:-1] - zeta[1:])
-    # Refuses a singular parameter.
-    fps = enumerate_fixed_points(cart, values)
-    fps = closed_orbit_support(cart, fps, spec.family)
-    assignment, fps = assign_multiplicities(
-        fps, mode, sign=s0, user_values=user_multiplicities
-    )
+    if not is_regular_covector(cart, values):
+        raise AlgebraError("orbit parameter is singular (vanishing coroot pairing)")
+    labels = tuple(w.label for w in cart.weyl)
+    mults = _multiplicities(labels, cart._signs, mode, s0, user_multiplicities)
     return OrbitSpec(
         algebra=spec,
         cartan=cart,
@@ -212,10 +223,12 @@ def make_orbit(spec: AlgebraSpec, weight: Sequence[float], mode: str = None,
         mode=mode,
         s0=int(s0),
         weight_values=values,
-        fixed_points=fps,
-        assignment=assignment,
         zeta=_readonly(zeta),
         user_multiplicities=user_multiplicities,
+        _labels=labels,
+        _multiplicities=mults,
+        _signs=cart._signs,
+        _zeta=_scale(spec) * zeta[cart._pos],
     )
 
 
@@ -514,22 +527,15 @@ def invariance_checks(orbit: OrbitSpec, x: AlgebraElement,
 
     weyl_diffs: dict[str, float] = {}
     if orbit.mode == "compact":
-        cart = orbit.cartan
-        for w in cart.weyl:
-            moved_weight = _weyl_moved_weight(orbit, w)
+        # The w-image of the parameter has the diagonal zeta_(w^-1 i), and
+        # its weight coordinates are the partial sums of that diagonal.
+        for label, pos in zip(orbit._labels, orbit.cartan._pos):
+            moved_weight = np.cumsum(orbit.zeta[pos])[:-1].tolist()
             moved_orbit = make_orbit(
                 orbit.algebra, moved_weight, mode=orbit.mode, s0=orbit.s0
             )
-            weyl_diffs[w.label] = abs(fourier_value(moved_orbit, x).value - base)
+            weyl_diffs[label] = abs(fourier_value(moved_orbit, x).value - base)
     return InvarianceReport(
         ad_difference=ad_diff, weyl_differences=weyl_diffs, flagged=flagged
     )
 
-
-def _weyl_moved_weight(orbit: OrbitSpec, w) -> tuple[float, ...]:
-    """Weight coordinates of the w-image of the orbit parameter.
-
-    The image has the permuted diagonal zeta_(w^-1 i), and its weight
-    coordinates are the partial sums of that diagonal.
-    """
-    return tuple(np.cumsum(orbit.zeta[np.argsort(w.perm)])[:-1].tolist())

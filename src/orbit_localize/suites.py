@@ -25,10 +25,7 @@ from .algebra import (
     reduce_to_cartan,
     standard_spectrum,
 )
-from .fixedpoints import (
-    assign_multiplicities,
-    split_positive_system,
-)
+from .fixedpoints import _multiplicities, split_positive_system
 from .localize import (
     OrbitSpec,
     casimir_check,
@@ -291,35 +288,21 @@ def _fixedpoints_suite(st: SuiteSettings) -> list[CheckResult]:
                     bad = 1.0
     out.append(_check("sign-split subsets satisfy both conditions", bad, 0.5))
 
+    mults = orbit._multiplicities
     if orbit.mode == "compact":
-        vals = set(orbit.assignment.values.values())
         out.append(_check("compact multiplicities identically one",
-                          0.0 if vals == {1} else 1.0, 0.5))
+                          0.0 if (mults == 1).all() else 1.0, 0.5))
     elif orbit.mode == "maximally_split":
-        flipped, _ = assign_multiplicities(
-            orbit.fixed_points, orbit.mode, sign=-orbit.s0
-        )
-        drift = max(
-            abs(flipped.values[k] + orbit.assignment.values[k])
-            for k in flipped.values
-        )
+        flipped = _multiplicities(orbit._labels, orbit._signs, orbit.mode,
+                                  -orbit.s0, None)
         out.append(_check("global sign flip negates multiplicities",
-                          float(drift), 0.5))
-        support = {
-            fp.weyl.label for fp in orbit.fixed_points if fp.in_closed_orbit
-        }
-        zero_off = all(
-            orbit.assignment.values[fp.weyl.label] == 0
-            for fp in orbit.fixed_points if fp.weyl.label not in support
-        )
+                          float(np.abs(flipped + mults).max()), 0.5))
+        off = [not fp.in_closed_orbit for fp in orbit.fixed_points]
         out.append(_check("multiplicities vanish off the closed orbit",
-                          0.0 if zero_off else 1.0, 0.5))
+                          0.0 if (mults[off] == 0).all() else 1.0, 0.5))
     else:
-        integral = all(
-            float(v).is_integer() for v in orbit.assignment.values.values()
-        )
         out.append(_check("user multiplicities are integral",
-                          0.0 if integral else 1.0, 0.5))
+                          0.0 if mults.dtype == np.int64 else 1.0, 0.5))
     return out
 
 

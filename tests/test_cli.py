@@ -255,6 +255,7 @@ SU3 = {
 }
 SL3 = dict(SU3, algebra={"family": "sl_real", "n": 3})
 USER = dict(SL2, mode="user_supplied", multiplicities={"e": -1, "s1": 1})
+USER_SU2 = dict(SU2, mode="user_supplied", multiplicities={"e": 1, "s1": 1})
 NAN = float("nan")
 
 
@@ -289,6 +290,7 @@ NAN = float("nan")
     (SL2, ("grid", "axes", 0, "direction"), []),
     (SU3, ("weight",), [1e308, -1e308]),
     (SL3, ("weight",), [1e308, 1e308]),
+    (USER_SU2, ("multiplicities",), {"e": 1e20, "s1": 1}),
 ], ids=[
     "su2-start-nan", "su3-start-nan", "sl3-stop-nan", "direction-nan",
     "weight-inf", "n-fractional", "n-text", "steps-text", "steps-fractional",
@@ -298,6 +300,7 @@ NAN = float("nan")
     "path-number", "reference-null", "reference-nan", "reference-text",
     "weight-text", "direction-text", "direction-empty-text",
     "direction-empty", "weight-overflow-su", "weight-overflow-sl",
+    "multiplicity-overflow",
 ])
 def test_malformed_fields_exit_2(tmp_path, capsys, base, path, value):
     cfg = json.loads(json.dumps(base))
@@ -309,6 +312,17 @@ def test_malformed_fields_exit_2(tmp_path, capsys, base, path, value):
     assert main(["eval", "--config", write_config(tmp_path, cfg),
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_multiplicity_overflow_refused_in_json(tmp_path, capsys):
+    # Refused before any output, so no half-written JSON document is left.
+    cfg = dict(USER_SU2, multiplicities={"e": 1e20, "s1": 1})
+    out = tmp_path / "out.json"
+    assert main(["eval", "--config", write_config(tmp_path, cfg),
+                 "--format", "json", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: multiplicity for 'e' does not fit in int64\n")
     assert not out.exists()
 
 
@@ -336,16 +350,6 @@ def test_oracle_refuses_too_few_samples(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "oracle.samples" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_eval_thread_cap_env(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, SU2)
-    serial = tmp_path / "serial.csv"
-    assert main(["eval", "--config", cfg, "--out", str(serial)]) == 0
-    monkeypatch.setenv("ORBIT_LOCALIZE_THREADS", "4")
-    threaded = tmp_path / "threaded.csv"
-    assert main(["eval", "--config", cfg, "--out", str(threaded)]) == 0
-    assert serial.read_bytes() == threaded.read_bytes()
 
 
 def test_eval_determinism_bytes(tmp_path):

@@ -563,6 +563,96 @@ def test_mode_validation():
         make_orbit(build_algebra("sl_real", 2), [1.0], mode="compact")
     with pytest.raises(AlgebraError):
         make_orbit(build_algebra("su", 2), [0.0])  # singular parameter
+    # Every multiplicity refusal is raised by make_orbit itself, not when
+    # the object views are first read.
+    su3 = build_algebra("su", 3)
+    for kwargs, message in [
+        (dict(mode="user_supplied", user_multiplicities={"bogus": 1}),
+         "unknown Weyl label 'bogus' in multiplicity map"),
+        (dict(mode="user_supplied", user_multiplicities={"e": 1.5}),
+         "multiplicity for 'e' is not an integer"),
+        (dict(mode="user_supplied", user_multiplicities={"e": 1e20}),
+         "multiplicity for 'e' does not fit in int64"),
+        (dict(mode="user_supplied", user_multiplicities={"s1": 10 ** 400}),
+         "multiplicity for 's1' does not fit in int64"),
+        (dict(mode="user_supplied"),
+         "user_supplied mode requires a multiplicity map"),
+        (dict(mode="diagonal"), "unknown multiplicity mode 'diagonal'"),
+        (dict(s0=2), "calibration sign must be +1 or -1"),
+    ]:
+        with pytest.raises(AlgebraError) as info:
+            make_orbit(su3, [0.9, 0.4], **kwargs)
+        assert str(info.value) == message
+
+
+def _chain(orbit):
+    """The object chain make_orbit once ran, and the arrays it derived."""
+    cart = orbit.cartan
+    fps = localize.enumerate_fixed_points(cart, orbit.weight_values)
+    fps = localize.closed_orbit_support(cart, fps, orbit.algebra.family)
+    assignment, fps = localize.assign_multiplicities(
+        fps, orbit.mode, sign=orbit.s0, user_values=orbit.user_multiplicities
+    )
+    order = np.argsort([fp.weyl.perm for fp in fps], axis=1)
+    arrays = dict(
+        _labels=tuple(fp.weyl.label for fp in fps),
+        _multiplicities=np.array([fp.multiplicity for fp in fps]),
+        _signs=np.array([fp.weyl.determinant for fp in fps]),
+        _zeta=localize._scale(orbit.algebra) * orbit.zeta[order],
+    )
+    return assignment, fps, arrays
+
+
+_CHAIN_CASES = {
+    **{f"su{n}": ("su", n, {}) for n in (2, 3, 4, 5)},
+    **{f"sl{n}-s0={s0}": ("sl_real", n, dict(s0=s0))
+       for n in (2, 3, 4, 5) for s0 in (1, -1)},
+    "su3-user": ("su", 3, dict(mode="user_supplied",
+                               user_multiplicities={"e": 2, "s1s2": -3})),
+}
+
+
+@pytest.mark.parametrize("family,n,kwargs", _CHAIN_CASES.values(),
+                         ids=_CHAIN_CASES.keys())
+def test_orbit_arrays_match_the_object_chain(monkeypatch, family, n, kwargs):
+    # A regular weight: the partial sums of distinct diagonal entries.
+    weight = np.cumsum([0.9, 0.35, -0.15, -0.6][:n - 1])
+    if kwargs.get("mode") == "user_supplied":
+        weight = weight[::-1]          # kept out of the canonical chamber
+    chain = ("enumerate_fixed_points", "assign_multiplicities")
+    calls = dict.fromkeys(chain, 0)
+    for name in chain:
+        def counted(*args, _name=name, _real=getattr(localize, name), **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(localize, name, counted)
+
+    orbit = make_orbit(build_algebra(family, n), weight, **kwargs)
+    assert calls == dict.fromkeys(chain, 0)
+    assignment, fps, arrays = _chain(orbit)
+    assert orbit._labels == arrays.pop("_labels")
+    for name, expected in arrays.items():
+        got = getattr(orbit, name)
+        assert np.array_equal(got, expected), name
+        assert (got.dtype, got.tobytes()) == (expected.dtype, expected.tobytes()), name
+    assert orbit._multiplicities.dtype == np.int64
+
+    calls.update(dict.fromkeys(chain, 0))
+    views = orbit.fixed_points
+    assert calls == dict.fromkeys(chain, 1)
+    assert orbit.fixed_points is views
+    assert orbit.assignment is orbit.assignment
+    assert calls == dict.fromkeys(chain, 1)
+    assert len(views) == len(fps) == math.factorial(n)
+    for view, fp in zip(views, fps):
+        assert view.weyl is fp.weyl
+        assert np.array_equal(view.weight, fp.weight)
+        assert view.weight.tobytes() == fp.weight.tobytes()
+        assert view.multiplicity == fp.multiplicity
+        assert type(view.multiplicity) is int
+    assert orbit.assignment.mode == assignment.mode
+    assert orbit.assignment.sign == assignment.sign
+    assert orbit.assignment.values == assignment.values
 
 
 def test_user_supplied_mode_roundtrip():
