@@ -31,7 +31,7 @@ read-only) and every operation is a pure function.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -64,6 +64,11 @@ __all__ = [
 # [REGULAR_TOL, 10*REGULAR_TOL) is refused as indeterminate instead of
 # being silently classified.
 REGULAR_TOL = 1e-8
+
+# The largest n whose S_n table is built.  At n = 10 the table has
+# 3,628,800 rows, and an orbit's exponent table alone (|W| x n complex)
+# would take 581 MB.
+MAX_TABLE_N = 9
 
 
 class AlgebraError(ValueError):
@@ -389,18 +394,48 @@ class CartanDatum:
     basis: tuple[AlgebraElement, ...]
     real_basis: tuple[AlgebraElement, ...]
     roots: np.ndarray               # (n_roots, rank) real
-    root_vectors: tuple[AlgebraElement, ...]
     positive: tuple[int, ...]
     simple: tuple[int, ...]
-    weyl: tuple[WeylElement, ...]
     gram: np.ndarray                # B restricted to the Cartan basis
-    # The Weyl group as a table in ``weyl`` order: rows w^-1 and signs det(w).
+    # The Weyl group as a table in ``weyl`` order (see ``_weyl_table``):
+    # rows w^-1, signs det(w), and each word's first letter and parent row.
     _pos: np.ndarray = field(repr=False)
     _signs: np.ndarray = field(repr=False)
+    _letters: np.ndarray = field(repr=False)
+    _parents: np.ndarray = field(repr=False)
 
     @property
     def rank(self) -> int:
         return len(self.basis)
+
+    @functools.cached_property
+    def weyl(self) -> tuple[WeylElement, ...]:
+        """The Weyl group as objects, built from the table on first read.
+
+        A word is its row's letter followed by its parent's word.  With pos
+        the inverse permutation, w sends the value on h_k to the value on
+        e_pos[k] - e_pos[k+1], so its matrix is
+        M[k, m] = [pos[k] <= m] - [pos[k+1] <= m], the exact product of the
+        simple reflections along the word.  The determinant is the sign.
+        """
+        pos = self._pos
+        upto = np.arange(pos.shape[1] - 1)
+        matrices = (pos[:, :-1, None] <= upto).astype(float) - (pos[:, 1:, None] <= upto)
+        matrices.setflags(write=False)   # so is every row view below
+        perms = map(tuple, np.argsort(pos, axis=1).tolist())
+        words, labels = [()], ["e"]
+        for d, parent in zip(self._letters[1:].tolist(), self._parents[1:].tolist()):
+            words.append((d,) + words[parent])
+            labels.append(f"s{d}" + labels[parent] if parent else f"s{d}")
+        return tuple(map(WeylElement, labels, words, matrices,
+                         self._signs.tolist(), perms))
+
+    @functools.cached_property
+    def root_vectors(self) -> tuple[AlgebraElement, ...]:
+        """E_ij for each root e_i - e_j, in root order; built on first read."""
+        spec = self.algebra
+        return tuple(element_from_matrix(spec, _unit(spec.n, i, j))
+                     for i, j in self.root_pairs)
 
     @property
     def root_pairs(self) -> list[tuple[int, int]]:
@@ -426,65 +461,76 @@ def _root_values(n: int) -> np.ndarray:
     return diffs @ (eye[:-1] - eye[1:]).T
 
 
-def _weyl_group(n: int) -> tuple[tuple[WeylElement, ...], np.ndarray, np.ndarray]:
-    """S_n acting on covector value-vectors, in (length, word) order.
+def _weyl_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """S_n as arrays, in (length, smallest reduced word) order.
 
-    Each permutation is labelled by its lexicographically smallest reduced
-    word (letter d exchanges the values d-1 and d): its smallest left
-    descent d, the smallest d whose value d-1 stands after d, then the word
-    of the permutation with those values exchanged, which comes earlier in
-    ``itertools.permutations`` order.  With pos the inverse permutation, w
-    sends the value on h_k to the value on e_pos[k] - e_pos[k+1], so its
-    matrix is M[k, m] = [pos[k] <= m] - [pos[k+1] <= m], the exact product
-    of the simple reflections along the word.  The determinant is the sign.
+    Row w holds pos = w^-1 (pos[v] is the place of the value v).  Letter d
+    exchanges the values d-1 and d, i.e. columns d-1 and d of pos, and each
+    element is labelled by its lexicographically smallest reduced word:
+    its smallest left descent d (the smallest d with pos[d-1] > pos[d]),
+    then the word of the element with those values exchanged.  Level L+1
+    is made from level L: for each d, every row has columns d-1 and d
+    swapped, and the result is kept when d is its smallest left descent
+    (so the swap made it longer).  Each element of length L+1 so arises
+    once, and d-major, parent-order generation is already the order of the
+    words.  Returns pos, the signs det(w), and each row's first letter and
+    the row of the rest of its word (0 for the identity).
     """
-    perms = itertools.permutations(range(n))
-    words = {next(perms): ()}        # the identity comes first
-    for perm in perms:
-        pos = sorted(range(n), key=perm.__getitem__)
-        d = next(d for d in range(1, n) if pos[d - 1] > pos[d])
-        prev = list(perm)
-        prev[pos[d - 1]], prev[pos[d]] = d, d - 1
-        words[perm] = (d,) + words[tuple(prev)]
-    perms = sorted(words, key=lambda p: (len(words[p]), words[p]))
-    pos = _readonly(np.argsort(np.array(perms), axis=1))
-    signs = _readonly(np.array([(-1.0) ** len(words[p]) for p in perms]))
-    upto = np.arange(n - 1)
-    matrices = (pos[:, :-1, None] <= upto).astype(float) - (pos[:, 1:, None] <= upto)
-    matrices.setflags(write=False)   # so is every row view below
-    out = []
-    for perm, matrix, sign in zip(perms, matrices, signs.tolist()):
-        word = words[perm]
-        label = "s" + "s".join(map(str, word)) if word else "e"
-        out.append(WeylElement(label, word, matrix, sign, perm))
-    return tuple(out), pos, signs
+    d = np.arange(1, n)
+    swaps = np.tile(np.arange(n), (n - 1, 1))    # row d-1 swaps d-1 and d
+    swaps[d - 1, d - 1], swaps[d - 1, d] = d, d - 1
+    level = np.arange(n, dtype=np.int8)[None]    # values < n <= MAX_TABLE_N
+    pos, letters, parents = [level], [np.zeros(1, np.intp)], [np.zeros(1, np.intp)]
+    start = 0
+    while True:
+        child = level[:, swaps].swapaxes(0, 1)   # (n-1, rows, n), d-major
+        descents = child[..., :-1] > child[..., 1:]
+        keep = descents[d - 1, :, d - 1] & (descents.argmax(axis=-1) == d[:, None] - 1)
+        letter, parent = np.nonzero(keep)
+        if not len(letter):
+            break
+        letters.append(letter + 1)
+        parents.append(start + parent)
+        start += len(level)
+        level = child[letter, parent]
+        pos.append(level)
+    signs = np.concatenate([np.full(len(block), (-1.0) ** length)
+                            for length, block in enumerate(pos)])
+    return (_readonly(np.concatenate(pos).astype(np.intp)), _readonly(signs),
+            _readonly(np.concatenate(letters)), _readonly(np.concatenate(parents)))
 
 
 def _standard_cartan(spec: AlgebraSpec) -> CartanDatum:
     """The diagonal Cartan, laid out from index data alone.
 
     Basis h_k = E_kk - E_(k+1)(k+1); real basis the first rank coordinate
-    rows (h_k for sl(n,R), i h_k for su(n)); root vectors E_ij for the
-    roots e_i - e_j.  No eigenvectors are involved.
+    rows (h_k for sl(n,R), i h_k for su(n)).  No eigenvectors are
+    involved.  The Weyl table is refused above MAX_TABLE_N, before
+    anything is allocated.
     """
     n = spec.n
+    if n > MAX_TABLE_N:
+        raise AlgebraError(
+            f"the S_n table of {spec.family}({n}) would have {math.factorial(n):,} "
+            f"rows; it is built for n <= {MAX_TABLE_N} only"
+        )
     basis = [element_from_matrix(spec, _unit(n, k, k) - _unit(n, k + 1, k + 1))
              for k in range(n - 1)]
     pairs = _root_pairs(n)
     cols = np.stack([h.coords for h in basis])
-    weyl, pos, signs = _weyl_group(n)
+    pos, signs, letters, parents = _weyl_table(n)
     return CartanDatum(
         algebra=spec,
         basis=tuple(basis),
         real_basis=tuple(element(spec, row) for row in np.eye(spec.dim)[: n - 1]),
         roots=_readonly(_root_values(n)),
-        root_vectors=tuple(element_from_matrix(spec, _unit(n, i, j)) for i, j in pairs),
         positive=tuple(r for r, (i, j) in enumerate(pairs) if i < j),
         simple=tuple(r for r, (i, j) in enumerate(pairs) if j == i + 1),
-        weyl=weyl,
         gram=_readonly(np.real(cols @ spec.killing @ cols.T)),
         _pos=pos,
         _signs=signs,
+        _letters=letters,
+        _parents=parents,
     )
 
 

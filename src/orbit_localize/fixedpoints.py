@@ -153,16 +153,19 @@ def closed_orbit_support(cartan: CartanDatum,
     return tuple(fixed_points)
 
 
-def _multiplicities(labels: Sequence[str], signs: np.ndarray, mode: str,
+def _multiplicities(labels: Optional[Sequence[str]], signs: np.ndarray, mode: str,
                     sign: int, user_values: Optional[Mapping[str, int]],
                     ) -> np.ndarray:
-    """int64 multiplicities by the mode rules above, ``signs`` holding det(w)."""
+    """int64 multiplicities by the mode rules above, ``signs`` holding det(w).
+
+    ``labels`` is read in user_supplied mode only.
+    """
     if mode not in MODES:
         raise AlgebraError(f"unknown multiplicity mode {mode!r}")
     if sign not in (1, -1):
         raise AlgebraError("calibration sign must be +1 or -1")
     if mode == "compact":
-        return np.ones(len(labels), dtype=np.int64)
+        return np.ones(len(signs), dtype=np.int64)
     if mode == "maximally_split":
         return int(sign) * np.asarray(signs).astype(np.int64)
     if user_values is None:

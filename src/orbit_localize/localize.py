@@ -119,7 +119,8 @@ class OrbitSpec:
     """A regular orbit parameter with its Cartan and multiplicity mode.
 
     The evaluator reads the arrays over W, rows in the Cartan's table order;
-    ``fixed_points`` and ``assignment`` are object views built on first read.
+    the Weyl labels and the ``fixed_points`` and ``assignment`` views are
+    built from the Cartan's Weyl objects on first read.
     """
 
     algebra: AlgebraSpec
@@ -130,10 +131,13 @@ class OrbitSpec:
     weight_values: np.ndarray          # i * lambda'(H_k): parameter on the basis
     zeta: np.ndarray                   # diagonal of the dual element, over i for su
     user_multiplicities: Optional[Mapping[str, int]]
-    _labels: tuple[str, ...] = field(repr=False)
     _multiplicities: np.ndarray = field(repr=False)
     _signs: np.ndarray = field(repr=False)     # det(w)
     _zeta: np.ndarray = field(repr=False)      # (|W|, n): row w is s * zeta_(w^-1 i)
+
+    @cached_property
+    def _labels(self) -> tuple[str, ...]:
+        return tuple(w.label for w in self.cartan.weyl)
 
     @cached_property
     def _objects(self) -> tuple[MultiplicityAssignment, tuple[FixedPoint, ...]]:
@@ -214,7 +218,9 @@ def make_orbit(spec: AlgebraSpec, weight: Sequence[float], mode: str = None,
     values = _scale(spec) * (zeta[:-1] - zeta[1:])
     if not is_regular_covector(cart, values):
         raise AlgebraError("orbit parameter is singular (vanishing coroot pairing)")
-    labels = tuple(w.label for w in cart.weyl)
+    # Only user-supplied multiplicities are keyed by label: the automatic
+    # modes read the signs, and build no Weyl objects.
+    labels = [w.label for w in cart.weyl] if mode == "user_supplied" else None
     mults = _multiplicities(labels, cart._signs, mode, s0, user_multiplicities)
     return OrbitSpec(
         algebra=spec,
@@ -225,7 +231,6 @@ def make_orbit(spec: AlgebraSpec, weight: Sequence[float], mode: str = None,
         weight_values=values,
         zeta=_readonly(zeta),
         user_multiplicities=user_multiplicities,
-        _labels=labels,
         _multiplicities=mults,
         _signs=cart._signs,
         _zeta=_scale(spec) * zeta[cart._pos],
@@ -337,7 +342,7 @@ def _evaluate(orbit: OrbitSpec, coords: np.ndarray, real: np.ndarray
     if coords.ndim != 2 or coords.shape[1] != orbit.algebra.dim:
         raise AlgebraError(f"expected rows of {orbit.algebra.dim} coordinates, "
                            f"got shape {coords.shape}")
-    step = max(1, _BLOCK // len(orbit._labels))
+    step = max(1, _BLOCK // len(orbit._signs))
     blocks = [_evaluate_block(orbit, coords[lo:lo + step], real[lo:lo + step])
               for lo in range(0, len(coords), step)]
     if len(blocks) == 1:

@@ -154,6 +154,9 @@ def _casimir_point(orbit: OrbitSpec, rng: np.random.Generator):
 def _algebra_suite(st: SuiteSettings) -> list[CheckResult]:
     rng = np.random.Generator(np.random.Philox(key=st.seed))
     spec = build_algebra(st.family, st.n)
+    # First, so that an algebra whose Weyl table is refused is refused
+    # before the dim^4 checks below are allocated.
+    cart = standard_cartan(spec)
     out = []
 
     # Structure tensor [e_i, e_j] = sum_k c[i,j,k] e_k, only for these checks.
@@ -171,7 +174,6 @@ def _algebra_suite(st: SuiteSettings) -> list[CheckResult]:
     out.append(_check("killing invariance (all basis triples)",
                       np.max(np.abs(inv)), 1e-10))
 
-    cart = standard_cartan(spec)
     out.append(_check("root count = dim - rank",
                       abs(len(cart.roots) - (spec.dim - spec.rank)), 0.5))
     x = _random_regular(spec, rng)
@@ -293,7 +295,7 @@ def _fixedpoints_suite(st: SuiteSettings) -> list[CheckResult]:
         out.append(_check("compact multiplicities identically one",
                           0.0 if (mults == 1).all() else 1.0, 0.5))
     elif orbit.mode == "maximally_split":
-        flipped = _multiplicities(orbit._labels, orbit._signs, orbit.mode,
+        flipped = _multiplicities(None, orbit._signs, orbit.mode,
                                   -orbit.s0, None)
         out.append(_check("global sign flip negates multiplicities",
                           float(np.abs(flipped + mults).max()), 0.5))

@@ -340,6 +340,51 @@ def test_weyl_table_golden_digest(n, digest):
     assert h.hexdigest()[:16] == digest
 
 
+def _reference_weyl_group(n):
+    """S_n by one pass over itertools.permutations, in (length, word) order.
+
+    Each permutation is labelled by its lexicographically smallest reduced
+    word: its smallest left descent d (value d-1 stands after value d),
+    then the word of the permutation with those values exchanged, which
+    comes earlier in ``itertools.permutations`` order.  Returns the
+    permutations, words, inverse permutations, signs and matrices
+    M[k, m] = [pos[k] <= m] - [pos[k+1] <= m].
+    """
+    perms = itertools.permutations(range(n))
+    words = {next(perms): ()}        # the identity comes first
+    for perm in perms:
+        pos = sorted(range(n), key=perm.__getitem__)
+        d = next(d for d in range(1, n) if pos[d - 1] > pos[d])
+        prev = list(perm)
+        prev[pos[d - 1]], prev[pos[d]] = d, d - 1
+        words[perm] = (d,) + words[tuple(prev)]
+    perms = sorted(words, key=lambda p: (len(words[p]), words[p]))
+    pos = np.argsort(np.array(perms), axis=1)
+    signs = np.array([(-1.0) ** len(words[p]) for p in perms])
+    upto = np.arange(n - 1)
+    matrices = (pos[:, :-1, None] <= upto).astype(float) - (pos[:, 1:, None] <= upto)
+    return perms, [words[p] for p in perms], pos, signs, matrices
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_weyl_table_matches_the_permutation_walk(n):
+    perms, words, pos, signs, matrices = _reference_weyl_group(n)
+    cart = _standard_cartan(build_algebra("su", n))
+    for got, expected in ((cart._pos, pos), (cart._signs, signs)):
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.tobytes() == expected.tobytes()
+    weyl = cart.weyl
+    assert [w.perm for w in weyl] == perms
+    assert [w.word for w in weyl] == words
+    assert [w.label for w in weyl] == [
+        "s" + "s".join(map(str, word)) if word else "e" for word in words]
+    assert [w.determinant for w in weyl] == signs.tolist()
+    for w, matrix in zip(weyl, matrices):
+        assert (w.matrix.dtype, w.matrix.shape) == (matrix.dtype, matrix.shape)
+        assert w.matrix.tobytes() == matrix.tobytes()
+        assert not w.matrix.flags.writeable
+
+
 # --- iwasawa ----------------------------------------------------------------
 
 def test_iwasawa_sl2_dimensions():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import tracemalloc
 import warnings
@@ -324,6 +325,39 @@ def test_multiplicity_overflow_refused_in_json(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: multiplicity for 'e' does not fit in int64\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n,command", [
+    (10, ["eval"]), (13, ["eval"]), (10, ["verify", "--suite", "algebra"]),
+])
+def test_refuses_weyl_tables_too_large_to_build(tmp_path, capsys,
+                                                monkeypatch, n, command):
+    # 10! rows: one orbit's exponent table alone would take 581 MB, and
+    # 13! rows would not fit at all.  The algebra is built; the Cartan and
+    # its table are refused before anything of theirs is allocated, and
+    # the algebra suite refuses before its dim^4 structure checks.
+    from orbit_localize import algebra
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Cartan was laid out")
+
+    monkeypatch.setattr(algebra, "_weyl_table", refuse)
+    monkeypatch.setattr(algebra, "element_from_matrix", refuse)
+    cfg = {"algebra": {"family": "su", "n": n}, "weight": [1.0] * (n - 1),
+           "grid": {"axes": [{"start": 0.1, "stop": 0.2, "steps": 2}]}}
+    out = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        assert main([*command, "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == (
+        f"error: the S_n table of su({n}) would have {math.factorial(n):,} "
+        "rows; it is built for n <= 9 only\n")
+    assert not out.exists()
+    assert peak < 8e6
 
 
 def test_eval_refuses_non_finite_grid_points(tmp_path, capsys):

@@ -6,6 +6,7 @@ diag(1,-1)), giving sin- and cosine-type closed forms that the evaluator
 must reproduce; higher-rank checks are structural.
 """
 
+import json
 import math
 import tracemalloc
 import warnings
@@ -653,6 +654,75 @@ def test_orbit_arrays_match_the_object_chain(monkeypatch, family, n, kwargs):
     assert orbit.assignment.mode == assignment.mode
     assert orbit.assignment.sign == assignment.sign
     assert orbit.assignment.values == assignment.values
+
+
+def _count_cartan_objects(monkeypatch):
+    """Count WeylElement and root-vector constructions from a cold Cartan."""
+    from orbit_localize import algebra
+
+    counts = {"weyl": 0, "root_vectors": 0}
+
+    def weyl_element(*args, _real=algebra.WeylElement):
+        counts["weyl"] += 1
+        return _real(*args)
+
+    def from_matrix(spec, m, _real=algebra.element_from_matrix):
+        # The Cartan basis is diagonal; a root vector E_ij is not.
+        m = np.asarray(m)
+        counts["root_vectors"] += bool(np.any(m - np.diag(np.diag(m))))
+        return _real(spec, m)
+
+    monkeypatch.setattr(algebra, "WeylElement", weyl_element)
+    monkeypatch.setattr(algebra, "element_from_matrix", from_matrix)
+    monkeypatch.setattr(localize, "_STANDARD_CARTANS", {})
+    return counts
+
+
+@pytest.mark.parametrize("family,n", [("su", 6), ("sl_real", 5)])
+def test_automatic_modes_build_no_cartan_objects(monkeypatch, family, n):
+    counts = _count_cartan_objects(monkeypatch)
+    weight = np.cumsum([0.9, 0.55, 0.35, -0.15, -0.6, -1.0][:n])[:n - 1]
+    cart = localize.standard_cartan(build_algebra(family, n))
+    orbit = make_orbit(cart.algebra, weight)
+    assert orbit.mode == ("compact" if family == "su" else "maximally_split")
+    x = np.random.default_rng(5).standard_normal((3, cart.algebra.dim))
+    assert all(np.isfinite(row.value) for row in fourier_grid(orbit, x))
+    assert counts == {"weyl": 0, "root_vectors": 0}
+
+    # Each view builds the objects once, on first read.
+    assert len(orbit.fixed_points) == math.factorial(n)
+    assert orbit.assignment is orbit.assignment
+    assert orbit.fixed_points[0].weyl is cart.weyl[0]
+    assert len(cart.root_vectors) == n * (n - 1)
+    assert cart.root_vectors is cart.root_vectors
+    assert counts == {"weyl": math.factorial(n), "root_vectors": n * (n - 1)}
+
+
+def test_user_supplied_mode_and_json_eval_build_weyl_objects_once(
+        monkeypatch, tmp_path):
+    from orbit_localize.cli import main
+
+    counts = _count_cartan_objects(monkeypatch)
+    spec = build_algebra("su", 4)
+    orbit = make_orbit(spec, [0.3, 0.9, 0.4], mode="user_supplied",
+                       user_multiplicities={"s1": 2, "s2s3": -1})
+    assert counts == {"weyl": 24, "root_vectors": 0}
+    assert orbit._labels[:3] == ("e", "s1", "s2")
+    assert orbit.fixed_points[1].multiplicity == 2
+    assert counts == {"weyl": 24, "root_vectors": 0}
+
+    counts["weyl"] = 0
+    localize._STANDARD_CARTANS.clear()
+    # A direction over the whole basis: the Cartan axes hit walls on su(4).
+    axis = {"start": 0.3, "stop": 0.9, "steps": 3,
+            "direction": np.random.default_rng(7).standard_normal(15).tolist()}
+    cfg = {"algebra": {"family": "su", "n": 4}, "weight": [0.3, 0.9, 0.4],
+           "grid": {"axes": [axis]}, "output": {"format": "json"}}
+    path = tmp_path / "su4.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["eval", "--config", str(path),
+                 "--out", str(tmp_path / "out.json")]) == 0
+    assert counts == {"weyl": 24, "root_vectors": 0}
 
 
 def test_user_supplied_mode_roundtrip():
