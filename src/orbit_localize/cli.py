@@ -545,15 +545,11 @@ def cmd_cycle_limit(cfg: RunConfig, out: Optional[str],
         raise ConfigError("missing oracle.seed")
     radius = abs(cfg.weight[0])
     lam = 8j * radius
-    spec = geo.model_algebra()
     rng = np.random.Generator(np.random.Philox(key=seed))
     count = min(cfg.mc_samples, 500)
-    samples = [
-        element(spec, 1j * split_orbit_carrier(
-            radius, rng.uniform(-3.0, 3.0), rng.uniform(0.0, 2.0 * np.pi)
-        ))
-        for _ in range(count)
-    ]
+    # Row k holds the (s, phi) angles that sample k draws.
+    angles = rng.uniform((-3.0, 0.0), (3.0, 2.0 * np.pi), (count, 2))
+    samples = 1j * split_orbit_carrier(radius, angles[:, 0], angles[:, 1])
     schedule = tuple(2.0 ** (-k) for k in range(cfg.scale_log2 + 1))
     report = geo.cycle_scaling_limit(lam, schedule, samples)
     lines = ["s,base_defect,moment_defect"]

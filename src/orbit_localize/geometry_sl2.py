@@ -22,20 +22,41 @@ of the real part of its chart component against real tangent directions.
 
 Real-part norms of functionals are Frobenius norms of the real component
 of their Killing-dual carriers.
+
+Array layout.  The model computes on stacks of points.  N flag points are
+an (N, 2) complex array of unit, phase-reduced pairs with an (N,) int
+array of owning charts; N covectors add an (N,) complex array of chart
+components.  Algebra elements are (N, 3) complex coordinates on the model
+basis (h, e, f), and their Killing-dual carriers are (N, 2, 2) complex
+stacks.  The private kernels (``_flags``, ``_coords``, ``_carriers``,
+``_weights``, ``_moments``, ``_inverse``, ``_invariant_defects``,
+``_real_part_norms``, ``_real_line_defects``) work on these arrays, and
+the three reports run on them.  ``flag_point``, ``group_action``,
+``moment``, ``weight_at``, ``twisted_moment`` and ``twisted_moment_inverse``
+are one-row wrappers that return the dataclasses below.
+
+Each kernel repeats the one-point arithmetic operation for operation: the
+same LAPACK and BLAS calls per row, CPython's complex division and product
+where the one-point formulas used Python complex numbers, and hypot where
+they took the ``abs`` of a scalar (numpy's array ``abs`` rounds
+differently).  So a row of a batch equals the one-row wrapper bit for bit,
+whatever the batch size.  Every refusal is checked row by row and raised
+for the first failing row in input order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
 from .algebra import (
     AlgebraElement,
     AlgebraError,
+    _project,
     build_algebra,
-    element_from_matrix,
+    element,
 )
 
 __all__ = [
@@ -59,12 +80,184 @@ __all__ = [
 ]
 
 _MODEL = build_algebra("sl_real", 2)
+_BASIS = _MODEL.basis.reshape(3, 4)
+
+# Orbit samples: AlgebraElements, or their (N, 3) coordinate rows.
+Samples = Union[Sequence[AlgebraElement], np.ndarray]
 
 
 def model_algebra():
     """The sl(2,R) realization underlying the model."""
     return _MODEL
 
+
+# ---------------------------------------------------------------------------
+# Array kernels
+# ---------------------------------------------------------------------------
+
+def _dot(x: np.ndarray) -> np.ndarray:
+    """Row-wise x . x of a real (N, k) array, one BLAS dot per row.
+
+    This is the dot ``np.linalg.norm`` takes; BLAS fuses its multiply-adds,
+    so an elementwise sum of squares rounds differently.
+    """
+    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a complex (N, k) array."""
+    return np.sqrt(_dot(a.real) + _dot(a.imag))
+
+
+def _hypot(z: np.ndarray) -> np.ndarray:
+    """|z| as ``abs`` of one complex scalar computes it."""
+    return np.hypot(z.real, z.imag)
+
+
+def _py_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b as CPython (and numpy's scalar product) rounds it: no fused
+    multiply-add, which numpy's array product uses."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _py_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b with CPython's complex division (Smith's method, dividing by
+    the denominator rather than multiplying by its reciprocal as numpy does)."""
+    out = np.full(a.shape, np.nan, dtype=complex)   # a NaN in b gives NaN
+    by_re = np.abs(b.real) >= np.abs(b.imag)
+    by_im = np.abs(b.imag) > np.abs(b.real)
+    ar, ai, br, bi = a.real[by_re], a.imag[by_re], b.real[by_re], b.imag[by_re]
+    ratio = bi / br
+    denom = br + bi * ratio
+    out.real[by_re] = (ar + ai * ratio) / denom
+    out.imag[by_re] = (ai - ar * ratio) / denom
+    ar, ai, br, bi = a.real[by_im], a.imag[by_im], b.real[by_im], b.imag[by_im]
+    ratio = br / bi
+    denom = br * ratio + bi
+    out.real[by_im] = (ar * ratio + ai) / denom
+    out.imag[by_im] = (ai * ratio - ar) / denom
+    return out
+
+
+def _flags(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit, phase-reduced pairs and owning charts of (N, 2) homogeneous pairs."""
+    v = np.array(z, dtype=complex).reshape(-1, 2)
+    nrm = _norms(v)
+    if np.any(nrm < 1e-150):
+        raise AlgebraError("flag point requires a nonzero homogeneous pair")
+    v = v / nrm[:, None]
+    lead = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)]
+    v = v * np.conj(lead / _hypot(lead))[:, None]
+    chart = np.where(_hypot(v[:, 0]) >= _hypot(v[:, 1]), 0, 1)
+    return v, chart
+
+
+def _carriers(coords: np.ndarray) -> np.ndarray:
+    """(N, 2, 2) carriers of (N, 3) coordinates, as ``AlgebraElement.matrix``."""
+    return np.dot(coords, _BASIS).reshape(-1, 2, 2)
+
+
+def _coords(m: np.ndarray) -> np.ndarray:
+    """(N, 3) coordinates of (N, 2, 2) carriers, as ``element_from_matrix``.
+
+    The extra axis keeps one matrix-vector product per row, the BLAS call
+    of the one-matrix projection; one (N, 8) @ (8, 3) product rounds the
+    h coordinate differently.  Imaginary parts below 1e-12 are zeroed and
+    the span is checked, row by row.
+    """
+    coords = _project(_MODEL, m[:, None], complex_out=True)[:, 0]
+    coords.imag[np.max(np.abs(coords.imag), axis=1) < 1e-12] = 0.0
+    err = np.max(np.abs(_carriers(coords) - m), axis=(1, 2))
+    size = np.fmax(1.0, np.max(np.abs(m), axis=(1, 2)))
+    if np.any(err > 1e-9 * size):
+        raise AlgebraError("matrix does not lie in the algebra span")
+    return coords
+
+
+def _element(coords: np.ndarray) -> AlgebraElement:
+    """The element of one coordinate row; real when its imaginary part was
+    dropped (a kept imaginary part has an entry of at least 1e-12)."""
+    c = coords[0]
+    return element(_MODEL, c if c.imag.any() else c.real)
+
+
+def _weights(v: np.ndarray, lam: complex) -> np.ndarray:
+    """Coordinates of the parameter transported to the flag points v."""
+    outer = v[:, :, None] * np.conj(v)[:, None, :]
+    # Named, so that numpy does not multiply a large temporary in place:
+    # its in-place complex product rounds differently.
+    projector = np.eye(2) - 2.0 * outer
+    return _coords((lam / 8.0) * projector)
+
+
+def _moments(v: np.ndarray, chart: np.ndarray,
+             component: np.ndarray) -> np.ndarray:
+    """Coordinates of the moment images of covectors at the flag points v."""
+    c = component / 4.0
+    on0 = chart == 0
+    t = _py_div(np.where(on0, v[:, 1], v[:, 0]), np.where(on0, v[:, 0], v[:, 1]))
+    tt = _py_mul(-t, t)
+    # chart 0: [[-t, 1], [-t^2, t]];  chart 1: [[t, -t^2], [1, -t]]
+    m = np.empty((len(t), 2, 2), dtype=complex)
+    m[:, 0, 0] = np.where(on0, -t, t)
+    m[:, 0, 1] = np.where(on0, 1.0, tt)
+    m[:, 1, 0] = np.where(on0, tt, 1.0)
+    m[:, 1, 1] = -m[:, 0, 0]
+    return _coords(c[:, None, None] * m)
+
+
+def _invariant_defects(t: np.ndarray, lam: complex) -> np.ndarray:
+    """Relative mismatch of det(carrier) against the orbit's invariant."""
+    target = -(lam / 8.0) ** 2
+    scale = max(1.0, abs(target))
+    return _hypot(np.linalg.det(t) - target) / scale
+
+
+def _inverse(t: np.ndarray, lam: complex, tol: float = 1e-8
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Base points, charts and chart components of the covectors whose
+    twisted moments are the (N, 2, 2) carriers t."""
+    defect = _invariant_defects(t, lam)
+    bad = np.flatnonzero(defect > tol)
+    if bad.size:
+        raise AlgebraError(
+            "point is off the parameter orbit: invariant mismatch "
+            f"{defect[bad[0]]:.3e}"
+        )
+    ev, vecs = np.linalg.eig(t)
+    rows = np.arange(len(t))
+    idx = np.argmin(np.abs(ev + lam / 8.0), axis=1)
+    v, chart = _flags(vecs[rows, :, idx])
+    m = t - _carriers(_weights(v, lam))
+    component = 4.0 * np.where(chart == 0, m[:, 0, 1], m[:, 1, 0])
+    return v, chart, component
+
+
+def _real_part_norms(t: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the real parts of (N, 2, 2) carriers."""
+    return _norms(((t + np.conj(t)) / 2.0).reshape(-1, 4))
+
+
+def _real_line_defects(v: np.ndarray) -> np.ndarray:
+    """Distances |Im(conj(z0) z1)| of unit pairs from RP^1."""
+    return np.abs(_py_mul(np.conj(v[:, 0]), v[:, 1]).imag)
+
+
+def _sample_carriers(samples: Samples) -> np.ndarray:
+    """(N, 2, 2) carriers of elements or of (N, 3) coordinate rows."""
+    if isinstance(samples, np.ndarray):
+        coords = samples
+    else:
+        coords = [s.coords for s in samples]
+    return _carriers(np.asarray(coords, dtype=complex).reshape(-1, 3))
+
+
+# ---------------------------------------------------------------------------
+# One-point API
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class FlagPoint:
@@ -87,17 +280,14 @@ class FlagPoint:
         return abs(np.imag(np.conj(self.z0) * self.z1))
 
 
+def _flag_row(v: np.ndarray, chart: np.ndarray) -> FlagPoint:
+    """The first flag point of a batch."""
+    return FlagPoint(z0=complex(v[0, 0]), z1=complex(v[0, 1]),
+                     chart=int(chart[0]))
+
+
 def flag_point(z0: complex, z1: complex) -> FlagPoint:
-    v = np.array([z0, z1], dtype=complex)
-    nrm = np.linalg.norm(v)
-    if nrm < 1e-150:
-        raise AlgebraError("flag point requires a nonzero homogeneous pair")
-    v = v / nrm
-    i = int(np.argmax(np.abs(v)))
-    phase = v[i] / abs(v[i])
-    v = v * np.conj(phase)
-    chart = 0 if abs(v[0]) >= abs(v[1]) else 1
-    return FlagPoint(z0=complex(v[0]), z1=complex(v[1]), chart=chart)
+    return _flag_row(*_flags(np.array([[z0, z1]], dtype=complex)))
 
 
 @dataclass(frozen=True)
@@ -126,13 +316,9 @@ def moment(zeta: CotangentPoint) -> AlgebraElement:
 
     The image is nilpotent: trace and determinant of the carrier vanish.
     """
-    c = zeta.component / 4.0
-    t = zeta.base.affine
-    if zeta.base.chart == 0:
-        m = c * np.array([[-t, 1.0], [-t * t, t]])
-    else:
-        m = c * np.array([[t, -t * t], [1.0, -t]])
-    return element_from_matrix(_MODEL, m)
+    base = zeta.base
+    return _element(_moments(base.vector[None], np.array([base.chart]),
+                             np.array([zeta.component])))
 
 
 def weight_at(x: FlagPoint, lam: complex) -> AlgebraElement:
@@ -141,20 +327,12 @@ def weight_at(x: FlagPoint, lam: complex) -> AlgebraElement:
     ``lam`` is the parameter's value on diag(1,-1).  Equivariant under the
     compact form: weight_at(u.x) = u weight_at(x) u^-1 for u in SU(2).
     """
-    v = x.vector
-    carrier = (lam / 8.0) * (np.eye(2) - 2.0 * np.outer(v, np.conj(v)))
-    return element_from_matrix(_MODEL, carrier)
+    return _element(_weights(x.vector[None], lam))
 
 
 def twisted_moment(zeta: CotangentPoint, lam: complex) -> AlgebraElement:
     """Moment plus transported parameter; lands on the parameter's orbit."""
     return moment(zeta) + weight_at(zeta.base, lam)
-
-
-def _orbit_invariant_defect(carrier: np.ndarray, lam: complex) -> float:
-    target = -(lam / 8.0) ** 2
-    scale = max(1.0, abs(target))
-    return abs(np.linalg.det(carrier) - target) / scale
 
 
 def twisted_moment_inverse(nu: AlgebraElement, lam: complex,
@@ -166,40 +344,25 @@ def twisted_moment_inverse(nu: AlgebraElement, lam: complex,
     moment carrier.  Off-orbit inputs are rejected with the invariant
     mismatch.
     """
-    t = nu.matrix
-    defect = _orbit_invariant_defect(t, lam)
-    if defect > tol:
-        raise AlgebraError(
-            f"point is off the parameter orbit: invariant mismatch {defect:.3e}"
-        )
-    ev, vecs = np.linalg.eig(t)
-    idx = int(np.argmin(np.abs(ev + lam / 8.0)))
-    x = flag_point(vecs[0, idx], vecs[1, idx])
-    m = t - weight_at(x, lam).matrix
-    if x.chart == 0:
-        comp = 4.0 * m[0, 1]
-    else:
-        comp = 4.0 * m[1, 0]
-    return CotangentPoint(base=x, component=complex(comp))
+    v, chart, component = _inverse(nu.matrix[None], lam, tol)
+    return CotangentPoint(base=_flag_row(v, chart),
+                          component=complex(component[0]))
 
 
 # ---------------------------------------------------------------------------
 # Orbit-image, fiber and scaling-limit reports
 # ---------------------------------------------------------------------------
 
-def _real_part_norm(x: AlgebraElement) -> float:
-    m = x.matrix
-    return float(np.linalg.norm((m + np.conj(m)) / 2.0))
-
-
 def _max_real_weight_norm(lam: complex, resolution: int = 72) -> float:
-    worst = 0.0
-    for theta in np.linspace(0.0, np.pi, resolution):
-        for phi in np.linspace(0.0, 2.0 * np.pi, 2 * resolution, endpoint=False):
-            x = flag_point(np.cos(theta / 2.0),
-                           np.sin(theta / 2.0) * np.exp(1j * phi))
-            worst = max(worst, _real_part_norm(weight_at(x, lam)))
-    return worst
+    """Largest real-part norm of the transported parameter on a
+    resolution x 2 resolution grid of polar angles over the sphere."""
+    theta = np.linspace(0.0, np.pi, resolution)[:, None]
+    phi = np.linspace(0.0, 2.0 * np.pi, 2 * resolution, endpoint=False)[None, :]
+    z0 = np.broadcast_to(np.cos(theta / 2.0), (resolution, 2 * resolution))
+    z1 = np.sin(theta / 2.0) * np.exp(1j * phi)
+    v, _ = _flags(np.stack([z0, z1], axis=-1))
+    norms = _real_part_norms(_carriers(_weights(v, lam)))
+    return float(max(0.0, norms.max()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,22 +380,19 @@ class OrbitImageReport:
         return float(self.real_part_norms.max())
 
 
-def orbit_image_check(lam: complex,
-                      samples: Sequence[AlgebraElement]) -> OrbitImageReport:
+def orbit_image_check(lam: complex, samples: Samples) -> OrbitImageReport:
     """Project real-orbit points through the inverse twisted moment.
 
     All projected base points must land on RP^1 (the single closed real
     orbit), and the moment of each preimage must have real part below the
-    compact maximum of the transported parameter's real part.
+    compact maximum of the transported parameter's real part.  ``samples``
+    are elements or their (N, 3) coordinate rows.
     """
-    base, re_norm = [], []
-    for nu in samples:
-        zeta = twisted_moment_inverse(nu, lam)
-        base.append(zeta.base.real_line_defect())
-        re_norm.append(_real_part_norm(moment(zeta)))
+    v, chart, component = _inverse(_sample_carriers(samples), lam)
     return OrbitImageReport(
-        base_defects=np.array(base),
-        real_part_norms=np.array(re_norm),
+        base_defects=_real_line_defects(v),
+        real_part_norms=_real_part_norms(
+            _carriers(_moments(v, chart, component))),
         real_part_bound=_max_real_weight_norm(lam),
     )
 
@@ -256,31 +416,23 @@ def fiber_structure_check(lam: complex, nu: AlgebraElement,
     hyperboloid), their preimages share the base point, and the covector
     offsets are purely conormal to RP^1 (vanishing real chart component).
     """
-    zeta0 = twisted_moment_inverse(nu, lam)
-    x0 = zeta0.base
-    if x0.real_line_defect() > 1e-8:
+    t_mat = nu.matrix
+    v0, _, component0 = _inverse(t_mat[None], lam)
+    if _real_line_defects(v0)[0] > 1e-8:
         raise AlgebraError("fiber check requires a point over the real orbit")
-    v = np.real(x0.vector)
+    v = np.real(v0[0])
     v = v / np.linalg.norm(v)
     nil = np.outer(v, np.array([v[1], -v[0]]))
 
-    inv_drift, base_drift, conormal = [], [], []
-    t_mat = nu.matrix
-    for t in t_values:
-        moved = element_from_matrix(_MODEL, t_mat + 1j * float(t) * nil)
-        inv_drift.append(_orbit_invariant_defect(moved.matrix, lam))
-        zeta_t = twisted_moment_inverse(moved, lam)
-        base_drift.append(
-            float(np.linalg.norm(zeta_t.base.vector - x0.vector))
-        )
-        offset = zeta_t.component - zeta0.component
-        scale = max(1.0, abs(offset))
-        conormal.append(abs(np.real(offset)) / scale)
+    t = np.array([float(s) for s in t_values])
+    moved = _carriers(_coords(t_mat + (1j * t)[:, None, None] * nil))
+    vt, _, component = _inverse(moved, lam)
+    offset = component - component0
     return FiberReport(
-        t_values=tuple(float(t) for t in t_values),
-        invariant_drift=np.array(inv_drift),
-        base_drift=np.array(base_drift),
-        conormal_defect=np.array(conormal),
+        t_values=tuple(t.tolist()),
+        invariant_drift=_invariant_defects(moved, lam),
+        base_drift=_norms(vt - v0),
+        conormal_defect=np.abs(offset.real) / np.fmax(1.0, _hypot(offset)),
         flag_dim=2,
         orbit_dim=1,
         conormal_dim=2 - 1,
@@ -301,7 +453,7 @@ _DEFECT_FLOOR = 1e-12
 
 
 def cycle_scaling_limit(lam: complex, s_schedule: Sequence[float],
-                        samples: Sequence[AlgebraElement]) -> ScalingReport:
+                        samples: Samples) -> ScalingReport:
     """Fiber-scale preimages of real-orbit points and measure conic defects.
 
     For each scale s the report records the distance of base points from
@@ -309,28 +461,22 @@ def cycle_scaling_limit(lam: complex, s_schedule: Sequence[float],
     moment is fiberwise linear, so the second defect scales exactly with s;
     for this split orbit the unscaled set already sits inside the purely
     imaginary locus up to roundoff, which the ``at_floor`` flag records.
+    ``samples`` are elements or their (N, 3) coordinate rows.
     """
     s_schedule = tuple(float(s) for s in s_schedule)
     if not s_schedule or s_schedule[0] > 1.0 or any(
         b >= a for a, b in zip(s_schedule, s_schedule[1:])
     ):
         raise AlgebraError("scale schedule must decrease within (0, 1]")
-    zetas = [twisted_moment_inverse(nu, lam) for nu in samples]
+    v, chart, component = _inverse(_sample_carriers(samples), lam)
+    identity = bool(np.all(1.0 * component == component))
 
-    identity = all(
-        scale_cotangent(z, 1.0).component == z.component
-        and scale_cotangent(z, 1.0).base == z.base
-        for z in zetas
-    )
-    base_defects, moment_defects = [], []
-    for s in s_schedule:
-        scaled = [scale_cotangent(z, s) for z in zetas]
-        base_defects.append(max(z.base.real_line_defect() for z in scaled))
-        moment_defects.append(
-            max(_real_part_norm(moment(z)) for z in scaled)
-        )
-    base_defects = np.array(base_defects)
-    moment_defects = np.array(moment_defects)
+    # Scaling moves the covector only, so the bases are the same at every s.
+    base_defects = np.full(len(s_schedule), _real_line_defects(v).max())
+    moment_defects = np.array([
+        _real_part_norms(_carriers(_moments(v, chart, s * component))).max()
+        for s in s_schedule
+    ])
     at_floor = bool(moment_defects[0] < _DEFECT_FLOOR)
 
     positive = moment_defects > 1e-300
