@@ -397,16 +397,41 @@ class CartanDatum:
     positive: tuple[int, ...]
     simple: tuple[int, ...]
     gram: np.ndarray                # B restricted to the Cartan basis
-    # The Weyl group as a table in ``weyl`` order (see ``_weyl_table``):
-    # rows w^-1, signs det(w), and each word's first letter and parent row.
-    _pos: np.ndarray = field(repr=False)
-    _signs: np.ndarray = field(repr=False)
-    _letters: np.ndarray = field(repr=False)
-    _parents: np.ndarray = field(repr=False)
 
     @property
     def rank(self) -> int:
         return len(self.basis)
+
+    # The Weyl group as a table in ``weyl`` order (see ``_weyl_table``),
+    # built on first read: rows w^-1, signs det(w), and each word's first
+    # letter and parent row.
+    @functools.cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return _weyl_table(self.algebra.n)
+
+    @property
+    def _pos(self) -> np.ndarray:
+        return self._table[0]
+
+    @property
+    def _signs(self) -> np.ndarray:
+        return self._table[1]
+
+    @property
+    def _letters(self) -> np.ndarray:
+        return self._table[2]
+
+    @property
+    def _parents(self) -> np.ndarray:
+        return self._table[3]
+
+    @functools.cached_property
+    def _labels(self) -> tuple[str, ...]:
+        """The Weyl labels in table order: a row's letter, then its parent's label."""
+        labels = ["e"]
+        for d, parent in zip(self._letters[1:].tolist(), self._parents[1:].tolist()):
+            labels.append(f"s{d}" + labels[parent] if parent else f"s{d}")
+        return tuple(labels)
 
     @functools.cached_property
     def weyl(self) -> tuple[WeylElement, ...]:
@@ -423,11 +448,10 @@ class CartanDatum:
         matrices = (pos[:, :-1, None] <= upto).astype(float) - (pos[:, 1:, None] <= upto)
         matrices.setflags(write=False)   # so is every row view below
         perms = map(tuple, np.argsort(pos, axis=1).tolist())
-        words, labels = [()], ["e"]
+        words = [()]
         for d, parent in zip(self._letters[1:].tolist(), self._parents[1:].tolist()):
             words.append((d,) + words[parent])
-            labels.append(f"s{d}" + labels[parent] if parent else f"s{d}")
-        return tuple(map(WeylElement, labels, words, matrices,
+        return tuple(map(WeylElement, self._labels, words, matrices,
                          self._signs.tolist(), perms))
 
     @functools.cached_property
@@ -505,8 +529,8 @@ def _standard_cartan(spec: AlgebraSpec) -> CartanDatum:
 
     Basis h_k = E_kk - E_(k+1)(k+1); real basis the first rank coordinate
     rows (h_k for sl(n,R), i h_k for su(n)).  No eigenvectors are
-    involved.  The Weyl table is refused above MAX_TABLE_N, before
-    anything is allocated.
+    involved.  The Weyl table is built on first read, and refused above
+    MAX_TABLE_N before anything is allocated.
     """
     n = spec.n
     if n > MAX_TABLE_N:
@@ -518,7 +542,6 @@ def _standard_cartan(spec: AlgebraSpec) -> CartanDatum:
              for k in range(n - 1)]
     pairs = _root_pairs(n)
     cols = np.stack([h.coords for h in basis])
-    pos, signs, letters, parents = _weyl_table(n)
     return CartanDatum(
         algebra=spec,
         basis=tuple(basis),
@@ -527,10 +550,6 @@ def _standard_cartan(spec: AlgebraSpec) -> CartanDatum:
         positive=tuple(r for r, (i, j) in enumerate(pairs) if i < j),
         simple=tuple(r for r, (i, j) in enumerate(pairs) if j == i + 1),
         gram=_readonly(np.real(cols @ spec.killing @ cols.T)),
-        _pos=pos,
-        _signs=signs,
-        _letters=letters,
-        _parents=parents,
     )
 
 

@@ -3,8 +3,9 @@
 For a regular semisimple element the zeros of the induced vector field on
 the flag variety correspond to the Borel subalgebras containing its Cartan,
 i.e. to Weyl chambers: for su(n) and sl(n,R), the permutations in S_n.
-The evaluator reads the Cartan's permutation table and one multiplicity
-array; ``FixedPoint`` objects are built only when read.  A fixed point
+The evaluator's term sum reads the Cartan's permutation table and one
+multiplicity array, and the closed form of the automatic modes reads
+neither; ``FixedPoint`` objects are built only when read.  A fixed point
 stores its Weyl element, the transported orbit parameter (the Weyl image
 of the defining covector) and an integer multiplicity; the roots
 spanning its Borel's nilradical are read off the permutation.
@@ -153,6 +154,17 @@ def closed_orbit_support(cartan: CartanDatum,
     return tuple(fixed_points)
 
 
+def _check_mode(mode: str, sign: int,
+                user_values: Optional[Mapping[str, int]]) -> None:
+    """Refuse what the mode rules refuse before any label is read."""
+    if mode not in MODES:
+        raise AlgebraError(f"unknown multiplicity mode {mode!r}")
+    if sign not in (1, -1):
+        raise AlgebraError("calibration sign must be +1 or -1")
+    if mode == "user_supplied" and user_values is None:
+        raise AlgebraError("user_supplied mode requires a multiplicity map")
+
+
 def _multiplicities(labels: Optional[Sequence[str]], signs: np.ndarray, mode: str,
                     sign: int, user_values: Optional[Mapping[str, int]],
                     ) -> np.ndarray:
@@ -160,16 +172,11 @@ def _multiplicities(labels: Optional[Sequence[str]], signs: np.ndarray, mode: st
 
     ``labels`` is read in user_supplied mode only.
     """
-    if mode not in MODES:
-        raise AlgebraError(f"unknown multiplicity mode {mode!r}")
-    if sign not in (1, -1):
-        raise AlgebraError("calibration sign must be +1 or -1")
+    _check_mode(mode, sign, user_values)
     if mode == "compact":
         return np.ones(len(signs), dtype=np.int64)
     if mode == "maximally_split":
         return int(sign) * np.asarray(signs).astype(np.int64)
-    if user_values is None:
-        raise AlgebraError("user_supplied mode requires a multiplicity map")
     known = set(labels)
     for key, val in user_values.items():
         if key not in known:

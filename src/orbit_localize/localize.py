@@ -13,15 +13,28 @@ and a permutation table.  The orbit parameter is a sorted diagonal zeta,
 the fixed points are the permutations w in S_n, the exponent of w is
 s * sum_i zeta_(w^-1 i) ev_i (s = -2n for su(n), 2n i for sl(n,R)), and
 its Borel denominator is det(w) times the one Vandermonde product
-prod over i < j of (ev_j - ev_i).  Inputs from one adjoint orbit share
+V = prod over i < j of (ev_j - ev_i).  Inputs from one adjoint orbit share
 ev, so invariance holds by construction; in split mode the multiplicity
 pattern is tied to the canonical chamber.
 
+In the automatic modes the sum over W has a closed form (Harish-Chandra's
+formula).  With M = exp(outer(ev, s zeta)), the compact multiplicities
++1 make it the alternating sum det M / V, and the split multiplicities
+s0 det(w) cancel the signs, leaving s0 perm M / V: n^2 exponentials a row
+and an LU determinant, or Glynn's permanent in 2^(n-1) n products, in
+place of n! terms.  These modes read no permutation table, so a CSV
+``eval`` in them builds none.  The term sum over W stays: it gives the
+values of user_supplied mode, and the term breakdowns (``EvalResult.terms``
+and the JSON ``terms``), whose sum matches the closed-form value to
+1e-14 sum |terms| at real-form points with exponents up to about 350.
+Both carry each exponent's rounding, about eps |exponent| of the term,
+so much larger points, or complex ones, can differ by more.
+
 A batch of points is one pass of a block kernel (``fourier_grid``).  Each
-block of rows takes one batched eigenvalue solve and classification; the
-terms of its valued rows are (|W|, rows) arrays built from the permuted
-diagonals, signs and multiplicities that ``make_orbit`` reads off the
-Cartan's permutation table, and are summed in label order.
+block of rows takes one batched eigenvalue solve and classification, then
+the value of its valued rows: the closed form, or in user_supplied mode
+the (|W|, rows) term arrays built from the permuted diagonals, signs and
+multiplicities of the Cartan's permutation table, summed in label order.
 ``fourier_value`` is the one-row case.  No ``FixedPoint`` object is built
 unless ``OrbitSpec.fixed_points`` is read.
 Every step is elementwise or runs along a row's own axis, so each row is
@@ -39,7 +52,8 @@ the standard Cartan in split mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
@@ -66,11 +80,11 @@ from .algebra import (
 from .fixedpoints import (
     FixedPoint,
     MultiplicityAssignment,
+    _check_mode,
     _multiplicities,
     assign_multiplicities,
     closed_orbit_support,
     enumerate_fixed_points,
-    is_regular_covector,
 )
 
 __all__ = [
@@ -118,9 +132,11 @@ def standard_cartan(spec: AlgebraSpec) -> CartanDatum:
 class OrbitSpec:
     """A regular orbit parameter with its Cartan and multiplicity mode.
 
-    The evaluator reads the arrays over W, rows in the Cartan's table order;
-    the Weyl labels and the ``fixed_points`` and ``assignment`` views are
-    built from the Cartan's Weyl objects on first read.
+    The automatic modes are evaluated from ``zeta`` alone.  The arrays
+    over W (rows in the Cartan's table order) that the term sum reads, and
+    the Weyl labels, come from the Cartan's table on first read; the
+    ``fixed_points`` and ``assignment`` views are built from the Cartan's
+    Weyl objects on first read.
     """
 
     algebra: AlgebraSpec
@@ -131,13 +147,26 @@ class OrbitSpec:
     weight_values: np.ndarray          # i * lambda'(H_k): parameter on the basis
     zeta: np.ndarray                   # diagonal of the dual element, over i for su
     user_multiplicities: Optional[Mapping[str, int]]
-    _multiplicities: np.ndarray = field(repr=False)
-    _signs: np.ndarray = field(repr=False)     # det(w)
-    _zeta: np.ndarray = field(repr=False)      # (|W|, n): row w is s * zeta_(w^-1 i)
+
+    @property
+    def _labels(self) -> tuple[str, ...]:
+        return self.cartan._labels
+
+    @property
+    def _signs(self) -> np.ndarray:
+        """det(w) for each w."""
+        return self.cartan._signs
 
     @cached_property
-    def _labels(self) -> tuple[str, ...]:
-        return tuple(w.label for w in self.cartan.weyl)
+    def _multiplicities(self) -> np.ndarray:
+        labels = self._labels if self.mode == "user_supplied" else None
+        return _multiplicities(labels, self._signs, self.mode, self.s0,
+                               self.user_multiplicities)
+
+    @cached_property
+    def _zeta(self) -> np.ndarray:
+        """(|W|, n): row w is s * zeta_(w^-1 i)."""
+        return _scale(self.algebra) * self.zeta[self.cartan._pos]
 
     @cached_property
     def _objects(self) -> tuple[MultiplicityAssignment, tuple[FixedPoint, ...]]:
@@ -215,26 +244,29 @@ def make_orbit(spec: AlgebraSpec, weight: Sequence[float], mode: str = None,
         span = abs(_scale(spec)) * (zeta.max() - zeta.min())
     if not np.isfinite([*weight, span]).all():
         raise AlgebraError("orbit parameter is non-finite or too large to represent")
-    values = _scale(spec) * (zeta[:-1] - zeta[1:])
-    if not is_regular_covector(cart, values):
+    # The coroot of e_i - e_j pairs with the parameter to s (zeta_i - zeta_j),
+    # so it is regular when the entries of zeta are distinct: the smallest
+    # gap above 1e-8 times the largest.
+    i, j = _upper_pairs(spec.n)
+    gaps = np.abs(zeta[i] - zeta[j])
+    if not gaps.min() > 1e-8 * gaps.max():
         raise AlgebraError("orbit parameter is singular (vanishing coroot pairing)")
-    # Only user-supplied multiplicities are keyed by label: the automatic
-    # modes read the signs, and build no Weyl objects.
-    labels = [w.label for w in cart.weyl] if mode == "user_supplied" else None
-    mults = _multiplicities(labels, cart._signs, mode, s0, user_multiplicities)
-    return OrbitSpec(
+    _check_mode(mode, s0, user_multiplicities)
+    orbit = OrbitSpec(
         algebra=spec,
         cartan=cart,
         weight=weight,
         mode=mode,
         s0=int(s0),
-        weight_values=values,
+        weight_values=_scale(spec) * (zeta[:-1] - zeta[1:]),
         zeta=_readonly(zeta),
         user_multiplicities=user_multiplicities,
-        _multiplicities=mults,
-        _signs=cart._signs,
-        _zeta=_scale(spec) * zeta[cart._pos],
     )
+    # Only user-supplied multiplicities are keyed by label, so only that
+    # mode reads the Cartan's table here, to check the map.
+    if mode == "user_supplied":
+        orbit._multiplicities
+    return orbit
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,11 +279,15 @@ class TermBreakdown:
 
 
 class EvalResult:
-    """Value with per-fixed-point terms; the total is the label-ordered sum.
+    """Value with per-fixed-point terms.
 
-    A row with a value keeps the spectrum it was evaluated at and builds
-    ``terms`` when that is first read, so callers that read values only
-    build no per-term objects.  Rows are read-only by convention.
+    In the automatic modes the value is the closed form (det M / V or
+    s0 perm M / V) and matches the sum of ``terms`` to 1e-14 sum |terms|
+    at real-form points of moderate size (see the module docstring); in
+    user_supplied mode it is their label-ordered sum.  A row with a
+    value keeps the spectrum it was evaluated at and builds ``terms``, by
+    the sum over W, when that is first read, so callers that read values
+    only build no per-term objects.  Rows are read-only by convention.
     """
 
     __slots__ = ("value", "degenerate", "conjugacy", "_terms", "_orbit", "_ev")
@@ -299,10 +335,71 @@ _DEGENERATE = EvalResult(value=complex("nan"), terms=(), degenerate=True,
 # spectral outcomes of algebra._spectra.
 _WALL = -1
 
-# Terms (rows x |W|) evaluated per block.  It bounds the working arrays of
-# the kernel and changes no value: every row's arithmetic is elementwise
-# or runs along that row's own axis.
+# Terms (rows x |W|) evaluated per block, counted so in every mode; the
+# closed form holds n^2 <= |W| entries a row.  It bounds the working
+# arrays of the kernel and changes no value: every row's arithmetic is
+# elementwise or runs along that row's own axis.
 _BLOCK = 1 << 16
+
+
+def _vandermonde(ev: np.ndarray) -> np.ndarray:
+    """prod over i < j of (ev_j - ev_i) for each row, as one accumulate."""
+    i, j = _upper_pairs(ev.shape[1])
+    return np.multiply.accumulate(ev[:, j] - ev[:, i], axis=1)[:, -1]
+
+
+def _permanent(m: np.ndarray) -> np.ndarray:
+    """Permanents of a stack of n x n matrices, by Glynn's formula.
+
+    perm M = 2^(1-n) times the sum over d in {+1, -1}^n with d_0 = 1 of
+    (prod_k d_k) prod_j (sum_i d_i M_ij)  (Glynn, Eur. J. Combin. 31,
+    2010).  The signs run in Gray-code order: step k flips d_i for i the
+    position of the lowest set bit of k, plus one, which moves the column
+    sums by -2 d_i M_i and flips the sign of prod_k d_k.  Each step is
+    elementwise over the stack, so 2^(n-1) n products per matrix, and a
+    matrix's value does not depend on the stack it comes in.
+    """
+    n = m.shape[1]
+    sums = m[:, 0].copy()
+    for i in range(1, n):
+        sums += m[:, i]
+    d = [1.0] * n
+
+    def product() -> np.ndarray:
+        # Not in place: numpy multiplies a one-element complex array in
+        # place by another rounding than a longer one.
+        p = sums[:, 0] * sums[:, 1]
+        for j in range(2, n):
+            p = p * sums[:, j]
+        return p
+
+    total = product()
+    for k in range(1, 1 << (n - 1)):
+        i = (k & -k).bit_length()
+        sums -= (2.0 * d[i]) * m[:, i]
+        d[i] = -d[i]
+        if k % 2:
+            total -= product()
+        else:
+            total += product()
+    return total * 2.0 ** (1 - n)
+
+
+def _closed_form(orbit: OrbitSpec, ev: np.ndarray) -> np.ndarray:
+    """The fixed-point sum of an automatic mode at N canonical spectra, (N,).
+
+    With M = exp(outer(ev, s zeta)), the term of w is the product of the
+    entries M[i, w^-1 i] times m_w det(w) / V.  Compact multiplicities
+    are 1, so the sum is det M / V; split ones are s0 det(w), so it is
+    s0 perm M / V (Harish-Chandra's formula).  n^2 exponentials a row in
+    place of the n! of the term sum.
+    """
+    m = np.exp(ev[:, :, None] * (_scale(orbit.algebra) * orbit.zeta))
+    if orbit.mode == "compact":
+        num = np.linalg.det(m)
+    else:
+        num = orbit.s0 * _permanent(m)
+    return num / _vandermonde(ev)
 
 
 def _terms(orbit: OrbitSpec, ev: np.ndarray
@@ -323,9 +420,7 @@ def _terms(orbit: OrbitSpec, ev: np.ndarray
     expo = zeta[:, :1] * ev[:, 0]
     for i in range(1, zeta.shape[1]):
         expo += zeta[:, i:i + 1] * ev[:, i]
-    i, j = _upper_pairs(orbit.algebra.n)
-    vandermonde = np.multiply.accumulate(ev[:, j] - ev[:, i], axis=1)[:, -1]
-    den = orbit._signs[:, None] * vandermonde
+    den = orbit._signs[:, None] * _vandermonde(ev)
     return expo, den, orbit._multiplicities[:, None] * np.exp(expo) / den
 
 
@@ -335,14 +430,15 @@ def _evaluate(orbit: OrbitSpec, coords: np.ndarray, real: np.ndarray
 
     Rows go through in blocks of at most _BLOCK terms: per block one
     batched eigensolve and classification (algebra._spectra), the wall
-    test, and the terms of the rows left, summed in label order.  Values
-    are 0 on _NONREAL rows and NaN on every refused row.
+    test, and the value of the rows left, by the closed form in the
+    automatic modes and as the label-ordered term sum in user_supplied
+    mode.  Values are 0 on _NONREAL rows and NaN on every refused row.
     """
     coords = np.asarray(coords)
     if coords.ndim != 2 or coords.shape[1] != orbit.algebra.dim:
         raise AlgebraError(f"expected rows of {orbit.algebra.dim} coordinates, "
                            f"got shape {coords.shape}")
-    step = max(1, _BLOCK // len(orbit._signs))
+    step = max(1, _BLOCK // math.factorial(orbit.algebra.n))
     blocks = [_evaluate_block(orbit, coords[lo:lo + step], real[lo:lo + step])
               for lo in range(0, len(coords), step)]
     if len(blocks) == 1:
@@ -361,7 +457,10 @@ def _evaluate_block(orbit: OrbitSpec, coords: np.ndarray, real: np.ndarray
     code[(code == _REGULAR) & wall] = _WALL
     ok = code == _REGULAR
     values = np.where(code == _NONREAL, 0j, complex("nan"))
-    values[ok] = np.add.accumulate(_terms(orbit, ev[ok])[2], axis=0)[-1]
+    if orbit.mode == "user_supplied":
+        values[ok] = np.add.accumulate(_terms(orbit, ev[ok])[2], axis=0)[-1]
+    else:
+        values[ok] = _closed_form(orbit, ev[ok])
     return code, values, ev, sep
 
 

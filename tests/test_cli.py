@@ -467,12 +467,15 @@ def test_eval_json_is_the_sorted_indent_1_encoding(tmp_path, cfg):
 
 
 @pytest.mark.parametrize("cfg,digest", [
-    (SU3_WALL, "70cc0e9f009794f6"),
-    (SL3_ROTATED, "0feef3723a47ab69"),
+    (SU3_WALL, "c36486bca6bb4997"),
+    (SL3_ROTATED, "6eac3e3dd8de4364"),
 ], ids=["su3-json", "sl3-csv"])
 def test_eval_output_golden_digest(tmp_path, cfg, digest):
-    # Hashes of outputs written by the dict-building writer that preceded
-    # the template writers.
+    # Hashes of outputs whose values come from the closed form (det M / V,
+    # s0 perm M / V).  They replaced the hashes of the term-sum values
+    # (70cc0e9f009794f6, 0feef3723a47ab69) after every changed float was
+    # checked within 1e-14 sum |terms| of those (at most 2.2e-16); the
+    # JSON terms and every other byte are unchanged.
     text = eval_output(tmp_path, cfg)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 

@@ -98,11 +98,31 @@ def test_elliptic_vanishes_structurally():
         assert res.terms == ()
 
 
+def _assert_value_is_term_sum(res, real=True):
+    """The closed-form value against the sum over W of its terms.
+
+    At a point of the real form the terms are unimodular over |V|, and the
+    two agree to 1e-14 of the sum of the terms' moduli.  At a complex
+    point the exponents have real parts, and each term carries the
+    rounding of its exponent, about eps |exponent| of the term; against
+    40-digit mpmath both sums then miss by more than 1e-14 sum |terms| on
+    su(5) (the term sum by up to 2.3e-14).  There the bound is the error
+    model of ``tests/test_reference.py``, 2 eps (1 + max |exponent|)
+    sum |terms|, where that is the larger.
+    """
+    total = sum(t.value for t in res.terms)
+    scale = 1e-14
+    if not real:
+        top = max((abs(t.exponent) for t in res.terms), default=0.0)
+        scale = max(scale, 2.0 * np.finfo(float).eps * (1.0 + top))
+    assert abs(res.value - total) <= scale * sum(abs(t.value) for t in res.terms)
+
+
 def test_total_equals_term_sum():
     orbit = make_orbit(build_algebra("su", 3), [0.8, 0.5])
     x = element(orbit.algebra, RNG.standard_normal(8))
     res = fourier_value(orbit, x)
-    assert res.value == sum(t.value for t in res.terms)
+    _assert_value_is_term_sum(res)
     assert len(res.terms) == 6
 
 
@@ -329,9 +349,9 @@ def test_grid_rows_independent_of_batch(algebra, batch, cut, order, block_rows):
     rows = fourier_grid(orbit, xs)
     keys = [_row_key(r) for r in rows]
     assert keys == [_pointwise_key(orbit, x) for x in xs]
-    for r in rows:
+    for r, x in zip(rows, xs):
         if not r.degenerate:
-            assert r.value == sum(t.value for t in r.terms)
+            _assert_value_is_term_sum(r, real=not np.iscomplexobj(x.coords))
     cut = min(cut, len(xs))
     split = fourier_grid(orbit, xs[:cut]) + fourier_grid(orbit, xs[cut:])
     assert [_row_key(r) for r in split] == keys
@@ -586,6 +606,32 @@ def test_mode_validation():
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("t,regular", [(3.1e-8, True), (2.9e-8, False)])
+def test_orbit_regularity_at_the_tolerance(t, regular):
+    # zeta = (1 + t, 1, -2 - t): smallest gap t, largest 3 + 2t, so the
+    # ratio crosses 1e-8 between the two t.  In user_supplied mode zeta
+    # stays as given, (1 + t, -2 - t, 1), and the near pair is not adjacent.
+    from orbit_localize.fixedpoints import is_regular_covector
+
+    for family, mode, weight in [("su", "compact", (1 + t, 2 + t)),
+                                 ("sl_real", "maximally_split", (1 + t, 2 + t)),
+                                 ("sl_real", "user_supplied", (1 + t, -1.0))]:
+        spec = build_algebra(family, 3)
+        zeta = np.array([weight[0], weight[1] - weight[0], -weight[1]])
+        values = localize._scale(spec) * (zeta[:-1] - zeta[1:])
+        # The coroot rule that the distinct-entries rule replaced agrees.
+        assert is_regular_covector(localize.standard_cartan(spec), values) == regular
+        mults = {"e": 1} if mode == "user_supplied" else None
+        if regular:
+            assert make_orbit(spec, weight, mode=mode,
+                              user_multiplicities=mults).mode == mode
+        else:
+            with pytest.raises(AlgebraError) as info:
+                make_orbit(spec, weight, mode=mode, user_multiplicities=mults)
+            assert str(info.value) == (
+                "orbit parameter is singular (vanishing coroot pairing)")
+
+
 def _chain(orbit):
     """The object chain make_orbit once ran, and the arrays it derived."""
     cart = orbit.cartan
@@ -678,6 +724,17 @@ def _count_cartan_objects(monkeypatch):
     return counts
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_labels_come_from_the_table(monkeypatch, n):
+    counts = _count_cartan_objects(monkeypatch)
+    weight = np.cumsum(np.linspace(1.0, -1.0, n))[:-1]
+    orbit = make_orbit(build_algebra("su", n), weight)
+    labels = orbit._labels
+    assert counts["weyl"] == 0
+    assert labels == tuple(w.label for w in orbit.cartan.weyl)
+    assert counts["weyl"] == math.factorial(n)
+
+
 @pytest.mark.parametrize("family,n", [("su", 6), ("sl_real", 5)])
 def test_automatic_modes_build_no_cartan_objects(monkeypatch, family, n):
     counts = _count_cartan_objects(monkeypatch)
@@ -706,8 +763,9 @@ def test_user_supplied_mode_and_json_eval_build_weyl_objects_once(
     spec = build_algebra("su", 4)
     orbit = make_orbit(spec, [0.3, 0.9, 0.4], mode="user_supplied",
                        user_multiplicities={"s1": 2, "s2s3": -1})
-    assert counts == {"weyl": 24, "root_vectors": 0}
+    # The labels come from the table alone; the views build the objects once.
     assert orbit._labels[:3] == ("e", "s1", "s2")
+    assert counts == {"weyl": 0, "root_vectors": 0}
     assert orbit.fixed_points[1].multiplicity == 2
     assert counts == {"weyl": 24, "root_vectors": 0}
 
@@ -722,7 +780,7 @@ def test_user_supplied_mode_and_json_eval_build_weyl_objects_once(
     path.write_text(json.dumps(cfg))
     assert main(["eval", "--config", str(path),
                  "--out", str(tmp_path / "out.json")]) == 0
-    assert counts == {"weyl": 24, "root_vectors": 0}
+    assert counts == {"weyl": 0, "root_vectors": 0}
 
 
 def test_user_supplied_mode_roundtrip():

@@ -2,11 +2,19 @@
 
 ``perfbench/reference.py`` evaluates the fixed-point sum at 30 digits over
 the S_n permutation table, from mpmath's own eigenvalues, and shares no
-code with the package.  A row may differ from it by what double precision
-costs at the row's own spectrum x, times sum |term|:
+code with the package.  The package reports the closed form of that sum
+in these automatic modes, det M / V (su) or s0 perm M / V (sl) with
+M = exp(outer(ev, s zeta)), and builds no table for the value.  A row may
+differ from the reference by what double precision costs at the row's own
+spectrum x, times sum |term|:
 
-* the sum: each term's phase carries an error of about eps times its
-  exponent, so 2 eps (1 + max |exponent|);
+* the numerator: each entry of M carries a phase error of about eps times
+  its exponent.  The entries are unimodular, so sum |term| = n! / |V|,
+  and the LU determinant or Glynn's permanent rounds by a few eps times
+  n!, a few eps sum |term| in the value (against the term sum over W,
+  which this bound was first set for, 1.7e-15 sum |term| at most on
+  su(2..7) and sl(2..7,R)).  Together 2 eps (1 + max |exponent|), the
+  largest exponent read off the row's term breakdown;
 * the eigensolve: an error delta in the eigenvalues moves every exponent
   by at most 2n sum |zeta| delta and every Vandermonde denominator by a
   relative sum over i < j of 2 delta / |x_i - x_j|.
@@ -63,10 +71,12 @@ def _points(spec, rng, count):
     ("su", 3, (0.9, 0.4)),
     ("su", 4, (0.9, 0.4, 0.3)),
     ("su", 5, (0.3, -0.2, 0.5, 0.1)),
+    ("su", 6, (0.4, -0.3, 0.6, 0.1, -0.5)),
     ("sl_real", 2, (1.0,)),
     ("sl_real", 3, (0.9, 0.4)),
     ("sl_real", 4, (0.9, 0.4, 0.15)),
     ("sl_real", 5, (0.2, -0.7, 0.4, 0.3)),
+    ("sl_real", 6, (0.5, 0.2, -0.6, 0.3, -0.1)),
 ])
 def test_grid_matches_mpmath_reference(family, n, weight):
     reference = _load_reference()
