@@ -71,11 +71,11 @@ def _points(spec, rng, count):
     ("su", 3, (0.9, 0.4)),
     ("su", 4, (0.9, 0.4, 0.3)),
     ("su", 5, (0.3, -0.2, 0.5, 0.1)),
-    ("su", 6, (0.4, -0.3, 0.6, 0.1, -0.5)),
     ("sl_real", 2, (1.0,)),
     ("sl_real", 3, (0.9, 0.4)),
     ("sl_real", 4, (0.9, 0.4, 0.15)),
     ("sl_real", 5, (0.2, -0.7, 0.4, 0.3)),
+    ("su", 6, (0.4, -0.3, 0.6, 0.1, -0.5)),
     ("sl_real", 6, (0.5, 0.2, -0.6, 0.3, -0.1)),
 ])
 def test_grid_matches_mpmath_reference(family, n, weight):
