@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -402,34 +402,17 @@ class CartanDatum:
     def rank(self) -> int:
         return len(self.basis)
 
-    # The Weyl group as a table in ``weyl`` order (see ``_weyl_table``),
-    # built on first read: rows w^-1, signs det(w), and each word's first
-    # letter and parent row.
     @functools.cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _table(self) -> _WeylTable:
+        """The Weyl group as arrays in ``weyl`` order, built on first read."""
         return _weyl_table(self.algebra.n)
-
-    @property
-    def _pos(self) -> np.ndarray:
-        return self._table[0]
-
-    @property
-    def _signs(self) -> np.ndarray:
-        return self._table[1]
-
-    @property
-    def _letters(self) -> np.ndarray:
-        return self._table[2]
-
-    @property
-    def _parents(self) -> np.ndarray:
-        return self._table[3]
 
     @functools.cached_property
     def _labels(self) -> tuple[str, ...]:
         """The Weyl labels in table order: a row's letter, then its parent's label."""
+        table = self._table
         labels = ["e"]
-        for d, parent in zip(self._letters[1:].tolist(), self._parents[1:].tolist()):
+        for d, parent in zip(table.letters[1:].tolist(), table.parents[1:].tolist()):
             labels.append(f"s{d}" + labels[parent] if parent else f"s{d}")
         return tuple(labels)
 
@@ -437,22 +420,20 @@ class CartanDatum:
     def weyl(self) -> tuple[WeylElement, ...]:
         """The Weyl group as objects, built from the table on first read.
 
-        A word is its row's letter followed by its parent's word.  With pos
-        the inverse permutation, w sends the value on h_k to the value on
+        A label spells its word, s<d> for each letter d.  With pos the
+        inverse permutation, w sends the value on h_k to the value on
         e_pos[k] - e_pos[k+1], so its matrix is
         M[k, m] = [pos[k] <= m] - [pos[k+1] <= m], the exact product of the
         simple reflections along the word.  The determinant is the sign.
         """
-        pos = self._pos
+        pos = self._table.pos
         upto = np.arange(pos.shape[1] - 1)
         matrices = (pos[:, :-1, None] <= upto).astype(float) - (pos[:, 1:, None] <= upto)
         matrices.setflags(write=False)   # so is every row view below
         perms = map(tuple, np.argsort(pos, axis=1).tolist())
-        words = [()]
-        for d, parent in zip(self._letters[1:].tolist(), self._parents[1:].tolist()):
-            words.append((d,) + words[parent])
+        words = (tuple(map(int, label.split("s")[1:])) for label in self._labels)
         return tuple(map(WeylElement, self._labels, words, matrices,
-                         self._signs.tolist(), perms))
+                         self._table.signs.tolist(), perms))
 
     @functools.cached_property
     def root_vectors(self) -> tuple[AlgebraElement, ...]:
@@ -485,7 +466,14 @@ def _root_values(n: int) -> np.ndarray:
     return diffs @ (eye[:-1] - eye[1:]).T
 
 
-def _weyl_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+class _WeylTable(NamedTuple):
+    pos: np.ndarray        # (n!, n) intp: row w is w^-1
+    signs: np.ndarray      # (n!,) det(w)
+    letters: np.ndarray    # first letter of each word (0 for the identity)
+    parents: np.ndarray    # row of the rest of the word (0 for the identity)
+
+
+def _weyl_table(n: int) -> _WeylTable:
     """S_n as arrays, in (length, smallest reduced word) order.
 
     Row w holds pos = w^-1 (pos[v] is the place of the value v).  Letter d
@@ -520,8 +508,9 @@ def _weyl_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         pos.append(level)
     signs = np.concatenate([np.full(len(block), (-1.0) ** length)
                             for length, block in enumerate(pos)])
-    return (_readonly(np.concatenate(pos).astype(np.intp)), _readonly(signs),
-            _readonly(np.concatenate(letters)), _readonly(np.concatenate(parents)))
+    return _WeylTable(_readonly(np.concatenate(pos).astype(np.intp)), _readonly(signs),
+                      _readonly(np.concatenate(letters)),
+                      _readonly(np.concatenate(parents)))
 
 
 def _standard_cartan(spec: AlgebraSpec) -> CartanDatum:

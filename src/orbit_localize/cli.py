@@ -342,7 +342,8 @@ def _eval_json(cfg: RunConfig, orbit: OrbitSpec, grid: np.ndarray,
     yield ('{\n "config": ' + config + ',\n "mode": '
            + encode_basestring_ascii(orbit.mode) + ',\n "rows": [')
 
-    width, n_axes = 6 * len(orbit._labels), grid.shape[1]
+    labels = orbit.cartan._labels
+    width, n_axes = 6 * len(labels), grid.shape[1]
     x = ",\n    ".join(["%s"] * n_axes)
 
     def row(conjugacy: str, degenerate: str, f: str, terms: str) -> str:
@@ -358,13 +359,13 @@ def _eval_json(cfg: RunConfig, orbit: OrbitSpec, grid: np.ndarray,
         + ',\n     "multiplicity": ' + str(mult)
         + ',\n     "re_denominator": %s,\n     "re_exponent": %s,'
         '\n     "re_value": %s\n    }'
-        for label, mult in zip(orbit._labels, orbit._multiplicities.tolist())
+        for label, mult in zip(labels, orbit._multiplicities.tolist())
     ) + "\n   "
     valued = row("cartan", "false", "%s", terms)
     outside = row("outside", "false", "%s", "")
     refused = row("cartan", "true", "null", "")
 
-    step = max(1, _TEXT_BLOCK // len(orbit._labels))
+    step = max(1, _TEXT_BLOCK // len(labels))
     for lo in range(0, len(codes), step):
         block = codes[lo:lo + step]
         ok = block == _REGULAR

@@ -22,19 +22,19 @@ formula).  With M = exp(outer(ev, s zeta)), the compact multiplicities
 +1 make it the alternating sum det M / V, and the split multiplicities
 s0 det(w) cancel the signs, leaving s0 perm M / V: n^2 exponentials a row
 and an LU determinant, or Glynn's permanent in 2^(n-1) n products, in
-place of n! terms.  These modes read no permutation table, so a CSV
-``eval`` in them builds none.  The term sum over W stays: it gives the
-values of user_supplied mode, and the term breakdowns (``EvalResult.terms``
-and the JSON ``terms``), whose sum matches the closed-form value to
-1e-14 sum |terms| at real-form points with exponents up to about 350.
-Both carry each exponent's rounding, about eps |exponent| of the term,
-so much larger points, or complex ones, can differ by more.
+place of n! terms.  It values the points of the real form, which read
+no permutation table, so a CSV ``eval`` in these modes builds none.  The
+term sum over W stays: it gives the values of user_supplied mode and of
+points off the real form (complex coordinates, whose su(n) exponents
+have real parts), and the term breakdowns (``EvalResult.terms`` and the
+JSON ``terms``), whose sum matches the closed-form value to
+1e-14 sum |terms| (measured at exponents up to about 350).
 
 A batch of points is one pass of a block kernel (``fourier_grid``).  Each
 block of rows takes one batched eigenvalue solve and classification, then
-the value of its valued rows: the closed form, or in user_supplied mode
-the (|W|, rows) term arrays built from the permuted diagonals, signs and
-multiplicities of the Cartan's permutation table, summed in label order.
+the value of its valued rows: the closed form, or the (|W|, rows) term
+arrays built from the permuted diagonals, signs and multiplicities of the
+Cartan's permutation table, summed in label order.
 ``fourier_value`` is the one-row case.  No ``FixedPoint`` object is built
 unless ``OrbitSpec.fixed_points`` is read.
 Every step is elementwise or runs along a row's own axis, so each row is
@@ -148,25 +148,17 @@ class OrbitSpec:
     zeta: np.ndarray                   # diagonal of the dual element, over i for su
     user_multiplicities: Optional[Mapping[str, int]]
 
-    @property
-    def _labels(self) -> tuple[str, ...]:
-        return self.cartan._labels
-
-    @property
-    def _signs(self) -> np.ndarray:
-        """det(w) for each w."""
-        return self.cartan._signs
-
     @cached_property
     def _multiplicities(self) -> np.ndarray:
-        labels = self._labels if self.mode == "user_supplied" else None
-        return _multiplicities(labels, self._signs, self.mode, self.s0,
+        cart = self.cartan
+        labels = cart._labels if self.mode == "user_supplied" else None
+        return _multiplicities(labels, cart._table.signs, self.mode, self.s0,
                                self.user_multiplicities)
 
     @cached_property
     def _zeta(self) -> np.ndarray:
         """(|W|, n): row w is s * zeta_(w^-1 i)."""
-        return _scale(self.algebra) * self.zeta[self.cartan._pos]
+        return _scale(self.algebra) * self.zeta[self.cartan._table.pos]
 
     @cached_property
     def _objects(self) -> tuple[MultiplicityAssignment, tuple[FixedPoint, ...]]:
@@ -281,10 +273,10 @@ class TermBreakdown:
 class EvalResult:
     """Value with per-fixed-point terms.
 
-    In the automatic modes the value is the closed form (det M / V or
-    s0 perm M / V) and matches the sum of ``terms`` to 1e-14 sum |terms|
-    at real-form points of moderate size (see the module docstring); in
-    user_supplied mode it is their label-ordered sum.  A row with a
+    At points of the real form in the automatic modes the value is the
+    closed form (det M / V or s0 perm M / V) and matches the sum of
+    ``terms`` to 1e-14 sum |terms| (see the module docstring); elsewhere
+    it is their label-ordered sum.  A row with a
     value keeps the spectrum it was evaluated at and builds ``terms``, by
     the sum over W, when that is first read, so callers that read values
     only build no per-term objects.  Rows are read-only by convention.
@@ -310,7 +302,7 @@ class EvalResult:
             orbit = self._orbit
             expo, den, vals = _terms(orbit, self._ev[None])
             self._terms = tuple(map(
-                TermBreakdown, orbit._labels, expo[:, 0].tolist(),
+                TermBreakdown, orbit.cartan._labels, expo[:, 0].tolist(),
                 den[:, 0].tolist(), orbit._multiplicities.tolist(),
                 vals[:, 0].tolist(),
             ))
@@ -335,10 +327,10 @@ _DEGENERATE = EvalResult(value=complex("nan"), terms=(), degenerate=True,
 # spectral outcomes of algebra._spectra.
 _WALL = -1
 
-# Terms (rows x |W|) evaluated per block, counted so in every mode; the
-# closed form holds n^2 <= |W| entries a row.  It bounds the working
-# arrays of the kernel and changes no value: every row's arithmetic is
-# elementwise or runs along that row's own axis.
+# Matrix entries (rows x n^2) per block of the kernel, and terms
+# (rows x |W|) per chunk of the term sum.  It bounds the working arrays
+# and changes no value: every row's arithmetic is elementwise or runs
+# along that row's own axis.
 _BLOCK = 1 << 16
 
 
@@ -420,25 +412,36 @@ def _terms(orbit: OrbitSpec, ev: np.ndarray
     expo = zeta[:, :1] * ev[:, 0]
     for i in range(1, zeta.shape[1]):
         expo += zeta[:, i:i + 1] * ev[:, i]
-    den = orbit._signs[:, None] * _vandermonde(ev)
+    den = orbit.cartan._table.signs[:, None] * _vandermonde(ev)
     return expo, den, orbit._multiplicities[:, None] * np.exp(expo) / den
+
+
+def _term_sum(orbit: OrbitSpec, ev: np.ndarray) -> np.ndarray:
+    """The label-ordered sum of each row's terms, (N,), _BLOCK terms at a time."""
+    step = max(1, _BLOCK // math.factorial(orbit.algebra.n))
+    total = np.empty(len(ev), complex)
+    for lo in range(0, len(ev), step):
+        terms = _terms(orbit, ev[lo:lo + step])[2]
+        total[lo:lo + step] = np.add.accumulate(terms, axis=0)[-1]
+    return total
 
 
 def _evaluate(orbit: OrbitSpec, coords: np.ndarray, real: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Outcome, value, spectrum and separation of each row of coordinates.
 
-    Rows go through in blocks of at most _BLOCK terms: per block one
-    batched eigensolve and classification (algebra._spectra), the wall
-    test, and the value of the rows left, by the closed form in the
-    automatic modes and as the label-ordered term sum in user_supplied
-    mode.  Values are 0 on _NONREAL rows and NaN on every refused row.
+    Rows go through in blocks of at most _BLOCK matrix entries: per block
+    one batched eigensolve and classification (algebra._spectra), the
+    wall test, and the value of the rows left.  In the automatic modes
+    rows of the real form take the closed form; the other rows, and every
+    row in user_supplied mode, take the label-ordered term sum.  Values
+    are 0 on _NONREAL rows and NaN on every refused row.
     """
     coords = np.asarray(coords)
     if coords.ndim != 2 or coords.shape[1] != orbit.algebra.dim:
         raise AlgebraError(f"expected rows of {orbit.algebra.dim} coordinates, "
                            f"got shape {coords.shape}")
-    step = max(1, _BLOCK // math.factorial(orbit.algebra.n))
+    step = max(1, _BLOCK // orbit.algebra.n ** 2)
     blocks = [_evaluate_block(orbit, coords[lo:lo + step], real[lo:lo + step])
               for lo in range(0, len(coords), step)]
     if len(blocks) == 1:
@@ -457,10 +460,19 @@ def _evaluate_block(orbit: OrbitSpec, coords: np.ndarray, real: np.ndarray
     code[(code == _REGULAR) & wall] = _WALL
     ok = code == _REGULAR
     values = np.where(code == _NONREAL, 0j, complex("nan"))
-    if orbit.mode == "user_supplied":
-        values[ok] = np.add.accumulate(_terms(orbit, ev[ok])[2], axis=0)[-1]
-    else:
-        values[ok] = _closed_form(orbit, ev[ok])
+    summed = ok
+    if orbit.mode != "user_supplied":
+        # Rows off the real form (complex coordinates) keep the term sum,
+        # so their value is exactly the sum of their reported terms.  An
+        # su(n) spectrum there has real parts, and so do the exponents: a
+        # few terms carry the sum, each with its exponent's rounding, about
+        # eps |exponent| of the term, and no other double precision form
+        # of the sum matches the term sum to 1e-14 sum |terms|.
+        closed = ok & real
+        values[closed] = _closed_form(orbit, ev[closed])
+        summed = ok & ~real
+    if summed.any():
+        values[summed] = _term_sum(orbit, ev[summed])
     return code, values, ev, sep
 
 
@@ -512,8 +524,8 @@ def fourier_grid(orbit: OrbitSpec,
     or is the degenerate row where that raises (non-regular,
     indeterminate or non-finite points); output order matches input
     order.  The whole batch is one pass of the block kernel: per block one
-    batched eigensolve, then the terms of every valued row as (|W|, rows)
-    arrays.  Rows build their term breakdown only when it is read.
+    batched eigensolve, then the value of every valued row.  Rows build
+    their term breakdown only when it is read.
     """
     if isinstance(samples, np.ndarray):
         coords = samples
@@ -633,7 +645,7 @@ def invariance_checks(orbit: OrbitSpec, x: AlgebraElement,
     if orbit.mode == "compact":
         # The w-image of the parameter has the diagonal zeta_(w^-1 i), and
         # its weight coordinates are the partial sums of that diagonal.
-        for label, pos in zip(orbit._labels, orbit.cartan._pos):
+        for label, pos in zip(orbit.cartan._labels, orbit.cartan._table.pos):
             moved_weight = np.cumsum(orbit.zeta[pos])[:-1].tolist()
             moved_orbit = make_orbit(
                 orbit.algebra, moved_weight, mode=orbit.mode, s0=orbit.s0

@@ -295,7 +295,7 @@ def _fixedpoints_suite(st: SuiteSettings) -> list[CheckResult]:
         out.append(_check("compact multiplicities identically one",
                           0.0 if (mults == 1).all() else 1.0, 0.5))
     elif orbit.mode == "maximally_split":
-        flipped = _multiplicities(None, orbit._signs, orbit.mode,
+        flipped = _multiplicities(None, orbit.cartan._table.signs, orbit.mode,
                                   -orbit.s0, None)
         out.append(_check("global sign flip negates multiplicities",
                           float(np.abs(flipped + mults).max()), 0.5))

@@ -370,7 +370,7 @@ def _reference_weyl_group(n):
 def test_weyl_table_matches_the_permutation_walk(n):
     perms, words, pos, signs, matrices = _reference_weyl_group(n)
     cart = _standard_cartan(build_algebra("su", n))
-    for got, expected in ((cart._pos, pos), (cart._signs, signs)):
+    for got, expected in ((cart._table.pos, pos), (cart._table.signs, signs)):
         assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
         assert got.tobytes() == expected.tobytes()
     weyl = cart.weyl

@@ -98,24 +98,10 @@ def test_elliptic_vanishes_structurally():
         assert res.terms == ()
 
 
-def _assert_value_is_term_sum(res, real=True):
-    """The closed-form value against the sum over W of its terms.
-
-    At a point of the real form the terms are unimodular over |V|, and the
-    two agree to 1e-14 of the sum of the terms' moduli.  At a complex
-    point the exponents have real parts, and each term carries the
-    rounding of its exponent, about eps |exponent| of the term; against
-    40-digit mpmath both sums then miss by more than 1e-14 sum |terms| on
-    su(5) (the term sum by up to 2.3e-14).  There the bound is the error
-    model of ``tests/test_reference.py``, 2 eps (1 + max |exponent|)
-    sum |terms|, where that is the larger.
-    """
+def _assert_value_is_term_sum(res):
+    """The value against the sum over W of its terms, to 1e-14 sum |terms|."""
     total = sum(t.value for t in res.terms)
-    scale = 1e-14
-    if not real:
-        top = max((abs(t.exponent) for t in res.terms), default=0.0)
-        scale = max(scale, 2.0 * np.finfo(float).eps * (1.0 + top))
-    assert abs(res.value - total) <= scale * sum(abs(t.value) for t in res.terms)
+    assert abs(res.value - total) <= 1e-14 * sum(abs(t.value) for t in res.terms)
 
 
 def test_total_equals_term_sum():
@@ -349,9 +335,9 @@ def test_grid_rows_independent_of_batch(algebra, batch, cut, order, block_rows):
     rows = fourier_grid(orbit, xs)
     keys = [_row_key(r) for r in rows]
     assert keys == [_pointwise_key(orbit, x) for x in xs]
-    for r, x in zip(rows, xs):
+    for r in rows:
         if not r.degenerate:
-            _assert_value_is_term_sum(r, real=not np.iscomplexobj(x.coords))
+            _assert_value_is_term_sum(r)
     cut = min(cut, len(xs))
     split = fourier_grid(orbit, xs[:cut]) + fourier_grid(orbit, xs[cut:])
     assert [_row_key(r) for r in split] == keys
@@ -360,14 +346,14 @@ def test_grid_rows_independent_of_batch(algebra, batch, cut, order, block_rows):
     shuffled = fourier_grid(orbit, [xs[k] for k in perm])
     assert [_row_key(r) for r in shuffled] == [keys[k] for k in perm]
     # Several blocks in one batch: block_rows rows per block.
-    with mock.patch.object(localize, "_BLOCK", block_rows * len(orbit.fixed_points)):
+    with mock.patch.object(localize, "_BLOCK", block_rows * spec.n ** 2):
         assert [_row_key(r) for r in fourier_grid(orbit, xs)] == keys
 
 
 def test_grid_longer_than_one_block():
     orbit = _orbit("su", 5)
     spec = orbit.algebra
-    per_block = localize._BLOCK // len(orbit.fixed_points)
+    per_block = localize._BLOCK // spec.n ** 2
     rng = np.random.default_rng(11)
     kinds = rng.choice(ROW_KINDS, size=2 * per_block + 37)
     xs = [element(spec, _sample_row(spec, k, rng)) for k in kinds]
@@ -388,7 +374,8 @@ def test_grid_array_input_matches_elements():
 
 
 def test_grid_memory_stays_blocked():
-    # One unblocked (N, |W|) complex array would take 3000 * 5040 * 16 B,
+    # Rows of the real form take the closed form, (N, n, n) stacks; one
+    # (N, |W|) complex array of the term sum would take 3000 * 5040 * 16 B,
     # 242 MB, here.
     orbit = make_orbit(build_algebra("su", 7), [0.9, 1.5, 1.8, 1.8, 1.5, 0.9])
     coords = np.random.default_rng(4).standard_normal((3000, orbit.algebra.dim))
@@ -399,6 +386,22 @@ def test_grid_memory_stays_blocked():
     finally:
         tracemalloc.stop()
     assert len(rows) == 3000 and not any(r.degenerate for r in rows)
+    assert peak < 64e6
+
+
+def test_grid_memory_stays_blocked_off_the_real_form():
+    # Rows with complex coordinates take the term sum, whose (|W|, N)
+    # arrays would take 1500 * 5040 * 16 B, 121 MB, each if unchunked.
+    orbit = make_orbit(build_algebra("su", 7), [0.9, 1.5, 1.8, 1.8, 1.5, 0.9])
+    rng = np.random.default_rng(9)
+    coords = rng.standard_normal((1500, orbit.algebra.dim)) * (1 + 0.5j)
+    tracemalloc.start()
+    try:
+        rows = fourier_grid(orbit, coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 1500 and not any(r.degenerate for r in rows)
     assert peak < 64e6
 
 
@@ -414,7 +417,7 @@ def test_grid_makes_one_eigensolve_per_block(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     fourier_grid(orbit, coords)
-    per_block = localize._BLOCK // len(orbit.fixed_points)
+    per_block = localize._BLOCK // orbit.algebra.n ** 2
     assert 1 <= len(calls) <= math.ceil(2000 / per_block)
     assert sum(calls) == 2000
 
@@ -677,9 +680,11 @@ def test_orbit_arrays_match_the_object_chain(monkeypatch, family, n, kwargs):
     orbit = make_orbit(build_algebra(family, n), weight, **kwargs)
     assert calls == dict.fromkeys(chain, 0)
     assignment, fps, arrays = _chain(orbit)
-    assert orbit._labels == arrays.pop("_labels")
+    assert orbit.cartan._labels == arrays.pop("_labels")
+    got_arrays = dict(_multiplicities=orbit._multiplicities,
+                      _signs=orbit.cartan._table.signs, _zeta=orbit._zeta)
     for name, expected in arrays.items():
-        got = getattr(orbit, name)
+        got = got_arrays[name]
         assert np.array_equal(got, expected), name
         assert (got.dtype, got.tobytes()) == (expected.dtype, expected.tobytes()), name
     assert orbit._multiplicities.dtype == np.int64
@@ -729,7 +734,7 @@ def test_labels_come_from_the_table(monkeypatch, n):
     counts = _count_cartan_objects(monkeypatch)
     weight = np.cumsum(np.linspace(1.0, -1.0, n))[:-1]
     orbit = make_orbit(build_algebra("su", n), weight)
-    labels = orbit._labels
+    labels = orbit.cartan._labels
     assert counts["weyl"] == 0
     assert labels == tuple(w.label for w in orbit.cartan.weyl)
     assert counts["weyl"] == math.factorial(n)
@@ -764,7 +769,7 @@ def test_user_supplied_mode_and_json_eval_build_weyl_objects_once(
     orbit = make_orbit(spec, [0.3, 0.9, 0.4], mode="user_supplied",
                        user_multiplicities={"s1": 2, "s2s3": -1})
     # The labels come from the table alone; the views build the objects once.
-    assert orbit._labels[:3] == ("e", "s1", "s2")
+    assert orbit.cartan._labels[:3] == ("e", "s1", "s2")
     assert counts == {"weyl": 0, "root_vectors": 0}
     assert orbit.fixed_points[1].multiplicity == 2
     assert counts == {"weyl": 24, "root_vectors": 0}
