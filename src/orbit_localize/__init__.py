@@ -14,16 +14,13 @@ from .algebra import (
     CartanDatum,
     CartanReduction,
     IndeterminateRegularityError,
-    IwasawaDatum,
     WeylElement,
     adjoint_matrix,
     bracket,
     build_algebra,
-    coroot,
     element,
     element_from_matrix,
     is_regular_semisimple,
-    iwasawa_decomposition,
     killing_form,
     reduce_to_cartan,
     standard_spectrum,
@@ -34,8 +31,6 @@ from .fixedpoints import (
     assign_multiplicities,
     closed_orbit_support,
     enumerate_fixed_points,
-    is_regular_covector,
-    split_positive_system,
 )
 from .localize import (
     CasimirCheck,

@@ -15,14 +15,16 @@ No structure constants are stored: brackets are matrix commutators
 projected back onto the basis, and the Killing form is the trace form
 B(X, Y) = 2n tr(XY), whose matrix over the basis is an exact integer
 matrix.  Everything downstream -- brackets, ad matrices, Cartan data,
-Weyl groups, Iwasawa decompositions, conjugation into a Cartan -- is
-expressed against this fixed basis, so all coordinates are reproducible.
+Weyl groups, conjugation into a Cartan -- is expressed against this
+fixed basis, so all coordinates are reproducible.
 
 The only Cartan is the standard diagonal one, and its data is index data:
 roots are index pairs (i, j), root vectors the elementary matrices E_ij,
-and the Weyl group the permutations of range(n).  Points are brought to
-it by their spectrum (``standard_spectrum``) or, with a group element,
-by ``reduce_to_cartan``.
+and the Weyl group the permutations of range(n).  Its real basis is the
+first rank coordinate rows (h_k for sl(n,R), i h_k for su(n)), so laying
+it out takes no linear algebra.  Points are brought to it by their
+spectrum (``standard_spectrum``) or, with a group element, by
+``reduce_to_cartan``.
 
 All public values are immutable after construction (arrays are marked
 read-only) and every operation is a pure function.
@@ -44,7 +46,6 @@ __all__ = [
     "AlgebraElement",
     "CartanDatum",
     "WeylElement",
-    "IwasawaDatum",
     "CartanReduction",
     "build_algebra",
     "element",
@@ -53,8 +54,6 @@ __all__ = [
     "killing_form",
     "adjoint_matrix",
     "is_regular_semisimple",
-    "coroot",
-    "iwasawa_decomposition",
     "reduce_to_cartan",
     "standard_spectrum",
 ]
@@ -381,26 +380,24 @@ class WeylElement:
 
 @dataclass(frozen=True, eq=False)
 class CartanDatum:
-    """The standard (diagonal) Cartan with its roots, root vectors and Weyl group.
+    """The standard (diagonal) Cartan with its roots and Weyl group.
 
-    Everything is index data: the basis is E_kk - E_(k+1)(k+1), root r is
-    e_i - e_j for ``root_pairs[r] = (i, j)`` with root vector E_ij, and the
-    Weyl group is S_n.  Roots are stored as value-vectors on the complex
-    Cartan basis (``roots[r, k] = alpha_r(basis[k])``); functionals on the
-    Cartan use the same representation throughout.
+    Everything is index data: root r is e_i - e_j for
+    ``root_pairs[r] = (i, j)``, with root vector E_ij, and the Weyl group
+    is S_n.  Roots are stored as value-vectors on the complex Cartan basis
+    h_k = E_kk - E_(k+1)(k+1) (``roots[r, k] = alpha_r(h_k)``); functionals
+    on the Cartan use the same representation throughout.  The real basis
+    is the first rank coordinate rows of the algebra: h_k for sl(n,R),
+    i h_k for su(n).
     """
 
     algebra: AlgebraSpec
-    basis: tuple[AlgebraElement, ...]
-    real_basis: tuple[AlgebraElement, ...]
     roots: np.ndarray               # (n_roots, rank) real
     positive: tuple[int, ...]
-    simple: tuple[int, ...]
-    gram: np.ndarray                # B restricted to the Cartan basis
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return self.algebra.rank
 
     @functools.cached_property
     def _table(self) -> _WeylTable:
@@ -435,24 +432,10 @@ class CartanDatum:
         return tuple(map(WeylElement, self._labels, words, matrices,
                          self._table.signs.tolist(), perms))
 
-    @functools.cached_property
-    def root_vectors(self) -> tuple[AlgebraElement, ...]:
-        """E_ij for each root e_i - e_j, in root order; built on first read."""
-        spec = self.algebra
-        return tuple(element_from_matrix(spec, _unit(spec.n, i, j))
-                     for i, j in self.root_pairs)
-
     @property
     def root_pairs(self) -> list[tuple[int, int]]:
         """(i, j) for each root e_i - e_j, in root order."""
         return _root_pairs(self.algebra.n)
-
-
-def coroot(cartan: CartanDatum, root_idx: int) -> np.ndarray:
-    """Coefficients of the coroot H_alpha over the Cartan basis."""
-    alpha = cartan.roots[root_idx]
-    t = np.linalg.solve(cartan.gram, alpha)
-    return 2.0 * t / (alpha @ t)
 
 
 def _root_pairs(n: int) -> list[tuple[int, int]]:
@@ -513,118 +496,42 @@ def _weyl_table(n: int) -> _WeylTable:
                       _readonly(np.concatenate(parents)))
 
 
+def _refuse_large_table(family: str, n: int) -> None:
+    """Refuse an S_n table above MAX_TABLE_N, before anything is allocated."""
+    if n > MAX_TABLE_N:
+        rows = (f"{math.factorial(n):,}" if n <= 100
+                else f"about 10^{math.lgamma(n + 1) / math.log(10):.0f}")
+        raise AlgebraError(f"the S_n table of {family}({n}) would have {rows} "
+                           f"rows; it is built for n <= {MAX_TABLE_N} only")
+
+
 def _standard_cartan(spec: AlgebraSpec) -> CartanDatum:
     """The diagonal Cartan, laid out from index data alone.
 
-    Basis h_k = E_kk - E_(k+1)(k+1); real basis the first rank coordinate
-    rows (h_k for sl(n,R), i h_k for su(n)).  No eigenvectors are
-    involved.  The Weyl table is built on first read, and refused above
-    MAX_TABLE_N before anything is allocated.
+    No matrix of the algebra is formed and no linear algebra is done.  The
+    Weyl table is built on first read, and refused above MAX_TABLE_N before
+    anything is allocated.
     """
-    n = spec.n
-    if n > MAX_TABLE_N:
-        raise AlgebraError(
-            f"the S_n table of {spec.family}({n}) would have {math.factorial(n):,} "
-            f"rows; it is built for n <= {MAX_TABLE_N} only"
-        )
-    basis = [element_from_matrix(spec, _unit(n, k, k) - _unit(n, k + 1, k + 1))
-             for k in range(n - 1)]
-    pairs = _root_pairs(n)
-    cols = np.stack([h.coords for h in basis])
+    _refuse_large_table(spec.family, spec.n)
+    pairs = _root_pairs(spec.n)
     return CartanDatum(
         algebra=spec,
-        basis=tuple(basis),
-        real_basis=tuple(element(spec, row) for row in np.eye(spec.dim)[: n - 1]),
-        roots=_readonly(_root_values(n)),
+        roots=_readonly(_root_values(spec.n)),
         positive=tuple(r for r, (i, j) in enumerate(pairs) if i < j),
-        simple=tuple(r for r, (i, j) in enumerate(pairs) if j == i + 1),
-        gram=_readonly(np.real(cols @ spec.killing @ cols.T)),
     )
 
 
 def cartan_coordinates(cartan: CartanDatum, x: AlgebraElement) -> np.ndarray:
-    """Coordinates of an element of the Cartan over the complex basis."""
-    cols = np.stack([h.coords.astype(complex) for h in cartan.basis], axis=1)
-    t = np.linalg.lstsq(cols, x.coords.astype(complex), rcond=None)[0]
-    recon = cols @ t
-    if np.max(np.abs(recon - x.coords)) > 1e-8 * max(1.0, np.max(np.abs(x.coords))):
-        raise AlgebraError("element does not lie in the Cartan subalgebra")
-    return t
+    """Coordinates of an element of the Cartan over the complex basis h_k.
 
-
-# ---------------------------------------------------------------------------
-# Iwasawa decomposition
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class IwasawaDatum:
-    """Cartan involution and the K/A/N (plus M) subspace data."""
-
-    algebra: AlgebraSpec
-    involution: np.ndarray                # (dim, dim) acting on coordinates
-    k_basis: tuple[AlgebraElement, ...]
-    p_basis: tuple[AlgebraElement, ...]
-    a_basis: tuple[AlgebraElement, ...]
-    m_basis: tuple[AlgebraElement, ...]
-    n_basis: tuple[AlgebraElement, ...]
-    restricted_roots: np.ndarray          # (n_res, dim a) values on a_basis
-    restricted_positive: tuple[int, ...]
-
-
-def iwasawa_decomposition(spec: AlgebraSpec) -> IwasawaDatum:
-    """Iwasawa data for the realization.
-
-    sl(n,R): theta(X) = -X^T; a = traceless diagonal, n = strictly lower
-    triangular (the intersection with the negative restricted root spaces
-    for the positive system e_i - e_j, i < j), k = antisymmetric.
-    su(n): theta = id, k = g, a = n = 0, m = g.
+    They are its first rank coordinates, times i for su(n), whose real
+    basis is i h_k.
     """
-    n = spec.n
-
-    def coords_of(m):
-        return element_from_matrix(spec, m)
-
-    if spec.family == "su":
-        theta = np.eye(spec.dim)
-        k_basis = tuple(element(spec, row) for row in np.eye(spec.dim))
-        return IwasawaDatum(
-            algebra=spec,
-            involution=_readonly(theta),
-            k_basis=k_basis,
-            p_basis=(),
-            a_basis=(),
-            m_basis=k_basis,
-            n_basis=(),
-            restricted_roots=_readonly(np.zeros((0, 0))),
-            restricted_positive=(),
-        )
-
-    # theta on coordinates from its action on basis matrices
-    theta = _matrix_to_coords(spec._proj, -np.swapaxes(spec.basis, 1, 2)).T
-    theta[np.abs(theta) < 1e-13] = 0.0
-
-    def e(j, k):
-        return _unit(n, j, k)
-
-    upper = [(i, j) for i, j in _root_pairs(n) if i < j]
-    k_basis = tuple(coords_of(e(i, j) - e(j, i)) for i, j in upper)
-    a_basis = tuple(coords_of(e(k, k) - e(k + 1, k + 1)) for k in range(n - 1))
-    p_basis = a_basis + tuple(coords_of(e(i, j) + e(j, i)) for i, j in upper)
-    n_basis = tuple(coords_of(e(i, j)) for i, j in _root_pairs(n) if i > j)
-
-    # Restricted roots: e_i - e_j as functionals on a, i != j.
-    pos = [r for r, (i, j) in enumerate(_root_pairs(n)) if i < j]
-    return IwasawaDatum(
-        algebra=spec,
-        involution=_readonly(theta),
-        k_basis=k_basis,
-        p_basis=p_basis,
-        a_basis=a_basis,
-        m_basis=(),
-        n_basis=n_basis,
-        restricted_roots=_readonly(_root_values(n)),
-        restricted_positive=tuple(pos),
-    )
+    rank = cartan.rank
+    if np.max(np.abs(x.coords[rank:])) > 1e-8 * max(1.0, np.max(np.abs(x.coords))):
+        raise AlgebraError("element does not lie in the Cartan subalgebra")
+    t = x.coords[:rank].astype(complex)
+    return 1j * t if cartan.algebra.family == "su" else t
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import geometry_sl2 as geo
-from .algebra import _NONREAL, _REGULAR, AlgebraError, build_algebra, element
+from .algebra import (_NONREAL, _REGULAR, AlgebraError, _refuse_large_table,
+                      build_algebra, element)
 from .localize import OrbitSpec, _evaluate, _terms, fourier_grid, make_orbit
 from .oracle import (
     CalibrationError,
@@ -109,6 +110,12 @@ def _integer(value, name: str) -> int:
     return int(out)
 
 
+def _allocatable(count: int, name: str) -> None:
+    """Refuse a count beyond numpy's index range (``main`` reports MemoryError)."""
+    if count > sys.maxsize:
+        raise ConfigError(f"{name} = {count} is too large to allocate")
+
+
 def _block(cfg: dict, key: str) -> dict:
     value = cfg.get(key, {})
     if not isinstance(value, dict):
@@ -125,7 +132,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}")
     try:
         return _parse_config(raw)
-    except ConfigError:
+    except (ConfigError, AlgebraError):
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config: {exc}")
@@ -135,6 +142,10 @@ def _parse_config(raw: dict) -> RunConfig:
     algebra = _require(raw, "algebra", "")
     family = _require(algebra, "family", "algebra")
     n = _integer(_require(algebra, "n", "algebra"), "algebra.n")
+    if family in ("su", "sl_real"):
+        # Refused while parsing, before build_algebra spends n^4 memory
+        # on a basis whose Weyl table would be refused anyway.
+        _refuse_large_table(family, n)
     weight = _numbers(_require(raw, "weight", ""), "weight")
     mode = raw.get("mode")
     s0 = _integer(raw.get("s0", 1), "s0")
@@ -152,6 +163,7 @@ def _parse_config(raw: dict) -> RunConfig:
         steps = _integer(axis["steps"], f"{where}.steps")
         if steps < 1:
             raise ConfigError(f"{where}.steps must be >= 1")
+        _allocatable(steps, f"{where}.steps")
         direction = axis.get("direction")
         axes.append(
             GridAxis(
@@ -174,6 +186,7 @@ def _parse_config(raw: dict) -> RunConfig:
     samples = _integer(oracle.get("samples", 200_000), "oracle.samples")
     if samples < 2:
         raise ConfigError(f"oracle.samples must be >= 2, got {samples}")
+    _allocatable(samples, "oracle.samples")
     output = _block(raw, "output")
     out_format = output.get("format", "csv")
     if out_format not in ("csv", "json"):
@@ -212,7 +225,8 @@ def _build_orbit(cfg: RunConfig) -> OrbitSpec:
 def _grid_points(cfg: RunConfig, orbit: OrbitSpec) -> tuple[np.ndarray, np.ndarray]:
     """Cartesian grid: the axis values and the basis coordinates of each point.
 
-    Default axis directions are the real Cartan basis.  Points run in
+    Default axis directions are the real Cartan basis, the first rank
+    coordinate rows.  Points run in
     ``itertools.product`` order (last axis fastest), and coordinates are
     summed in axis order, zeros + c0*d0 + c1*d1 + ...  Grids whose points
     overflow to non-finite coordinates are refused.
@@ -228,7 +242,7 @@ def _grid_points(cfg: RunConfig, orbit: OrbitSpec) -> tuple[np.ndarray, np.ndarr
                 raise ConfigError(
                     f"grid.axes[{i}] needs an explicit direction beyond the rank"
                 )
-            directions.append(orbit.cartan.real_basis[i].coords)
+            directions.append(np.eye(spec.dim)[i])
         else:
             if len(axis.direction) != spec.dim:
                 raise ConfigError(
@@ -603,6 +617,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, CalibrationError, AlgebraError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # A grid or sample count too large to allocate.
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return EXIT_CONFIG
 
 

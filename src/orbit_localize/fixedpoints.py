@@ -8,7 +8,9 @@ multiplicity array, and the closed form of the automatic modes reads
 neither; ``FixedPoint`` objects are built only when read.  A fixed point
 stores its Weyl element, the transported orbit parameter (the Weyl image
 of the defining covector) and an integer multiplicity; the roots
-spanning its Borel's nilradical are read off the permutation.
+spanning its Borel's nilradical are read off the permutation.  One rule
+decides whether an orbit parameter is regular (``_check_regular``), for
+``make_orbit`` and ``enumerate_fixed_points`` alike.
 
 Multiplicity modes:
 
@@ -32,19 +34,12 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .algebra import (
-    AlgebraError,
-    CartanDatum,
-    WeylElement,
-    coroot,
-)
+from .algebra import AlgebraError, CartanDatum, WeylElement, _upper_pairs
 
 __all__ = [
     "FixedPoint",
     "MultiplicityAssignment",
-    "is_regular_covector",
     "enumerate_fixed_points",
-    "split_positive_system",
     "closed_orbit_support",
     "assign_multiplicities",
 ]
@@ -83,15 +78,17 @@ class MultiplicityAssignment:
     sign: int                      # global calibration sign (split mode)
 
 
-def is_regular_covector(cartan: CartanDatum, covector: np.ndarray,
-                        tol: float = 1e-8) -> bool:
-    """No vanishing coroot pairing, relative to the largest pairing."""
-    covector = np.asarray(covector)
-    pairings = np.array(
-        [abs(np.dot(covector, coroot(cartan, r))) for r in cartan.positive]
-    )
-    scale = max(float(pairings.max()), 1e-300)
-    return bool(float(pairings.min()) > tol * scale)
+def _check_regular(zeta: np.ndarray) -> None:
+    """Refuse a parameter whose diagonal zeta has two entries too close.
+
+    The coroot of e_i - e_j pairs with the parameter to a multiple of
+    zeta_i - zeta_j, so it is regular when the entries of zeta are
+    distinct: the smallest gap above 1e-8 times the largest.
+    """
+    i, j = _upper_pairs(len(zeta))
+    gaps = np.abs(zeta[i] - zeta[j])
+    if not gaps.min() > 1e-8 * gaps.max():
+        raise AlgebraError("orbit parameter is singular (vanishing coroot pairing)")
 
 
 def enumerate_fixed_points(cartan: CartanDatum,
@@ -107,35 +104,10 @@ def enumerate_fixed_points(cartan: CartanDatum,
         raise AlgebraError(
             f"covector must have {cartan.rank} coordinates, got {covector.shape}"
         )
-    if not is_regular_covector(cartan, covector):
-        raise AlgebraError("orbit parameter is singular (vanishing coroot pairing)")
+    # Its values on h_k are differences of adjacent diagonal entries, so
+    # the partial sums are the diagonal up to a shift and a scale.
+    _check_regular(np.cumsum(np.append(0.0, covector)))
     return tuple(FixedPoint(w, w.apply(covector), 0) for w in cartan.weyl)
-
-
-def split_positive_system(cartan: CartanDatum, x_coords: np.ndarray,
-                          positive: Optional[Sequence[int]] = None,
-                          tol: float = 1e-12,
-                          ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split a positive system by the sign of Re(alpha(x)).
-
-    Returns (negative-real-part subset, positive-real-part subset); roots
-    whose value on x is purely imaginary fall in neither.  Both returned
-    subsets are closed under root addition inside the positive system.
-    """
-    if positive is None:
-        positive = cartan.positive
-    x_coords = np.asarray(x_coords, dtype=complex)
-    lower, upper = [], []
-    scale = max(
-        (abs(np.dot(cartan.roots[r], x_coords)) for r in positive), default=1.0
-    )
-    for r in positive:
-        v = complex(np.dot(cartan.roots[r], x_coords))
-        if v.real < -tol * scale:
-            lower.append(r)
-        elif v.real > tol * scale:
-            upper.append(r)
-    return tuple(lower), tuple(upper)
 
 
 def closed_orbit_support(cartan: CartanDatum,

@@ -81,6 +81,7 @@ from .fixedpoints import (
     FixedPoint,
     MultiplicityAssignment,
     _check_mode,
+    _check_regular,
     _multiplicities,
     assign_multiplicities,
     closed_orbit_support,
@@ -116,11 +117,11 @@ _STANDARD_CARTANS: dict[tuple[str, int], CartanDatum] = {}
 
 
 def standard_cartan(spec: AlgebraSpec) -> CartanDatum:
-    """The diagonal Cartan of the realization, with a canonical real basis.
+    """The diagonal Cartan of the realization, kept per (family, n).
 
-    The real basis is the diagonal-difference family itself (times i for
-    the compact form), in basis order, so weight coordinates have a stable
-    meaning across runs.
+    Its real basis is the diagonal-difference family itself (times i for
+    the compact form), the first rank coordinate rows, so weight
+    coordinates have a stable meaning across runs.
     """
     key = (spec.family, spec.n)
     if key not in _STANDARD_CARTANS:
@@ -236,13 +237,7 @@ def make_orbit(spec: AlgebraSpec, weight: Sequence[float], mode: str = None,
         span = abs(_scale(spec)) * (zeta.max() - zeta.min())
     if not np.isfinite([*weight, span]).all():
         raise AlgebraError("orbit parameter is non-finite or too large to represent")
-    # The coroot of e_i - e_j pairs with the parameter to s (zeta_i - zeta_j),
-    # so it is regular when the entries of zeta are distinct: the smallest
-    # gap above 1e-8 times the largest.
-    i, j = _upper_pairs(spec.n)
-    gaps = np.abs(zeta[i] - zeta[j])
-    if not gaps.min() > 1e-8 * gaps.max():
-        raise AlgebraError("orbit parameter is singular (vanishing coroot pairing)")
+    _check_regular(zeta)
     _check_mode(mode, s0, user_multiplicities)
     orbit = OrbitSpec(
         algebra=spec,

@@ -16,16 +16,16 @@ from . import geometry_sl2 as geo
 from .algebra import (
     AlgebraError,
     AlgebraSpec,
+    _unit,
     adjoint_matrix,
     bracket,
     build_algebra,
     element,
     element_from_matrix,
-    iwasawa_decomposition,
     reduce_to_cartan,
     standard_spectrum,
 )
-from .fixedpoints import _multiplicities, split_positive_system
+from .fixedpoints import _multiplicities
 from .localize import (
     OrbitSpec,
     casimir_check,
@@ -182,31 +182,38 @@ def _algebra_suite(st: SuiteSettings) -> list[CheckResult]:
     out.append(_check("ad kernel of a regular element = rank",
                       abs(int(kernel) - spec.rank), 0.5))
 
-    mats = {tuple(np.round(w.matrix, 6).ravel()) for w in cart.weyl}
-    closure = 0.0
-    for w1 in cart.weyl:
-        for w2 in cart.weyl:
-            if tuple(np.round(w1.matrix @ w2.matrix, 6).ravel()) not in mats:
-                closure = 1.0
-    out.append(_check("weyl closure under composition", closure, 0.5))
-    perm = 0.0
-    root_keys = {tuple(np.round(r, 6)) for r in cart.roots}
-    for w in cart.weyl:
-        for r in cart.roots:
-            if tuple(np.round(w.apply(r), 6)) not in root_keys:
-                perm = 1.0
-    out.append(_check("weyl elements permute the root set", perm, 0.5))
+    # The Weyl group as permutations: row w of the table is w^-1, which
+    # maps the root (i, j) = e_i - e_j to (w^-1 i, w^-1 j).  A permutation
+    # is keyed by its digits base n.
+    n = spec.n
+    pos = cart._table.pos
+    digits = n ** np.arange(n)
+    keys = pos @ digits
+    closed = all(np.isin(row[pos] @ digits, keys).all() for row in pos)
+    out.append(_check("weyl closure under composition", 0.0 if closed else 1.0, 0.5))
+    i, j = np.array(cart.root_pairs).T
+    moved = np.isin(pos[:, i] * n + pos[:, j], i * n + j).all()
+    out.append(_check("weyl elements permute the root set", 0.0 if moved else 1.0, 0.5))
 
-    iw = iwasawa_decomposition(spec)
-    dim_sum = len(iw.k_basis) + len(iw.a_basis) + len(iw.n_basis)
+    # Iwasawa g = k + a + n.  For sl(n,R), k is spanned by the E_ij - E_ji
+    # (i < j), a by the diagonal differences h_k and n by the negative root
+    # vectors E_ij (i > j); su(n) is all k.
+    h = [_unit(n, c, c) - _unit(n, c + 1, c + 1) for c in range(n - 1)]
+    lower = [(r, c) for r, c in cart.root_pairs if r > c]
+    if spec.family == "su":
+        k, a, nil = spec.basis, [], []
+    else:
+        k = [_unit(n, c, r) - _unit(n, r, c) for r, c in lower]
+        a = h
+        nil = [element_from_matrix(spec, _unit(n, r, c)) for r, c in lower]
     out.append(_check("iwasawa dimension identity",
-                      abs(dim_sum - spec.dim), 0.5))
+                      abs(len(k) + len(a) + len(nil) - spec.dim), 0.5))
     # Lower central series of n terminates at zero.
-    series = list(iw.n_basis)
+    series = list(nil)
     depth = 0
-    while series and depth < spec.n + 1:
+    while series and depth < n + 1:
         nxt = []
-        for u in iw.n_basis:
+        for u in nil:
             for v in series:
                 w = bracket(u, v)
                 if np.max(np.abs(w.coords)) > 1e-12:
@@ -216,6 +223,7 @@ def _algebra_suite(st: SuiteSettings) -> list[CheckResult]:
     out.append(_check("nilradical lower central series terminates",
                       float(len(series)), 0.5))
 
+    hs = [element_from_matrix(spec, m) for m in h]
     worst_rt = 0.0
     worst_comm = 0.0
     for _ in range(st.sweep):
@@ -224,7 +232,7 @@ def _algebra_suite(st: SuiteSettings) -> list[CheckResult]:
         g = red.group_element
         ad_moved = g @ x.matrix @ np.linalg.inv(g)
         worst_rt = max(worst_rt, float(np.max(np.abs(ad_moved - red.reduced.matrix))))
-        for h in cart.basis:
+        for h in hs:
             worst_comm = max(
                 worst_comm,
                 float(np.max(np.abs(bracket(red.reduced, h).coords))),
@@ -243,51 +251,41 @@ def _fixedpoints_suite(st: SuiteSettings) -> list[CheckResult]:
     out.append(_check("fixed point count = weyl order",
                       abs(len(orbit.fixed_points) - len(cart.weyl)), 0.5))
 
-    union_ok = 0.0
-    closure_ok = 0.0
-    root_keys = {tuple(np.round(r, 6)): i for i, r in enumerate(cart.roots)}
-    for fp in orbit.fixed_points:
-        listed = set(fp.borel_roots)
-        negs = {
-            root_keys[tuple(np.round(-cart.roots[r], 6))] for r in listed
-        }
-        if listed | negs != set(range(len(cart.roots))) or listed & negs:
-            union_ok = 1.0
-        for r1 in listed:
-            for r2 in listed:
-                key = tuple(np.round(cart.roots[r1] + cart.roots[r2], 6))
-                if key in root_keys and root_keys[key] not in listed:
-                    closure_ok = 1.0
-    out.append(_check("borel roots + negatives tile the root set", union_ok, 0.5))
-    out.append(_check("borel roots closed under addition", closure_ok, 0.5))
-
-    base = next(fp for fp in orbit.fixed_points if fp.weyl.label == "e")
-    neg_set = {root_keys[tuple(np.round(-cart.roots[r], 6))] for r in cart.positive}
+    # Root e_i - e_j as the index pair (i, j): its negative is (j, i), and
+    # a sum of two roots is a root only as (i, j) + (j, k) = (i, k).  The
+    # Borel of w carries the w-images (w i, w j), i > j, of the negative
+    # roots, so with pos = w^-1 it holds (i, j) exactly when pos_i > pos_j.
+    n = orbit.algebra.n
+    pos = cart._table.pos
+    borel = pos[:, :, None] > pos[:, None, :]
+    negated = borel.transpose(0, 2, 1)
+    tiled = (((borel | negated) == ~np.eye(n, dtype=bool)).all()
+             and not (borel & negated).any())
+    out.append(_check("borel roots + negatives tile the root set",
+                      0.0 if tiled else 1.0, 0.5))
+    out.append(_check("borel roots closed under addition",
+                      0.0 if _closed(borel) else 1.0, 0.5))
+    base = borel[(pos == np.arange(n)).all(axis=1)]
+    negative = np.tri(n, k=-1, dtype=bool)[None]
     out.append(_check("base borel carries the negative system",
-                      0.0 if set(base.borel_roots) == neg_set else 1.0, 0.5))
+                      0.0 if np.array_equal(base, negative) else 1.0, 0.5))
 
-    # Sign-split conditions on random regular Cartan points.
+    # Sign-split conditions on random regular Cartan points x = sum t_k h_k,
+    # whose diagonal is d_i = t_i - t_(i-1): each positive root (i, j),
+    # i < j, goes by the sign of alpha(x) = d_i - d_j, and both parts must
+    # be closed under addition.
+    i, j = np.triu_indices(n, 1)
     bad = 0.0
     for _ in range(st.sweep):
         t = rng.uniform(0.3, 1.5, cart.rank) * rng.choice([-1.0, 1.0], cart.rank)
-        t = t.astype(complex)
-        lower, upper = split_positive_system(cart, t)
-        for r in lower:
-            if np.real(np.dot(cart.roots[r], t)) >= 0:
+        d = np.append(t, 0.0) - np.append(0.0, t)
+        values = d[i] - d[j]
+        tol = 1e-12 * np.abs(values).max()
+        for sign in (-1.0, 1.0):
+            part = np.zeros((1, n, n), dtype=bool)
+            part[0, i, j] = sign * values > tol
+            if not _closed(part):
                 bad = 1.0
-        for r in upper:
-            if np.real(np.dot(cart.roots[r], t)) <= 0:
-                bad = 1.0
-        for ra in cart.positive:
-            for rb in cart.positive:
-                key = tuple(np.round(cart.roots[ra] + cart.roots[rb], 6))
-                if key not in root_keys:
-                    continue
-                rc = root_keys[key]
-                if ra in lower and rb in lower and rc not in lower:
-                    bad = 1.0
-                if ra in upper and rb in upper and rc not in upper:
-                    bad = 1.0
     out.append(_check("sign-split subsets satisfy both conditions", bad, 0.5))
 
     mults = orbit._multiplicities
@@ -306,6 +304,12 @@ def _fixedpoints_suite(st: SuiteSettings) -> list[CheckResult]:
         out.append(_check("user multiplicities are integral",
                           0.0 if mults.dtype == np.int64 else 1.0, 0.5))
     return out
+
+
+def _closed(roots: np.ndarray) -> bool:
+    """Whether each (m, n, n) root set holds (i, k) with any (i, j) and (j, k)."""
+    step = roots.astype(np.uint8)
+    return not ((step @ step > 0) & ~roots).any()
 
 
 def _localize_suite(st: SuiteSettings) -> list[CheckResult]:

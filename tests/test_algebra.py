@@ -22,13 +22,14 @@ from orbit_localize.algebra import (
     build_algebra,
     element,
     element_from_matrix,
+    cartan_coordinates,
     is_regular_semisimple,
-    iwasawa_decomposition,
     killing_form,
     reduce_to_cartan,
 )
+from orbit_localize import localize
 from orbit_localize.fixedpoints import enumerate_fixed_points
-from orbit_localize.localize import standard_cartan
+from orbit_localize.localize import make_orbit, standard_cartan
 
 RNG = np.random.default_rng(20240811)
 
@@ -217,39 +218,54 @@ def test_cartan_of_sl3():
     labels = [w.label for w in cart.weyl]
     # golden: breadth-first over simple reflections, lexicographic ties
     assert labels == ["e", "s1", "s2", "s1s2", "s2s1", "s1s2s1"]
-    for a in cart.basis:
-        for b in cart.basis:
+    # The real basis is the first rank coordinate rows: the diagonal
+    # differences h_k, which commute, with coordinates e_k over themselves.
+    hs = [element(spec, row) for row in np.eye(spec.dim)[:cart.rank]]
+    for a in hs:
+        for b in hs:
             assert np.max(np.abs(bracket(a, b).coords)) < 1e-9
-    # The basis is the diagonal-difference family, the real basis its
-    # real-form multiple: both from index data.
-    for k, (h, hr) in enumerate(zip(cart.basis, cart.real_basis)):
+    for k, h in enumerate(hs):
         assert np.allclose(h.matrix, np.diag(np.eye(3)[k] - np.eye(3)[k + 1]),
                            atol=1e-15)
-        assert np.array_equal(hr.coords, np.eye(spec.dim)[k])
+        assert np.array_equal(cartan_coordinates(cart, h), np.eye(cart.rank)[k])
 
 
 def test_standard_cartan_needs_no_factorization(monkeypatch):
+    # A cold standard_cartan and make_orbit form no matrix of the algebra
+    # and call no np.linalg function; the table is index arithmetic too.
     specs = [build_algebra(f, n) for f in ("su", "sl_real") for n in (2, 3, 4)]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("factorization while building the standard Cartan")
+        raise AssertionError("linear algebra while laying out the standard Cartan")
 
-    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "inv",
-                 "pinv", "lstsq", "solve"):
-        monkeypatch.setattr(np.linalg, name, refuse)
+    for name in dir(np.linalg):
+        if (not name.startswith("_") and callable(getattr(np.linalg, name))
+                and not isinstance(getattr(np.linalg, name), type)):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    from orbit_localize import algebra
+    monkeypatch.setattr(algebra, "element_from_matrix", refuse)
+    monkeypatch.setattr(localize, "element_from_matrix", refuse)
+    monkeypatch.setattr(localize, "_STANDARD_CARTANS", {})
     for spec in specs:
         assert len(_standard_cartan(spec).weyl) == math.factorial(spec.n)
+        weight = np.cumsum(np.linspace(1.0, -1.0, spec.n))[:-1]
+        assert make_orbit(spec, weight).cartan is standard_cartan(spec)
+        user = make_orbit(spec, weight, mode="user_supplied",
+                          user_multiplicities={"s1": 2})
+        assert user._multiplicities[1] == 2
 
 
 def test_root_vector_eigenproperty():
+    # Root r = (i, j) takes roots[r, k] on h_k, with root vector E_ij.
     for family, n in itertools.product(("su", "sl_real"), (2, 3, 4)):
-        cart = standard_cartan(build_algebra(family, n))
-        assert len(cart.root_vectors) == len(cart.roots) == n * (n - 1)
+        spec = build_algebra(family, n)
+        cart = standard_cartan(spec)
+        hs = [element_from_matrix(spec, np.diag(np.eye(n)[k] - np.eye(n)[k + 1]))
+              for k in range(n - 1)]
+        assert len(cart.root_pairs) == len(cart.roots) == n * (n - 1)
         for r, (i, j) in enumerate(cart.root_pairs):
-            vec = cart.root_vectors[r]
-            assert np.allclose(vec.matrix, np.eye(n)[:, [i]] @ np.eye(n)[[j]],
-                               atol=1e-15)
-            for k, h in enumerate(cart.basis):
+            vec = element_from_matrix(spec, np.eye(n)[:, [i]] @ np.eye(n)[[j]])
+            for k, h in enumerate(hs):
                 lhs = bracket(h, vec).coords
                 rhs = cart.roots[r][k] * vec.coords
                 assert np.max(np.abs(lhs - rhs)) < 1e-10
@@ -282,7 +298,14 @@ def test_weyl_group_closure_and_root_permutation(n):
         for r in cart.roots:
             assert tuple(np.round(w.apply(r), 8)) in root_keys
 
-    reflections = [_reflection(cart.gram, cart.roots[r]) for r in cart.simple]
+    # The Killing form on h_k = E_kk - E_(k+1)(k+1), and the simple roots
+    # e_i - e_(i+1).
+    spec = cart.algebra
+    hs = [element_from_matrix(spec, np.diag(np.eye(n)[k] - np.eye(n)[k + 1]))
+          for k in range(rank)]
+    gram = np.array([[killing_form(a, b) for b in hs] for a in hs])
+    simple_roots = [r for r, (i, j) in enumerate(cart.root_pairs) if j == i + 1]
+    reflections = [_reflection(gram, cart.roots[r]) for r in simple_roots]
     simple = [np.round(m) for m in reflections]
     assert all(np.max(np.abs(m - s)) < 1e-12 for m, s in zip(reflections, simple))
     for w in cart.weyl:
@@ -386,30 +409,23 @@ def test_weyl_table_matches_the_permutation_walk(n):
 
 
 # --- iwasawa ----------------------------------------------------------------
-
-def test_iwasawa_sl2_dimensions():
-    iw = iwasawa_decomposition(sl2())
-    assert (len(iw.k_basis), len(iw.a_basis), len(iw.n_basis)) == (1, 1, 1)
-
-
-def test_iwasawa_su3_compact():
-    spec = su(3)
-    iw = iwasawa_decomposition(spec)
-    assert len(iw.a_basis) == 0 and len(iw.n_basis) == 0
-    assert len(iw.k_basis) == spec.dim
-    assert np.allclose(iw.involution, np.eye(spec.dim))
-
+# The decomposition is reference code here: theta(X) = -X^T, k the
+# antisymmetric matrices, a the diagonal ones and n the strictly lower
+# triangular ones, for the positive system e_i - e_j, i < j.
 
 def test_iwasawa_sl3_restricted_roots():
-    iw = iwasawa_decomposition(build_algebra("sl_real", 3))
-    assert iw.restricted_roots.shape[0] == 6
-    assert len(iw.restricted_positive) == 3
+    # For the split form a is the standard Cartan, so the restricted roots
+    # are its roots.
+    cart = standard_cartan(build_algebra("sl_real", 3))
+    assert cart.roots.shape[0] == 6
+    assert len(cart.positive) == 3
+    assert all(i < j for i, j in (cart.root_pairs[r] for r in cart.positive))
 
 
 def test_iwasawa_involution_properties():
     spec = build_algebra("sl_real", 3)
-    iw = iwasawa_decomposition(spec)
-    theta = iw.involution
+    theta = np.stack([element_from_matrix(spec, -m.T).coords
+                      for m in spec.basis.real], axis=1)
     assert np.max(np.abs(theta @ theta - np.eye(spec.dim))) < 1e-12
     for _ in range(10):
         x = element(spec, RNG.standard_normal(8))
@@ -419,19 +435,24 @@ def test_iwasawa_involution_properties():
         lhs = element(spec, theta @ bracket(x, y).coords)
         rhs = bracket(tx, ty)
         assert np.max(np.abs(lhs.coords - rhs.coords)) < 1e-10
-    for k in iw.k_basis:
+    unit = np.eye(3)
+    for i, j in itertools.combinations(range(3), 2):
+        e = np.outer(unit[i], unit[j])
+        k = element_from_matrix(spec, e - e.T)
+        p = element_from_matrix(spec, e + e.T)
         assert np.allclose(theta @ k.coords, k.coords, atol=1e-12)
-    for p in iw.p_basis:
         assert np.allclose(theta @ p.coords, -p.coords, atol=1e-12)
 
 
 def test_iwasawa_nilradical_is_nilpotent():
     spec = build_algebra("sl_real", 3)
-    iw = iwasawa_decomposition(spec)
-    layer = list(iw.n_basis)
+    unit = np.eye(3)
+    nil = [element_from_matrix(spec, np.outer(unit[i], unit[j]))
+           for i in range(3) for j in range(i)]
+    layer = list(nil)
     for _ in range(4):
         layer = [
-            bracket(u, v) for u in iw.n_basis for v in layer
+            bracket(u, v) for u in nil for v in layer
             if np.max(np.abs(bracket(u, v).coords)) > 1e-12
         ]
     assert layer == []
@@ -491,7 +512,8 @@ def test_reduce_roundtrip_random(family, n):
         assert np.max(np.abs(
             g @ x.matrix @ np.linalg.inv(g) - red.reduced.matrix
         )) < 1e-10
-        for h in cart.basis:
+        for k in range(n - 1):
+            h = element_from_matrix(spec, np.diag(np.eye(n)[k] - np.eye(n)[k + 1]))
             moved = bracket(
                 element(spec, red.reduced.coords.astype(complex)), h
             )

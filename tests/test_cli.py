@@ -329,6 +329,7 @@ def test_multiplicity_overflow_refused_in_json(tmp_path, capsys):
 
 @pytest.mark.parametrize("n,command", [
     (10, ["eval"]), (13, ["eval"]), (10, ["verify", "--suite", "algebra"]),
+    (40, ["eval"]), (40, ["verify", "--suite", "algebra"]),
 ])
 def test_refuses_weyl_tables_too_large_to_build(tmp_path, capsys,
                                                 monkeypatch, n, command):
@@ -358,6 +359,47 @@ def test_refuses_weyl_tables_too_large_to_build(tmp_path, capsys,
         "rows; it is built for n <= 9 only\n")
     assert not out.exists()
     assert peak < 8e6
+
+
+@pytest.mark.parametrize("command,path,value,message", [
+    ("eval", ("grid", "axes", 0, "steps"), 10 ** 15, "out of memory: Unable to allocate"),
+    ("oracle", ("oracle", "samples"), 10 ** 15, "out of memory: Unable to allocate"),
+    ("calibrate", ("oracle", "samples"), 10 ** 15, "out of memory: Unable to allocate"),
+    ("eval", ("grid", "axes", 0, "steps"), 10 ** 20,
+     "grid.axes[0].steps = 100000000000000000000 is too large to allocate"),
+    ("oracle", ("oracle", "samples"), 10 ** 20,
+     "oracle.samples = 100000000000000000000 is too large to allocate"),
+], ids=["eval", "oracle", "calibrate", "eval-beyond-intp", "oracle-beyond-intp"])
+def test_sizes_too_large_to_allocate_exit_2(tmp_path, capsys, command, path,
+                                            value, message):
+    # 10^15 rows would take petabytes: numpy refuses to allocate them at
+    # once, and sizes beyond the index range are refused while parsing.
+    cfg = json.loads(json.dumps(SU3))
+    target = cfg
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_refuses_huge_n_without_forming_its_factorial(tmp_path, capsys):
+    # (10^12)! has no printable size: the refusal gives its power of ten.
+    n = 10 ** 12
+    cfg = {"algebra": {"family": "sl_real", "n": n}, "weight": [1.0],
+           "grid": {"axes": [{"start": 0.1, "stop": 0.2, "steps": 2}]}}
+    out = tmp_path / "out.csv"
+    assert main(["eval", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    digits = math.lgamma(n + 1) / math.log(10)
+    assert capsys.readouterr().err == (
+        f"error: the S_n table of sl_real({n}) would have about 10^{digits:.0f} "
+        "rows; it is built for n <= 9 only\n")
+    assert not out.exists()
 
 
 def test_eval_refuses_non_finite_grid_points(tmp_path, capsys):

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from orbit_localize.algebra import AlgebraError, build_algebra, element_from_matrix
+from orbit_localize.algebra import (
+    AlgebraError,
+    build_algebra,
+    cartan_coordinates,
+    element_from_matrix,
+)
 from orbit_localize.fixedpoints import (
     assign_multiplicities,
     closed_orbit_support,
     enumerate_fixed_points,
-    is_regular_covector,
-    split_positive_system,
 )
 from orbit_localize.localize import make_orbit, standard_cartan
 
@@ -36,10 +39,12 @@ def test_fixed_point_counts():
 
 def test_singular_covector_rejected():
     cart = sl3_cartan()
-    bad = np.zeros(2)  # vanishes on every coroot
-    with pytest.raises(AlgebraError):
-        enumerate_fixed_points(cart, bad)
-    assert not is_regular_covector(cart, bad)
+    for bad in (np.zeros(2),          # vanishes on every coroot
+                np.array([1.0, -1.0])):  # vanishes on the coroot of e_1 - e_3
+        with pytest.raises(AlgebraError) as info:
+            enumerate_fixed_points(cart, bad)
+        assert str(info.value) == (
+            "orbit parameter is singular (vanishing coroot pairing)")
 
 
 def test_base_point_carries_negative_system():
@@ -78,49 +83,35 @@ def test_transported_weights_are_weyl_images():
 
 
 # --- sign splits ------------------------------------------------------------
+# The split is reference code here: the positive roots by the sign of the
+# real part of their value, each part closed under (i, j) + (j, k) = (i, k).
 
 def test_split_single_root_positive_value():
     spec = build_algebra("sl_real", 2)
     cart = standard_cartan(spec)
     # diag(1,-1) has coordinates (1,) against the Cartan basis; alpha -> 2.
-    lower, upper = split_positive_system(cart, np.array([1.0 + 0.0j]))
-    assert lower == ()
-    assert upper == tuple(cart.positive)
-
-
-def test_split_swaps_under_negation():
-    cart = sl3_cartan()
-    for _ in range(20):
-        t = (RNG.uniform(0.3, 1.5, 2) * RNG.choice([-1.0, 1.0], 2)).astype(complex)
-        lo, up = split_positive_system(cart, t)
-        lo2, up2 = split_positive_system(cart, -t)
-        if len(lo) + len(up) == len(cart.positive):  # no imaginary-value roots
-            assert set(lo) == set(up2)
-            assert set(up) == set(lo2)
+    t = cartan_coordinates(cart, element_from_matrix(spec, np.diag([1.0, -1.0])))
+    assert t == pytest.approx([1.0], abs=1e-14)
+    assert [cart.roots[r] @ t for r in cart.positive] == pytest.approx([2.0], abs=1e-14)
 
 
 def test_split_conditions_brute_force_sl3():
     cart = sl3_cartan()
-    t = np.array([1.0, 2.0], dtype=complex)  # values of diag(1,2,-3)... scaled chamber
     spec = build_algebra("sl_real", 3)
     x = element_from_matrix(spec, np.diag([1.0, 2.0, -3.0]))
-    from orbit_localize.algebra import cartan_coordinates
     t = cartan_coordinates(cart, x)
-    lower, upper = split_positive_system(cart, t)
-    # condition a): every positive root has nonzero real value and is sorted
-    for r in cart.positive:
-        val = complex(np.dot(cart.roots[r], t))
-        assert abs(val.real) > 1e-9
-        assert (r in lower) == (val.real < 0)
-        assert (r in upper) == (val.real > 0)
+    values = {cart.root_pairs[r]: complex(cart.roots[r] @ t) for r in cart.positive}
+    # condition a): every positive root has nonzero real value: alpha(x) = x_i - x_j
+    assert values == pytest.approx({(0, 1): -1.0, (0, 2): 4.0, (1, 2): 5.0}, abs=1e-12)
+    lower = {p for p, v in values.items() if v.real < 0}
+    upper = {p for p, v in values.items() if v.real > 0}
+    assert lower | upper == set(values)
     # condition b): closure under addition, checked over all pairs
-    keys = {tuple(np.round(cart.roots[r], 6)): r for r in range(len(cart.roots))}
     for subset in (lower, upper):
-        for r1 in subset:
-            for r2 in subset:
-                key = tuple(np.round(cart.roots[r1] + cart.roots[r2], 6))
-                if key in keys and keys[key] in cart.positive:
-                    assert keys[key] in subset
+        for i, j in subset:
+            for j2, k in subset:
+                if j == j2:
+                    assert (i, k) in subset
 
 
 # --- closed-orbit support ---------------------------------------------------

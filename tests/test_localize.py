@@ -353,14 +353,16 @@ def test_grid_rows_independent_of_batch(algebra, batch, cut, order, block_rows):
 def test_grid_longer_than_one_block():
     orbit = _orbit("su", 5)
     spec = orbit.algebra
-    per_block = localize._BLOCK // spec.n ** 2
+    # 64 rows a block and 13 rows (1,600 terms) a chunk of the term sum.
+    per_block = 64
     rng = np.random.default_rng(11)
     kinds = rng.choice(ROW_KINDS, size=2 * per_block + 37)
     xs = [element(spec, _sample_row(spec, k, rng)) for k in kinds]
-    keys = [_row_key(r) for r in fourier_grid(orbit, xs)]
-    assert keys == [_pointwise_key(orbit, x) for x in xs]
-    shifted = fourier_grid(orbit, xs[:41]) + fourier_grid(orbit, xs[41:])
-    assert [_row_key(r) for r in shifted] == keys
+    with mock.patch.object(localize, "_BLOCK", per_block * spec.n ** 2):
+        keys = [_row_key(r) for r in fourier_grid(orbit, xs)]
+        assert keys == [_pointwise_key(orbit, x) for x in xs]
+        shifted = fourier_grid(orbit, xs[:41]) + fourier_grid(orbit, xs[41:])
+        assert [_row_key(r) for r in shifted] == keys
 
 
 def test_grid_array_input_matches_elements():
@@ -609,13 +611,26 @@ def test_mode_validation():
         assert str(info.value) == message
 
 
+def _coroot_rule(cart, values, tol=1e-8):
+    """No coroot pairing below tol times the largest, the coroots solved
+    from the Killing form on h_k = E_kk - E_(k+1)(k+1)."""
+    spec, n = cart.algebra, cart.algebra.n
+    hs = [element_from_matrix(spec, np.diag(np.eye(n)[k] - np.eye(n)[k + 1]))
+          for k in range(n - 1)]
+    gram = np.array([[killing_form(a, b) for b in hs] for a in hs]).real
+    pairings = []
+    for r in cart.positive:
+        alpha = cart.roots[r]
+        t = np.linalg.solve(gram, alpha)
+        pairings.append(abs(values @ (2.0 * t / (alpha @ t))))
+    return min(pairings) > tol * max(max(pairings), 1e-300)
+
+
 @pytest.mark.parametrize("t,regular", [(3.1e-8, True), (2.9e-8, False)])
 def test_orbit_regularity_at_the_tolerance(t, regular):
     # zeta = (1 + t, 1, -2 - t): smallest gap t, largest 3 + 2t, so the
     # ratio crosses 1e-8 between the two t.  In user_supplied mode zeta
     # stays as given, (1 + t, -2 - t, 1), and the near pair is not adjacent.
-    from orbit_localize.fixedpoints import is_regular_covector
-
     for family, mode, weight in [("su", "compact", (1 + t, 2 + t)),
                                  ("sl_real", "maximally_split", (1 + t, 2 + t)),
                                  ("sl_real", "user_supplied", (1 + t, -1.0))]:
@@ -623,7 +638,13 @@ def test_orbit_regularity_at_the_tolerance(t, regular):
         zeta = np.array([weight[0], weight[1] - weight[0], -weight[1]])
         values = localize._scale(spec) * (zeta[:-1] - zeta[1:])
         # The coroot rule that the distinct-entries rule replaced agrees.
-        assert is_regular_covector(localize.standard_cartan(spec), values) == regular
+        cart = localize.standard_cartan(spec)
+        assert _coroot_rule(cart, values) == regular
+        if not regular:
+            with pytest.raises(AlgebraError) as info:
+                localize.enumerate_fixed_points(cart, values)
+            assert str(info.value) == (
+                "orbit parameter is singular (vanishing coroot pairing)")
         mults = {"e": 1} if mode == "user_supplied" else None
         if regular:
             assert make_orbit(spec, weight, mode=mode,
@@ -708,23 +729,22 @@ def test_orbit_arrays_match_the_object_chain(monkeypatch, family, n, kwargs):
 
 
 def _count_cartan_objects(monkeypatch):
-    """Count WeylElement and root-vector constructions from a cold Cartan."""
+    """Count WeylElement constructions and matrix projections from a cold Cartan."""
     from orbit_localize import algebra
 
-    counts = {"weyl": 0, "root_vectors": 0}
+    counts = {"weyl": 0, "from_matrix": 0}
 
     def weyl_element(*args, _real=algebra.WeylElement):
         counts["weyl"] += 1
         return _real(*args)
 
     def from_matrix(spec, m, _real=algebra.element_from_matrix):
-        # The Cartan basis is diagonal; a root vector E_ij is not.
-        m = np.asarray(m)
-        counts["root_vectors"] += bool(np.any(m - np.diag(np.diag(m))))
+        counts["from_matrix"] += 1
         return _real(spec, m)
 
     monkeypatch.setattr(algebra, "WeylElement", weyl_element)
     monkeypatch.setattr(algebra, "element_from_matrix", from_matrix)
+    monkeypatch.setattr(localize, "element_from_matrix", from_matrix)
     monkeypatch.setattr(localize, "_STANDARD_CARTANS", {})
     return counts
 
@@ -749,15 +769,13 @@ def test_automatic_modes_build_no_cartan_objects(monkeypatch, family, n):
     assert orbit.mode == ("compact" if family == "su" else "maximally_split")
     x = np.random.default_rng(5).standard_normal((3, cart.algebra.dim))
     assert all(np.isfinite(row.value) for row in fourier_grid(orbit, x))
-    assert counts == {"weyl": 0, "root_vectors": 0}
+    assert counts == {"weyl": 0, "from_matrix": 0}
 
     # Each view builds the objects once, on first read.
     assert len(orbit.fixed_points) == math.factorial(n)
     assert orbit.assignment is orbit.assignment
     assert orbit.fixed_points[0].weyl is cart.weyl[0]
-    assert len(cart.root_vectors) == n * (n - 1)
-    assert cart.root_vectors is cart.root_vectors
-    assert counts == {"weyl": math.factorial(n), "root_vectors": n * (n - 1)}
+    assert counts == {"weyl": math.factorial(n), "from_matrix": 0}
 
 
 def test_user_supplied_mode_and_json_eval_build_weyl_objects_once(
@@ -770,9 +788,9 @@ def test_user_supplied_mode_and_json_eval_build_weyl_objects_once(
                        user_multiplicities={"s1": 2, "s2s3": -1})
     # The labels come from the table alone; the views build the objects once.
     assert orbit.cartan._labels[:3] == ("e", "s1", "s2")
-    assert counts == {"weyl": 0, "root_vectors": 0}
+    assert counts == {"weyl": 0, "from_matrix": 0}
     assert orbit.fixed_points[1].multiplicity == 2
-    assert counts == {"weyl": 24, "root_vectors": 0}
+    assert counts == {"weyl": 24, "from_matrix": 0}
 
     counts["weyl"] = 0
     localize._STANDARD_CARTANS.clear()
@@ -785,7 +803,7 @@ def test_user_supplied_mode_and_json_eval_build_weyl_objects_once(
     path.write_text(json.dumps(cfg))
     assert main(["eval", "--config", str(path),
                  "--out", str(tmp_path / "out.json")]) == 0
-    assert counts == {"weyl": 0, "root_vectors": 0}
+    assert counts == {"weyl": 0, "from_matrix": 0}
 
 
 def test_user_supplied_mode_roundtrip():
