@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -98,8 +98,24 @@ class AlgebraSpec:
     rank: int
     labels: tuple[str, ...]
     basis: np.ndarray       # (dim, n, n) complex defining matrices e_i
-    killing: np.ndarray     # (dim, dim) integer-valued: 2n Re tr(e_i e_j)
-    _proj: np.ndarray = field(repr=False, default=None)  # matrix -> coords
+
+    @functools.cached_property
+    def killing(self) -> np.ndarray:
+        """(dim, dim) integer-valued: 2n Re tr(e_i e_j), formed on first read."""
+        # Basis entries are 0, +-1, +-i, so the trace form is exact.
+        basis = self.basis
+        return _readonly(2 * self.n * np.einsum("iab,jba->ij", basis, basis).real)
+
+    @functools.cached_property
+    def _proj(self) -> np.ndarray:
+        """Real-linear projector from matrices to coordinates, formed on first read.
+
+        Coordinates are real for real-form elements and extend
+        complex-linearly on the complexification.
+        """
+        basis = self.basis
+        flat = np.concatenate([basis.real, basis.imag], axis=1).reshape(self.dim, -1)
+        return _readonly(np.linalg.pinv(flat.T))
 
     def __repr__(self) -> str:
         return f"AlgebraSpec({self.family}({self.n}), dim={self.dim})"
@@ -146,32 +162,28 @@ def _unit(n: int, j: int, k: int) -> np.ndarray:
     return m
 
 
-def _basis_matrices(family: str, n: int) -> tuple[list[np.ndarray], list[str]]:
-    mats: list[np.ndarray] = []
-    labels: list[str] = []
-
+def _basis_matrices(family: str, n: int) -> tuple[np.ndarray, list[str]]:
+    """The (dim, n, n) basis stack and its labels, laid out by index assignment."""
+    k = np.arange(n - 1)
+    basis = np.zeros((n * n - 1, n, n), dtype=complex)
     if family == "sl_real":
-        for k in range(n - 1):
-            mats.append(_unit(n, k, k) - _unit(n, k + 1, k + 1))
-            labels.append(f"h{k + 1}")
-        for j in range(n):
-            for k in range(n):
-                if j != k:
-                    mats.append(_unit(n, j, k))
-                    labels.append(f"e{j + 1}{k + 1}")
-    elif family == "su":
-        for k in range(n - 1):
-            mats.append(1j * (_unit(n, k, k) - _unit(n, k + 1, k + 1)))
-            labels.append(f"d{k + 1}")
-        for j in range(n):
-            for k in range(j + 1, n):
-                mats.append(_unit(n, j, k) - _unit(n, k, j))
-                labels.append(f"s{j + 1}{k + 1}")
-                mats.append(1j * (_unit(n, j, k) + _unit(n, k, j)))
-                labels.append(f"a{j + 1}{k + 1}")
-    else:
-        raise AlgebraError(f"unsupported family: {family!r}")
-    return mats, labels
+        basis[k, k, k], basis[k, k + 1, k + 1] = 1.0, -1.0
+        j, m = np.nonzero(~np.eye(n, dtype=bool))   # j != m, row-major
+        basis[n - 1 + np.arange(len(j)), j, m] = 1.0
+        labels = [f"h{c}" for c in range(1, n)]
+        labels += [f"e{a + 1}{b + 1}" for a, b in zip(j.tolist(), m.tolist())]
+        return basis, labels
+    # i*(E_kk - E_(k+1)(k+1)) as the complex product forms it: -i has real
+    # part -0.0.
+    basis[k, k, k], basis[k, k + 1, k + 1] = 1j, complex(-0.0, -1.0)
+    j, m = _upper_pairs(n)
+    s = n - 1 + 2 * np.arange(len(j))   # E_jm - E_mj, then i(E_jm + E_mj)
+    basis[s, j, m], basis[s, m, j] = 1.0, -1.0
+    basis[s + 1, j, m] = basis[s + 1, m, j] = 1j
+    labels = [f"d{c}" for c in range(1, n)]
+    for a, b in zip(j.tolist(), m.tolist()):
+        labels += [f"s{a + 1}{b + 1}", f"a{a + 1}{b + 1}"]
+    return basis, labels
 
 
 def _matrix_to_coords(proj: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -195,26 +207,14 @@ def build_algebra(family: str, n: int) -> AlgebraSpec:
     if n < 2:
         raise AlgebraError(f"rank parameter must satisfy n >= 2, got {n}")
 
-    mats, labels = _basis_matrices(family, n)
-    basis = np.stack(mats)
-    assert len(mats) == n * n - 1
-
-    # Real-linear projector onto the basis: coordinates are real for
-    # real-form elements and extend complex-linearly on the complexification.
-    flat = np.concatenate([basis.real, basis.imag], axis=1).reshape(len(mats), -1)
-    proj = np.linalg.pinv(flat.T)
-    # Basis entries are 0, +-1, +-i, so the trace form is exact.
-    killing = 2 * n * np.einsum("iab,jba->ij", basis, basis).real
-
+    basis, labels = _basis_matrices(family, n)
     return AlgebraSpec(
         family=family,
         n=n,
-        dim=len(mats),
+        dim=len(basis),
         rank=n - 1,
         labels=tuple(labels),
         basis=_readonly(basis),
-        killing=_readonly(killing),
-        _proj=_readonly(proj),
     )
 
 
@@ -499,10 +499,20 @@ def _weyl_table(n: int) -> _WeylTable:
 def _refuse_large_table(family: str, n: int) -> None:
     """Refuse an S_n table above MAX_TABLE_N, before anything is allocated."""
     if n > MAX_TABLE_N:
-        rows = (f"{math.factorial(n):,}" if n <= 100
-                else f"about 10^{math.lgamma(n + 1) / math.log(10):.0f}")
-        raise AlgebraError(f"the S_n table of {family}({n}) would have {rows} "
+        raise AlgebraError(f"the S_n table of {family}({n}) would have {_rows(n)} "
                            f"rows; it is built for n <= {MAX_TABLE_N} only")
+
+
+def _rows(n: int) -> str:
+    """n! as text: exact up to n = 100, then its power of ten."""
+    if n <= 100:
+        return f"{math.factorial(n):,}"
+    log_n = math.log10(n)   # also for ints beyond float range
+    if log_n < 15:
+        return f"about 10^{math.lgamma(n + 1) / math.log(10):.0f}"
+    # n! ~ (n/e)^n has about n*log10(n/e) digits; give the power of ten of
+    # that count, as lgamma overflows from n ~ 10^305.
+    return f"about 10^(10^{log_n + math.log10(log_n - math.log10(math.e)):.1f})"
 
 
 def _standard_cartan(spec: AlgebraSpec) -> CartanDatum:

@@ -36,7 +36,7 @@ from .oracle import (
     mc_fourier_integral,
     split_orbit_carrier,
 )
-from .suites import SUITE_NAMES, SuiteSettings, run_suite
+from .suites import MAX_SEED, SUITE_NAMES, SuiteSettings, run_suite
 
 __all__ = ["main", "RunConfig", "load_config"]
 
@@ -90,6 +90,8 @@ def _number(value, name: str) -> float:
         out = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be a number, got {value!r}")
+    except OverflowError:   # an integer beyond float range
+        out = math.inf
     if not math.isfinite(out):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return out
@@ -128,7 +130,8 @@ def load_config(path: str) -> RunConfig:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # A JSONDecodeError, or an integer literal beyond int's digit limit.
         raise ConfigError(f"config is not valid JSON: {exc}")
     try:
         return _parse_config(raw)
@@ -187,6 +190,13 @@ def _parse_config(raw: dict) -> RunConfig:
     if samples < 2:
         raise ConfigError(f"oracle.samples must be >= 2, got {samples}")
     _allocatable(samples, "oracle.samples")
+    scale_log2 = _integer(oracle.get("scale_schedule_log2", 20),
+                          "oracle.scale_schedule_log2")
+    if not 0 <= scale_log2 <= 1074:
+        # 2^-1074 is the smallest positive double; the schedule is built
+        # one scale at a time, so a larger count would only fill memory.
+        raise ConfigError(
+            f"oracle.scale_schedule_log2 must be in [0, 1074], got {scale_log2}")
     output = _block(raw, "output")
     out_format = output.get("format", "csv")
     if out_format not in ("csv", "json"):
@@ -206,8 +216,7 @@ def _parse_config(raw: dict) -> RunConfig:
         reference=reference,
         mc_samples=samples,
         eps_schedule=eps,
-        scale_log2=_integer(oracle.get("scale_schedule_log2", 20),
-                            "oracle.scale_schedule_log2"),
+        scale_log2=scale_log2,
         out_format=out_format,
         out_path=out_path,
         raw=raw,
@@ -406,20 +415,37 @@ def _eval_json(cfg: RunConfig, orbit: OrbitSpec, grid: np.ndarray,
     yield f'\n ],\n "s0": {orbit.s0},\n "version": {RESULT_VERSION}\n}}\n'
 
 
+def _oracle_seed(cfg: RunConfig, override: Optional[int],
+                 default: Optional[int] = None) -> int:
+    """The oracle seed: --seed, else oracle.seed, else ``default``.
+
+    Seeds outside [0, MAX_SEED] are refused: they key Philox streams, at
+    offsets of up to 23 in the suites, and Philox keys lie in [0, 2^128).
+    """
+    seed = override if override is not None else cfg.seed
+    if seed is None:
+        if default is None:
+            raise ConfigError("missing oracle.seed")
+        return default
+    if not 0 <= seed <= MAX_SEED:
+        source = "--seed" if override is not None else "oracle.seed"
+        raise ConfigError(f"{source} must be in [0, 2^128 - 24], got {seed}")
+    return seed
+
+
 def cmd_verify(cfg: RunConfig, suite: str, out: Optional[str],
                seed_override: Optional[int]) -> int:
     if suite not in SUITE_NAMES + ("all",):
         raise ConfigError(f"unknown suite {suite!r}")
-    seed = seed_override if seed_override is not None else cfg.seed
-    if suite in ("oracle", "all") and seed is None:
-        raise ConfigError("missing oracle.seed (required for oracle runs)")
+    seed = _oracle_seed(cfg, seed_override,
+                        None if suite in ("oracle", "all") else 20240801)
     settings = SuiteSettings(
         family=cfg.family,
         n=cfg.n,
         weight=cfg.weight,
         mode=cfg.mode,
         s0=cfg.s0,
-        seed=20240801 if seed is None else seed,
+        seed=seed,
         mc_samples=cfg.mc_samples,
         eps_schedule=cfg.eps_schedule,
         user_multiplicities=cfg.multiplicities,
@@ -455,11 +481,9 @@ def cmd_verify(cfg: RunConfig, suite: str, out: Optional[str],
 
 def cmd_calibrate(cfg: RunConfig, config_path: str, out: Optional[str],
                   seed_override: Optional[int]) -> int:
-    seed = seed_override if seed_override is not None else cfg.seed
     if "oracle" not in cfg.raw:
         raise ConfigError("missing oracle block")
-    if seed is None:
-        raise ConfigError("missing oracle.seed")
+    seed = _oracle_seed(cfg, seed_override)
     orbit = _build_orbit(cfg)
     if cfg.reference is not None:
         x0 = element(orbit.algebra, cfg.reference)
@@ -502,9 +526,7 @@ def _default_reference(orbit: OrbitSpec):
 
 def cmd_oracle(cfg: RunConfig, out: Optional[str],
                seed_override: Optional[int]) -> int:
-    seed = seed_override if seed_override is not None else cfg.seed
-    if seed is None:
-        raise ConfigError("missing oracle.seed")
+    seed = _oracle_seed(cfg, seed_override)
     orbit = _build_orbit(cfg)
     grid, coords = _grid_points(cfg, orbit)
     # Degenerate rows (walls, non-regular and indeterminate points) have
@@ -555,9 +577,7 @@ def cmd_cycle_limit(cfg: RunConfig, out: Optional[str],
                     seed_override: Optional[int]) -> int:
     if (cfg.family, cfg.n) != ("sl_real", 2):
         raise ConfigError("cycle-limit requires the sl(2,R) model")
-    seed = seed_override if seed_override is not None else cfg.seed
-    if seed is None:
-        raise ConfigError("missing oracle.seed")
+    seed = _oracle_seed(cfg, seed_override)
     radius = abs(cfg.weight[0])
     lam = 8j * radius
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -585,21 +605,22 @@ def _parser() -> argparse.ArgumentParser:
         prog="orbit-localize",
         description="Fixed-point evaluation and verification of orbit Fourier transforms",
     )
-    sub = p.add_subparsers(dest="command", required=True)
-    for name in ("eval", "verify", "calibrate", "oracle", "cycle-limit"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True, help="JSON run configuration")
-        sp.add_argument("--out", default=None, help="output file (default: stdout)")
-        sp.add_argument("--format", default=None, choices=("csv", "json"))
-        sp.add_argument("--seed", default=None, type=int, help="seed override")
-        if name == "verify":
-            sp.add_argument("--suite", default="all",
-                            choices=SUITE_NAMES + ("all",))
+    p.add_argument("command",
+                   choices=("eval", "verify", "calibrate", "oracle", "cycle-limit"))
+    p.add_argument("--config", required=True, help="JSON run configuration")
+    p.add_argument("--out", default=None, help="output file (default: stdout)")
+    p.add_argument("--format", default=None, choices=("csv", "json"))
+    p.add_argument("--seed", default=None, type=int, help="seed override")
+    p.add_argument("--suite", default=None, choices=SUITE_NAMES + ("all",),
+                   help="verify only (default: all)")
     return p
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.suite is not None and args.command != "verify":
+        parser.error(f"--suite is only valid with verify, not {args.command}")
     try:
         cfg = load_config(args.config)
         fmt = args.format or cfg.out_format
@@ -607,14 +628,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "eval":
             return cmd_eval(cfg, out, fmt)
         if args.command == "verify":
-            return cmd_verify(cfg, args.suite, out, args.seed)
+            return cmd_verify(cfg, args.suite or "all", out, args.seed)
         if args.command == "calibrate":
             return cmd_calibrate(cfg, args.config, out, args.seed)
         if args.command == "oracle":
             return cmd_oracle(cfg, out, args.seed)
-        if args.command == "cycle-limit":
-            return cmd_cycle_limit(cfg, out, args.seed)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_cycle_limit(cfg, out, args.seed)
     except (ConfigError, CalibrationError, AlgebraError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG

@@ -49,6 +49,10 @@ __all__ = ["CheckResult", "SuiteSettings", "SUITE_NAMES", "run_suite"]
 
 SUITE_NAMES = ("algebra", "fixedpoints", "localize", "geometry", "oracle")
 
+# The suites key Philox streams at seed + 0 .. seed + 23, and Philox keys
+# lie in [0, 2^128).
+MAX_SEED = 2 ** 128 - 24
+
 
 @dataclass(frozen=True)
 class CheckResult:

@@ -57,6 +57,65 @@ def test_rejects_bad_input():
         build_algebra("su", 1)
 
 
+def _reference_algebra(family, n):
+    """basis, labels, killing and projector as the loop-built layout forms them."""
+    def unit(j, k):
+        m = np.zeros((n, n), dtype=complex)
+        m[j, k] = 1.0
+        return m
+
+    mats, labels = [], []
+    if family == "sl_real":
+        for k in range(n - 1):
+            mats.append(unit(k, k) - unit(k + 1, k + 1))
+            labels.append(f"h{k + 1}")
+        for j, k in itertools.permutations(range(n), 2):
+            mats.append(unit(j, k))
+            labels.append(f"e{j + 1}{k + 1}")
+    else:
+        for k in range(n - 1):
+            mats.append(1j * (unit(k, k) - unit(k + 1, k + 1)))
+            labels.append(f"d{k + 1}")
+        for j, k in itertools.combinations(range(n), 2):
+            mats.append(unit(j, k) - unit(k, j))
+            labels.append(f"s{j + 1}{k + 1}")
+            mats.append(1j * (unit(j, k) + unit(k, j)))
+            labels.append(f"a{j + 1}{k + 1}")
+    basis = np.stack(mats)
+    flat = np.concatenate([basis.real, basis.imag], axis=1).reshape(len(mats), -1)
+    killing = np.ascontiguousarray(
+        2 * n * np.einsum("iab,jba->ij", basis, basis).real)
+    return basis, tuple(labels), killing, np.linalg.pinv(flat.T)
+
+
+@pytest.mark.parametrize("family", ["su", "sl_real"])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_build_matches_the_loop_built_reference_bytes(family, n):
+    # Index assignment lays out the same basis, signed zeros included, and
+    # the Killing matrix and projector formed on first read are the same
+    # bytes as forming them at construction.
+    spec = build_algebra(family, n)
+    assert "killing" not in vars(spec) and "_proj" not in vars(spec)
+    basis, labels, killing, proj = _reference_algebra(family, n)
+    assert spec.labels == labels
+    for got, want in ((spec.basis, basis), (spec.killing, killing),
+                      (spec._proj, proj)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    assert spec.killing is spec.killing and spec._proj is spec._proj
+
+
+def test_cold_build_forms_no_killing_matrix_or_projector(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("formed at construction")
+
+    monkeypatch.setattr(np, "einsum", refuse)
+    monkeypatch.setattr(np.linalg, "pinv", refuse)
+    spec = build_algebra("su", 20)
+    assert spec.dim == 399 and spec.basis.shape == (399, 20, 20)
+
+
 def brute_force_ad(basis_mats, x_mat):
     """ad(x) on the given basis by solving commutators, independently."""
     flat = np.stack([np.concatenate([b.real.ravel(), b.imag.ravel()])

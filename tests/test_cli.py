@@ -145,6 +145,74 @@ def test_unknown_suite_rejected(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--suite", "all", "--config", "CFG"],
+    ["oracle", "--suite", "oracle", "--config", "CFG"],
+    ["eval"],
+    ["evaluate", "--config", "CFG"],
+    ["--config", "CFG"],
+], ids=["suite-with-eval", "suite-with-oracle", "no-config", "unknown-command",
+        "no-command"])
+def test_argument_errors_exit_2(tmp_path, capsys, argv):
+    # One flat parser: --suite belongs to verify alone, and every argument
+    # error leaves through argparse's SystemExit(2) with a usage line.
+    cfg = write_config(tmp_path, SU2)
+    with pytest.raises(SystemExit) as err:
+        main([cfg if a == "CFG" else a for a in argv])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: orbit-localize")
+
+
+def test_verify_suite_defaults_to_all(tmp_path, monkeypatch):
+    from orbit_localize import cli
+    from orbit_localize.suites import CheckResult
+
+    asked = []
+
+    def run_suite(name, settings):
+        asked.append(name)
+        return [CheckResult("stub", 0.0, 1.0, True)]
+
+    monkeypatch.setattr(cli, "run_suite", run_suite)
+    cfg = write_config(tmp_path, SU2)
+    assert main(["verify", "--config", cfg]) == 0
+    assert main(["verify", "--config", cfg, "--suite", "geometry"]) == 0
+    assert asked == ["all", "geometry"]
+
+
+@pytest.mark.parametrize("cfg", [
+    {"algebra": {"family": "su", "n": 5}, "weight": [0.9, 1.5, 1.8, 1.5],
+     "grid": {"axes": [
+         {"start": 0.5, "stop": 1.5, "steps": 4,
+          "direction": np.random.default_rng(5).standard_normal(24).tolist()},
+         {"start": -0.5, "stop": 0.5, "steps": 3,
+          "direction": np.random.default_rng(6).standard_normal(24).tolist()}]}},
+    {"algebra": {"family": "sl_real", "n": 4}, "weight": [0.9, 1.3, 0.7],
+     "grid": {"axes": [
+         {"start": 0.5, "stop": 1.5, "steps": 4,
+          "direction": np.random.default_rng(7).standard_normal(15).tolist()},
+         {"start": -0.5, "stop": 0.5, "steps": 3,
+          "direction": np.random.default_rng(8).standard_normal(15).tolist()}]}},
+], ids=["su5", "sl4"])
+def test_csv_eval_forms_no_killing_matrix_or_projector(tmp_path, monkeypatch, cfg):
+    # A CSV eval reads neither: with the pseudo-inverse and einsum made to
+    # raise it writes the bytes it writes without them patched.
+    path = write_config(tmp_path, cfg)
+    patched, plain = tmp_path / "patched.csv", tmp_path / "plain.csv"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("formed by a CSV eval")
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "pinv", refuse)
+        m.setattr(np, "einsum", refuse)
+        assert main(["eval", "--config", path, "--out", str(patched)]) == 0
+    assert main(["eval", "--config", path, "--out", str(plain)]) == 0
+    assert patched.read_bytes() == plain.read_bytes()
+    rows = plain.read_text().splitlines()[1:]
+    assert len(rows) == 12 and any(r.split(",")[-4] == "0" for r in rows)
+
+
 def test_verify_algebra_suite_passes(tmp_path):
     cfg = write_config(tmp_path, SU2)
     out = tmp_path / "report.json"
@@ -247,6 +315,57 @@ def test_seed_required_for_oracle_commands(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+PHILOX_END = 2 ** 128   # Philox keys lie in [0, 2^128); the suites add up to 23
+
+
+@pytest.mark.parametrize("command", [
+    ["oracle"], ["calibrate"], ["cycle-limit"],
+    *(["verify", "--suite", name] for name in
+      ("algebra", "fixedpoints", "localize", "geometry", "oracle", "all")),
+])
+@pytest.mark.parametrize("seed,override", [
+    (-1, False), (PHILOX_END - 23, False), (-1, True), (PHILOX_END, True),
+], ids=["config-negative", "config-past-suite-keys", "flag-negative",
+        "flag-past-keys"])
+def test_seeds_outside_the_philox_key_range_exit_2(tmp_path, capsys, command,
+                                                   seed, override):
+    cfg = json.loads(json.dumps(SL2))
+    flag = []
+    if override:
+        flag = ["--seed", str(seed)]
+    else:
+        cfg["oracle"]["seed"] = seed
+    out = tmp_path / "out.txt"
+    assert main([*command, "--config", write_config(tmp_path, cfg),
+                 "--out", str(out), *flag]) == 2
+    source = "--seed" if override else "oracle.seed"
+    assert capsys.readouterr().err == (
+        f"error: {source} must be in [0, 2^128 - 24], got {seed}\n")
+    assert not out.exists()
+
+
+def test_largest_seed_keys_every_suite_stream(tmp_path, capsys):
+    # seed + 23 is the largest key the suites use (the compact oracle suite).
+    cfg = json.loads(json.dumps(SU2))
+    cfg["oracle"].update(seed=PHILOX_END - 24, samples=2000)
+    assert main(["verify", "--suite", "oracle", "--config",
+                 write_config(tmp_path, cfg)]) in (0, 4)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("seed", [-1, PHILOX_END, 1e308])
+def test_eval_accepts_any_seed(tmp_path, seed):
+    # eval draws no random numbers, so its seed is never checked.
+    plain = eval_output(tmp_path, SU2)
+    cfg = json.loads(json.dumps(SU2))
+    cfg["oracle"]["seed"] = seed
+    assert eval_output(tmp_path, cfg) == plain
+    out = tmp_path / "flag.csv"
+    assert main(["eval", "--config", write_config(tmp_path, SU2),
+                 "--seed", "-1", "--out", str(out)]) == 0
+    assert out.read_text() == plain
+
+
 SU3 = {
     "algebra": {"family": "su", "n": 3},
     "weight": [0.9, 0.4],
@@ -292,6 +411,7 @@ NAN = float("nan")
     (SU3, ("weight",), [1e308, -1e308]),
     (SL3, ("weight",), [1e308, 1e308]),
     (USER_SU2, ("multiplicities",), {"e": 1e20, "s1": 1}),
+    (SU3, ("weight", 0), 10 ** 400),
 ], ids=[
     "su2-start-nan", "su3-start-nan", "sl3-stop-nan", "direction-nan",
     "weight-inf", "n-fractional", "n-text", "steps-text", "steps-fractional",
@@ -301,7 +421,7 @@ NAN = float("nan")
     "path-number", "reference-null", "reference-nan", "reference-text",
     "weight-text", "direction-text", "direction-empty-text",
     "direction-empty", "weight-overflow-su", "weight-overflow-sl",
-    "multiplicity-overflow",
+    "multiplicity-overflow", "weight-int-beyond-float",
 ])
 def test_malformed_fields_exit_2(tmp_path, capsys, base, path, value):
     cfg = json.loads(json.dumps(base))
@@ -399,6 +519,49 @@ def test_refuses_huge_n_without_forming_its_factorial(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: the S_n table of sl_real({n}) would have about 10^{digits:.0f} "
         "rows; it is built for n <= 9 only\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n,rows", [
+    (1e308, "about 10^(10^310.5)"), (10 ** 400, "about 10^(10^402.6)"),
+    (10 ** 15, "about 10^(10^16.2)"),
+], ids=["float-1e308", "int-1e400", "int-1e15"])
+def test_refuses_n_beyond_float_range_without_overflow(tmp_path, capsys, n, rows):
+    # lgamma overflows from n ~ 10^305, and a JSON integer may exceed any
+    # float: the power of ten of the digit count is given instead.
+    cfg = {"algebra": {"family": "su", "n": n}, "weight": [1.0],
+           "grid": {"axes": [{"start": 0.1, "stop": 0.2, "steps": 2}]}}
+    out = tmp_path / "out.csv"
+    assert main(["eval", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: the S_n table of su({int(n)}) would have {rows} rows; "
+        "it is built for n <= 9 only\n")
+    assert not out.exists()
+
+
+def test_refuses_integer_literals_beyond_the_digit_limit(tmp_path, capsys):
+    # json reads such a literal with int(), which refuses it with a
+    # ValueError that is not a JSONDecodeError.
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(SU2).replace('"seed": 9', '"seed": ' + "9" * 5000))
+    out = tmp_path / "out.csv"
+    assert main(["eval", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: config is not valid JSON: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [-1, 1075, 2 ** 63])
+def test_cycle_limit_scale_count_bounded(tmp_path, capsys, value):
+    # Past 1074 halvings the scale is 0.0; the count is refused while
+    # parsing, before a schedule of that many scales is built.
+    cfg = json.loads(json.dumps(SL2))
+    cfg["oracle"]["scale_schedule_log2"] = value
+    out = tmp_path / "out.csv"
+    assert main(["cycle-limit", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: oracle.scale_schedule_log2 must be in [0, 1074], got {value}\n")
     assert not out.exists()
 
 
