@@ -579,6 +579,12 @@ def cmd_cycle_limit(cfg: RunConfig, out: Optional[str],
         raise ConfigError("cycle-limit requires the sl(2,R) model")
     seed = _oracle_seed(cfg, seed_override)
     radius = abs(cfg.weight[0])
+    if not math.isfinite(radius * radius):
+        # The model compares det(carrier) with the invariant -radius^2.
+        raise ConfigError(
+            f"cycle-limit needs a finite weight^2 (|weight| below about "
+            f"1.34e154); got {radius:g}"
+        )
     lam = 8j * radius
     rng = np.random.Generator(np.random.Philox(key=seed))
     count = min(cfg.mc_samples, 500)

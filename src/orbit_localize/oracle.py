@@ -6,6 +6,9 @@ evaluator and to pin its calibration constants:
 * compact forms: Monte Carlo over the orbit, sampled by conjugating the
   dual Cartan element with Haar-random unitaries (Gram-Schmidt of Ginibre
   matrices, which is their QR factor with the standard phase correction).
+  Only the first n-1 columns are formed: u_n u_n^H = I - sum_{k<n}
+  u_k u_k^H, so U diag(zeta) U^H = zeta_n I + sum_{k<n} (zeta_k -
+  zeta_n) u_k u_k^H, and the coordinates are written from that sum.
 * sl(2,R), split parameter: Gaussian-damped integral over the explicit
   one-sheeted hyperboloid carrier orbit, the circle angle in closed form
   (a Bessel function) and the hyperbolic angle by Simpson quadrature, with
@@ -20,11 +23,15 @@ sign fixes the split-mode multiplicity calibration.
 
 Randomness comes from numpy's Philox counter-based generator keyed by the
 caller's seed and consumed in a fixed chunk order, so every estimate is a
-pure function of (seed, sample count, inputs).
+pure function of (seed, sample count, inputs).  The Haar sampler draws the
+next chunk on one helper thread while it works on the current one; the
+stream has one reader at a time and is read in the serial order, so the
+samples are those of a serial draw bit for bit.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -59,6 +66,7 @@ __all__ = [
 
 _CHUNK = 1 << 15     # Haar draws per Philox chunk
 _S_BLOCK = 1 << 16   # hyperbolic-angle nodes per summed block
+_MAX_S_NODES = 1 << 22   # hyperbolic-angle nodes per damping value
 
 
 class CalibrationError(AlgebraError):
@@ -99,56 +107,116 @@ def _philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
-def _gram_schmidt(z: np.ndarray) -> np.ndarray:
-    """Orthonormalise the columns of matrices laid out (n, n, count).
+def _gram_schmidt(re: np.ndarray, im: np.ndarray) -> None:
+    """Orthonormalise in place the complex columns ``re[k] + i im[k]``.
 
-    Modified Gram-Schmidt with one re-orthogonalisation pass.  Each column
-    keeps a positive real component along its own input column, which is
-    the QR factor with the diagonal of R made positive: Haar-distributed
-    for Ginibre input (Mezzadri, Notices AMS 54, 2007).
+    Columns are laid out (column, row, count), real and imaginary parts
+    apart.  Modified Gram-Schmidt with one re-orthogonalisation pass.  Each
+    column keeps a positive real component along its own input column, so
+    on all n columns of an n x n matrix this is the QR factor with the
+    diagonal of R made positive: Haar-distributed for Ginibre input
+    (Mezzadri, Notices AMS 54, 2007).  The first m columns do not depend
+    on the columns after them.
     """
-    u = np.empty_like(z)
-    for k in range(z.shape[1]):
-        v = z[:, k].copy()
+    for k in range(len(re)):
+        vr, vi = re[k], im[k]
         for _ in range(2):
             for j in range(k):
-                v -= np.einsum("it,it->t", u[:, j].conj(), v) * u[:, j]
-        v /= np.sqrt(np.einsum("it,it->t", v.real, v.real)
-                     + np.einsum("it,it->t", v.imag, v.imag))
-        u[:, k] = v
-    return u
+                ur, ui = re[j], im[j]
+                # <u_j, v> = sum_i conj(u_ij) v_i
+                pr = np.einsum("it,it->t", ur, vr) + np.einsum("it,it->t", ui, vi)
+                pi = np.einsum("it,it->t", ur, vi) - np.einsum("it,it->t", ui, vr)
+                vr -= pr * ur - pi * ui
+                vi -= pr * ui + pi * ur
+        norm = np.sqrt(np.einsum("it,it->t", vr, vr) + np.einsum("it,it->t", vi, vi))
+        vr /= norm
+        vi /= norm
+
+
+def _orbit_coords(re: np.ndarray, im: np.ndarray, zeta: np.ndarray,
+                  out: np.ndarray) -> None:
+    """Write the su(n) coordinates of i H into ``out`` (count, dim).
+
+    ``re + i im`` holds the first n-1 columns u_k of unitaries, laid out as
+    for ``_gram_schmidt``.  Since u_n u_n^H = I - sum_{k<n} u_k u_k^H,
+    H = U diag(zeta) U^H = zeta_n I + sum_{k<n} (zeta_k - zeta_n) u_k u_k^H.
+    Over the su(n) basis the diagonal coordinates of i H are the partial
+    sums of diag H, and the pair j < l has the coordinates -Im H_jl and
+    Re H_jl.
+    """
+    n = len(zeta)
+    w = zeta[:-1] - zeta[-1]
+    wr = w[:, None, None] * re
+    wi = w[:, None, None] * im
+    diag = np.einsum("kjt,kjt->jt", wr, re) + np.einsum("kjt,kjt->jt", wi, im)
+    out[:, :n - 1] = np.cumsum(diag[:n - 1] + zeta[-1], axis=0).T
+    c = n - 1
+    for j in range(n):
+        for l in range(j + 1, n):
+            # H_jl - zeta_n delta_jl = sum_k w_k u_kj conj(u_kl)
+            out[:, c] = (np.einsum("kt,kt->t", wr[:, j], im[:, l])
+                         - np.einsum("kt,kt->t", wi[:, j], re[:, l]))
+            out[:, c + 1] = (np.einsum("kt,kt->t", wr[:, j], re[:, l])
+                             + np.einsum("kt,kt->t", wi[:, j], im[:, l]))
+            c += 2
 
 
 def haar_orbit_sample(orbit: OrbitSpec, seed: int, count: int) -> OrbitSamples:
     """Conjugate the dual Cartan element by Haar-random unitaries.
 
     Compact form only.  Deterministic in (seed, count): samples are drawn
-    in fixed-size chunks from one Philox stream.
+    in fixed-size chunks from one Philox stream, each chunk as the real
+    and then the imaginary parts of (take, n, n) Ginibre matrices.  Only
+    the first n-1 Gram-Schmidt columns are formed, since the last column
+    enters the sample only through u_n u_n^H = I - sum_{k<n} u_k u_k^H,
+    and the coordinates are written from them directly.  One helper
+    thread draws the next chunk into the single draw buffer while this
+    thread works on the current one; the stream has one consumer at a
+    time and is read in the same order, so the samples are bit for bit
+    those of a serial draw.
     """
     if orbit.algebra.family != "su":
         raise AlgebraError("Haar orbit sampling requires the compact form")
     spec = orbit.algebra
     n = spec.n
-    # The carrier is diagonal, so U D U^H = sum_k d_k u_k u_k^H.
-    d = np.diagonal(orbit.dual_element.matrix)
+    # The carrier is i diag(zeta), so U D U^H = i U diag(zeta) U^H.
+    zeta = np.diagonal(orbit.dual_element.matrix).imag
     rng = _philox(seed)
     out = np.empty((count, spec.dim))
-    done = 0
-    while done < count:
-        take = min(_CHUNK, count - done)
-        z = np.empty((n, n, take), dtype=complex)
-        z.real = rng.standard_normal((take, n, n)).transpose(1, 2, 0)
-        z.imag = rng.standard_normal((take, n, n)).transpose(1, 2, 0)
-        u = _gram_schmidt(z)
-        uc = u.conj()
-        moved = np.zeros_like(z)
-        for k in range(n):
-            moved += (d[k] * u[:, k])[:, None] * uc[None, :, k]
-        flat = np.concatenate(
-            [moved.real.reshape(n * n, take), moved.imag.reshape(n * n, take)]
-        )
-        out[done:done + take] = (spec._proj @ flat).T
-        done += take
+    buf = np.empty((2, min(_CHUNK, count), n, n))
+    failure = []
+
+    def draw(take: int) -> None:
+        try:
+            rng.standard_normal(out=buf[0, :take])
+            rng.standard_normal(out=buf[1, :take])
+        except BaseException as exc:   # handed to the caller, which raises it
+            failure.append(exc)
+
+    def draw_ahead(lo: int) -> Optional[threading.Thread]:
+        if lo >= count:
+            return None
+        thread = threading.Thread(target=draw, args=(min(_CHUNK, count - lo),))
+        thread.start()
+        return thread
+
+    ahead = draw_ahead(0)
+    try:
+        for lo in range(0, count, _CHUNK):
+            take = min(_CHUNK, count - lo)
+            ahead.join()
+            if failure:
+                raise failure[0]
+            # Matrix t of the chunk is buf[:, t] with entry (row, column);
+            # copy its first n-1 columns out as (column, row, sample).
+            re, im = np.ascontiguousarray(
+                buf[:, :take, :, :n - 1].transpose(0, 3, 2, 1))
+            ahead = draw_ahead(lo + _CHUNK)
+            _gram_schmidt(re, im)
+            _orbit_coords(re, im, zeta, out[lo:lo + take])
+    finally:
+        if ahead is not None:
+            ahead.join()
     return OrbitSamples(orbit=orbit, coords=out, seed=int(seed), count=count)
 
 
@@ -332,11 +400,13 @@ def damped_oscillatory_integral(orbit: OrbitSpec, x: AlgebraElement,
     Cartan, ev its sorted spectrum (elliptic points are refused).  The
     damping does not depend on the circle angle, so the circle integral is
     exact: with rho = |(kx_h, kx_e + kx_f)| and c = kx_e - kx_f it is
-    2 pi J0(r cosh(s) rho) exp(i c r sinh(s)) (DLMF 10.9.1).  What remains is Simpson quadrature in the hyperbolic angle,
-    on a mesh that scales with the phase rate unless pinned by ``s_nodes``,
-    summed in fixed-size blocks of nodes.  The vanishing-damping
-    extrapolation converges to the transform; the damping error is linear
-    in eps.
+    2 pi J0(r cosh(s) rho) exp(i c r sinh(s)) (DLMF 10.9.1).  What remains
+    is Simpson quadrature in the hyperbolic angle, on a mesh that scales
+    with the phase rate unless pinned by ``s_nodes``, summed in fixed-size
+    blocks of nodes.  A mesh of ``_MAX_S_NODES`` nodes or more (a tiny eps
+    or a far evaluation point) is refused with ``AlgebraError`` before any
+    quadrature is done.  The vanishing-damping extrapolation converges to
+    the transform; the damping error is linear in eps.
     """
     from scipy.special import j0
 
@@ -359,17 +429,24 @@ def damped_oscillatory_integral(orbit: OrbitSpec, x: AlgebraElement,
     rho = float(np.hypot(kx[0], kx[1] + kx[2]))
     c = float(kx[1] - kx[2])
 
-    estimates = []
-    ns_used = 0
+    # Every mesh is sized, and refused above the cap, before any is summed.
+    meshes = []
     for eps in eps_schedule:
-        s_max = float(np.arcsinh(np.sqrt(10.0 / eps) / r)) + 1.0
-        kappa = max(50.0, r * np.cosh(s_max) * rate_scale)
-        ns = s_nodes if s_nodes is not None else max(
-            4001, int(16.0 * s_max * kappa)
+        with np.errstate(over="ignore"):
+            s_max = float(np.arcsinh(np.sqrt(10.0 / eps) / r)) + 1.0
+            kappa = max(50.0, r * np.cosh(s_max) * rate_scale)
+        nodes = float(s_nodes) if s_nodes is not None else max(
+            4001.0, 16.0 * s_max * kappa
         )
-        if ns % 2 == 0:
-            ns += 1
-        ns_used = ns
+        if not nodes < _MAX_S_NODES:
+            raise AlgebraError(
+                f"the hyperboloid quadrature at eps = {eps:g} needs "
+                f"{nodes:.3g} Simpson nodes; the cap is {_MAX_S_NODES:,}"
+            )
+        meshes.append((eps, s_max, int(nodes) | 1))   # Simpson needs odd
+
+    estimates = []
+    for eps, s_max, ns in meshes:
         step = 2.0 * s_max / (ns - 1)
 
         total = 0.0 + 0.0j
@@ -390,7 +467,7 @@ def damped_oscillatory_integral(orbit: OrbitSpec, x: AlgebraElement,
         estimates=tuple(estimates),
         extrapolated=limit,
         fit_order=order,
-        s_nodes=ns_used,
+        s_nodes=ns,
         phi_nodes=1,
     )
 

@@ -507,6 +507,39 @@ def test_sizes_too_large_to_allocate_exit_2(tmp_path, capsys, command, path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("path,value", [
+    (("grid", "axes", 0), {"start": 1e30, "stop": 2e30, "steps": 2}),
+    (("oracle", "eps_schedule"), [1e-300]),
+], ids=["grid-point-1e30", "eps-1e-300"])
+def test_oracle_quadrature_mesh_above_cap_exit_2(tmp_path, capsys, path, value):
+    # The sl(2,R) hyperboloid mesh would take 9e33 or 1e155 Simpson nodes.
+    cfg = json.loads(json.dumps(SL2))
+    target = cfg
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    out = tmp_path / "out.csv"
+    assert main(["oracle", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the hyperboloid quadrature at eps = ")
+    assert err.endswith("Simpson nodes; the cap is 4,194,304\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("weight", [1.4e154, 1e308])
+def test_cycle_limit_weight_with_overflowing_square_exit_2(tmp_path, capsys,
+                                                           weight):
+    cfg = dict(SL2, weight=[weight])
+    out = tmp_path / "out.csv"
+    assert main(["cycle-limit", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cycle-limit needs a finite weight^2 (|weight| below about "
+        f"1.34e154); got {weight:g}\n")
+    assert not out.exists()
+
+
 def test_refuses_huge_n_without_forming_its_factorial(tmp_path, capsys):
     # (10^12)! has no printable size: the refusal gives its power of ten.
     n = 10 ** 12

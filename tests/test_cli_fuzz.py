@@ -40,7 +40,8 @@ BASES = {
 
 # Field paths a mutation may replace; a missing parent is created.  The
 # damping schedule takes EPS alone: the sl(2,R) quadrature mesh grows as
-# 1/sqrt(eps), so a tiny eps would run for hours.
+# 1/sqrt(eps), so a small eps under the node cap takes up to a second per
+# damping value (a tiny one is refused; see the examples).
 SITES = [
     ("algebra",), ("algebra", "family"), ("algebra", "n"),
     ("weight",), ("weight", 0), ("mode",), ("s0",), ("multiplicities",),
@@ -137,6 +138,15 @@ def workdir(tmp_path_factory):
 @example(base="su3", mutations=[(("weight", 0), 10 ** 400)], command="eval", flags=[])
 # n beyond the range of math.lgamma.
 @example(base="su3", mutations=[(("algebra", "n"), 1e308)], command="eval", flags=[])
+# A hyperboloid mesh above the node cap: a far grid point, a tiny damping.
+@example(base="sl2", mutations=[(("grid", "axes", 0),
+                                 {"start": 1e30, "stop": 2e30, "steps": 2})],
+         command="oracle", flags=[])
+@example(base="sl2", mutations=[(("oracle", "eps_schedule"), [1e-300])],
+         command="oracle", flags=[])
+# An sl(2,R) weight whose square overflows, in the cycle-limit model.
+@example(base="sl2", mutations=[(("weight", 0), 1e308)], command="cycle-limit",
+         flags=[])
 def test_cli_never_raises(workdir, capsys, base, mutations, command, flags):
     _run(workdir, base, mutations, command, flags)
     capsys.readouterr()

@@ -6,6 +6,9 @@ the arc integral of J0 over the ruling), independent of the fixed-point
 evaluator; it doubles as the strongest end-to-end check in the suite.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -16,6 +19,7 @@ from orbit_localize.algebra import (
     element,
     reduce_to_cartan,
 )
+from orbit_localize import oracle
 from orbit_localize.localize import fourier_value, make_orbit, standard_cartan
 from orbit_localize.oracle import (
     _CHUNK,
@@ -126,12 +130,14 @@ def _qr_haar_sample(orbit, seed, count):
     return out
 
 
-@pytest.mark.parametrize("n, weight", [(2, [1.3]), (3, [0.9, 0.4]),
-                                       (4, [1.1, 0.3, -0.2])])
-def test_haar_sample_matches_qr_reference(n, weight):
-    # One full chunk and one partial chunk of the same Philox stream.
+@pytest.mark.parametrize("n, weight, chunks", [
+    (2, [1.3], 1), (3, [0.9, 0.4], 1), (4, [1.1, 0.3, -0.2], 1),
+    (5, [1.2, 0.5, -0.1, -0.6], 1), (3, [0.9, 0.4], 2),
+], ids=["2-weight0", "3-weight1", "4-weight2", "5-weight3", "3-weight1-3chunks"])
+def test_haar_sample_matches_qr_reference(n, weight, chunks):
+    # Full chunks and one partial chunk of the same Philox stream.
     orbit = make_orbit(build_algebra("su", n), weight)
-    count = _CHUNK + 1234
+    count = chunks * _CHUNK + 1234
     got = haar_orbit_sample(orbit, seed=7, count=count).coords
     assert np.max(np.abs(got - _qr_haar_sample(orbit, 7, count))) <= 1e-12
 
@@ -140,13 +146,51 @@ def test_gram_schmidt_columns_orthonormal():
     rng = _philox(19)
     n, worst = 3, 0.0
     for _ in range((1 << 20) // _CHUNK):
-        z = np.empty((n, n, _CHUNK), dtype=complex)
-        z.real = rng.standard_normal((_CHUNK, n, n)).transpose(1, 2, 0)
-        z.imag = rng.standard_normal((_CHUNK, n, n)).transpose(1, 2, 0)
-        u = _gram_schmidt(z)
-        gram = np.einsum("ikt,ijt->kjt", u.conj(), u)
+        # All n columns, laid out (column, row, sample).
+        re = rng.standard_normal((_CHUNK, n, n)).transpose(2, 1, 0).copy()
+        im = rng.standard_normal((_CHUNK, n, n)).transpose(2, 1, 0).copy()
+        _gram_schmidt(re, im)
+        u = re + 1j * im
+        gram = np.einsum("kit,jit->kjt", u.conj(), u)
         worst = max(worst, float(np.max(np.abs(gram - np.eye(n)[:, :, None]))))
     assert worst <= 1e-13
+
+
+def test_multi_chunk_sampling_deterministic_and_joins_its_thread():
+    # The second call switches threads every microsecond, so the draw-ahead
+    # thread and the caller interleave at many more points.
+    orbit = make_orbit(build_algebra("su", 3), [0.9, 0.4])
+    before = threading.active_count()
+    a = haar_orbit_sample(orbit, seed=5, count=3 * _CHUNK + 17)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        b = haar_orbit_sample(orbit, seed=5, count=3 * _CHUNK + 17)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(a.coords, b.coords)
+    assert threading.active_count() == before
+
+
+def test_draw_error_reaches_caller_and_leaves_no_thread(monkeypatch):
+    # The first chunk takes two fills; the third fill is the helper
+    # thread's draw of the second chunk.
+    class Failing:
+        def __init__(self, seed):
+            self.rng, self.fills = _philox(seed), 0
+
+        def standard_normal(self, *args, **kwargs):
+            self.fills += 1
+            if self.fills == 3:
+                raise MemoryError("fill failed")
+            return self.rng.standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_philox", Failing)
+    orbit = make_orbit(build_algebra("su", 3), [0.9, 0.4])
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="fill failed"):
+        haar_orbit_sample(orbit, seed=5, count=3 * _CHUNK)
+    assert threading.active_count() == before
 
 
 def test_stderr_scaling_dyadic():
@@ -336,6 +380,21 @@ def test_damped_integral_schedule_validation():
         damped_oscillatory_integral(orbit, x, (0.05, 0.1))
     with pytest.raises(AlgebraError):
         damped_oscillatory_integral(orbit, x, ())
+
+
+@pytest.mark.parametrize("coords, eps", [
+    ([1e30, 0.0, 0.0], (0.2, 0.1, 0.05)),
+    ([0.6, 0.0, 0.0], (1e-300,)),
+], ids=["far-point", "tiny-eps"])
+def test_damped_integral_refuses_mesh_above_cap(coords, eps):
+    # 9e33 and 1e155 nodes: both refused before any block is summed.
+    orbit = sl2_orbit()
+    x = element(orbit.algebra, coords)
+    with pytest.raises(AlgebraError, match="Simpson nodes; the cap is 4,194,304"):
+        damped_oscillatory_integral(orbit, x, eps)
+    with pytest.raises(AlgebraError, match="the cap"):
+        damped_oscillatory_integral(orbit, element(orbit.algebra, [0.6, 0, 0]),
+                                    (0.05,), s_nodes=oracle._MAX_S_NODES)
 
 
 def test_richardson_recovers_power_law():
