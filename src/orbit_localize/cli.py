@@ -30,10 +30,10 @@ from .algebra import (_NONREAL, _REGULAR, AlgebraError, _refuse_large_table,
 from .localize import OrbitSpec, _evaluate, _terms, fourier_grid, make_orbit
 from .oracle import (
     CalibrationError,
+    _calibrated_comparison,
     calibrate,
     damped_oscillatory_integral,
     haar_orbit_sample,
-    mc_fourier_integral,
     split_orbit_carrier,
 )
 from .suites import MAX_SEED, SUITE_NAMES, SuiteSettings, run_suite
@@ -531,38 +531,30 @@ def cmd_oracle(cfg: RunConfig, out: Optional[str],
     grid, coords = _grid_points(cfg, orbit)
     # Degenerate rows (walls, non-regular and indeterminate points) have
     # no formula value and are skipped.
-    usable = [(values, element(orbit.algebra, c), res)
-              for values, c, res in zip(grid.tolist(), coords,
-                                        fourier_grid(orbit, coords))
-              if not res.degenerate]
+    rows = fourier_grid(orbit, coords)
+    usable = [k for k, res in enumerate(rows) if not res.degenerate]
 
     if orbit.algebra.family == "su":
         cal = calibrate(orbit, _default_reference(orbit), seed, cfg.mc_samples)
         shared = haar_orbit_sample(orbit, seed + 1, cfg.mc_samples)
+        values = [rows[k].value for k in usable]
+        means, sigmas, verdicts = _calibrated_comparison(
+            orbit, coords[usable], values, cal, shared)
         lines = ["x_coords,re_formula,im_formula,re_mc,im_mc,stderr,agree_3sigma"]
-        for values, x, res in usable:
-            fv = res.value
-            est = mc_fourier_integral(
-                orbit, x, 0, 0, scale=cal.liouville_const, samples=shared
-            )
-            sigma = float(np.hypot(
-                est.stderr,
-                abs(est.mean) * cal.stderr / abs(cal.liouville_const),
-            ))
-            agree = abs(est.mean - fv) <= 3.0 * sigma
+        for k, fv, mc, sigma, agree in zip(usable, values, means, sigmas,
+                                           verdicts):
             lines.append(",".join([
-                ";".join(_fmt(c) for c in values),
-                _fmt(fv.real), _fmt(fv.imag),
-                _fmt(est.mean.real), _fmt(est.mean.imag),
+                ";".join(_fmt(c) for c in grid[k].tolist()),
+                _fmt(fv.real), _fmt(fv.imag), _fmt(mc.real), _fmt(mc.imag),
                 _fmt(sigma), "1" if agree else "0",
             ]))
         _write_text(out, "\n".join(lines) + "\n")
         return EXIT_OK
 
-    split = [(x, res) for _, x, res in usable if res.conjugacy == "cartan"]
+    split = [k for k in usable if rows[k].conjugacy == "cartan"]
     if not split:
         return EXIT_DEGENERATE
-    x, res = split[0]
+    x, res = element(orbit.algebra, coords[split[0]]), rows[split[0]]
     seq = damped_oscillatory_integral(orbit, x, cfg.eps_schedule)
     lines = ["eps,re_estimate,im_estimate"]
     for eps, v in zip(seq.eps_schedule, seq.estimates):

@@ -216,12 +216,13 @@ def _invariant_defects(t: np.ndarray, lam: complex) -> np.ndarray:
     return _hypot(np.linalg.det(t) - target) / scale
 
 
-def _inverse(t: np.ndarray, lam: complex, tol: float = 1e-8
+def _inverse(t: np.ndarray, lam: complex
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Base points, charts and chart components of the covectors whose
-    twisted moments are the (N, 2, 2) carriers t."""
+    twisted moments are the (N, 2, 2) carriers t; carriers whose relative
+    invariant mismatch exceeds 1e-8 are refused."""
     defect = _invariant_defects(t, lam)
-    bad = np.flatnonzero(defect > tol)
+    bad = np.flatnonzero(defect > 1e-8)
     if bad.size:
         raise AlgebraError(
             "point is off the parameter orbit: invariant mismatch "
@@ -335,8 +336,7 @@ def twisted_moment(zeta: CotangentPoint, lam: complex) -> AlgebraElement:
     return moment(zeta) + weight_at(zeta.base, lam)
 
 
-def twisted_moment_inverse(nu: AlgebraElement, lam: complex,
-                           tol: float = 1e-8) -> CotangentPoint:
+def twisted_moment_inverse(nu: AlgebraElement, lam: complex) -> CotangentPoint:
     """The unique covector mapping to a point of the parameter's orbit.
 
     The base is the carrier eigenline for eigenvalue -lam/8 (the base Borel
@@ -344,7 +344,7 @@ def twisted_moment_inverse(nu: AlgebraElement, lam: complex,
     moment carrier.  Off-orbit inputs are rejected with the invariant
     mismatch.
     """
-    v, chart, component = _inverse(nu.matrix[None], lam, tol)
+    v, chart, component = _inverse(nu.matrix[None], lam)
     return CotangentPoint(base=_flag_row(v, chart),
                           component=complex(component[0]))
 

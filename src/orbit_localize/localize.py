@@ -600,15 +600,15 @@ class InvarianceReport:
     flagged: bool
 
 
-def random_group_element(spec: AlgebraSpec, rng: np.random.Generator,
-                         factors: int = 4, scale: float = 0.4) -> np.ndarray:
-    """Random product of exponentials of basis elements, in the defining rep."""
+def random_group_element(spec: AlgebraSpec,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Product of four n x n exp(0.4 z e_i), i uniform, z standard normal."""
     from scipy.linalg import expm
 
     g = np.eye(spec.n, dtype=complex)
-    for _ in range(factors):
+    for _ in range(4):
         i = int(rng.integers(0, spec.dim))
-        c = scale * float(rng.standard_normal())
+        c = 0.4 * float(rng.standard_normal())
         g = g @ expm(c * spec.basis[i])
     return g
 

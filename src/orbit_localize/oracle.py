@@ -19,7 +19,12 @@ evaluator and to pin its calibration constants:
 The Haar average equals the Liouville integral only up to a constant (both
 are invariant measures on the orbit), so the compact route carries a
 one-point calibration constant; the hyperboloid route needs none, and its
-sign fixes the split-mode multiplicity calibration.
+sign fixes the split-mode multiplicity calibration.  A calibrated estimate
+MC agrees with the formula value F when |MC - F| <= 3 sigma, where
+sigma = hypot(stderr, |MC| cal.stderr / |const|) adds the relative error
+of the constant to the estimate's own standard error.  This one rule
+(``_calibrated_comparison``) gives the ``agree_3sigma`` column of the
+``oracle`` command and the oracle suite's "calibrated estimates match" row.
 
 Randomness comes from numpy's Philox counter-based generator keyed by the
 caller's seed and consumed in a fixed chunk order, so every estimate is a
@@ -252,6 +257,24 @@ def mc_fourier_integral(orbit: OrbitSpec, x: AlgebraElement, seed: int,
     )
 
 
+def _calibrated_comparison(orbit: OrbitSpec, coords: np.ndarray,
+                           values: Sequence[complex], cal: CalibrationResult,
+                           samples: OrbitSamples
+                           ) -> tuple[list[complex], list[float], list[bool]]:
+    """Calibrated means MC at the rows of ``coords``, their sigmas and the
+    verdicts |MC - F| <= 3 sigma against the formula ``values`` F (see the
+    module docstring): one ``mc_fourier_integral`` call per point."""
+    means, sigmas = [], []
+    for c in coords:
+        est = mc_fourier_integral(orbit, element(orbit.algebra, c), 0, 0,
+                                  scale=cal.liouville_const, samples=samples)
+        means.append(est.mean)
+        sigmas.append(float(np.hypot(
+            est.stderr, abs(est.mean) * cal.stderr / abs(cal.liouville_const))))
+    return means, sigmas, [abs(mc - fv) <= 3.0 * sigma
+                           for mc, fv, sigma in zip(means, values, sigmas)]
+
+
 def calibrate(orbit: OrbitSpec, x0: AlgebraElement, seed: int,
               count: int) -> CalibrationResult:
     """Pin the Haar-to-Liouville constant (compact) or the global sign (split).
@@ -288,7 +311,8 @@ def calibrate(orbit: OrbitSpec, x0: AlgebraElement, seed: int,
     eps = (0.2, 0.1, 0.05, 0.025)
     seq = damped_oscillatory_integral(orbit, x0, eps)
     limit = seq.extrapolated
-    plus = _fixed_point_value_with_sign(orbit, x0, +1)
+    # The value at s0 = +1: split values are s0 perm M / V.
+    plus = orbit.s0 * fourier_value(orbit, x0).value
     if abs(limit) < 1e-12 or abs(plus) < 1e-12:
         raise CalibrationError("sign reference is consistent with zero")
     d_plus = abs(limit - plus)
@@ -303,14 +327,6 @@ def calibrate(orbit: OrbitSpec, x0: AlgebraElement, seed: int,
         seed=int(seed),
         count=count,
     )
-
-
-def _fixed_point_value_with_sign(orbit: OrbitSpec, x: AlgebraElement,
-                                 sign: int) -> complex:
-    from .localize import make_orbit
-
-    probe = make_orbit(orbit.algebra, orbit.weight, mode=orbit.mode, s0=sign)
-    return fourier_value(probe, x).value
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +366,13 @@ def split_orbit_liouville_density(radius: float, s) -> np.ndarray:
     return 2.0 * radius * np.cosh(np.asarray(s, dtype=float)) / np.pi
 
 
-def kks_density_bruteforce(orbit: OrbitSpec, s: float, phi: float,
-                           step: float = 1e-6) -> float:
+def kks_density_bruteforce(orbit: OrbitSpec, s: float, phi: float) -> float:
     """|orbit two-form / ds dphi| from brackets alone, for validation.
 
     Solves [u, Y] = dY/ds and [v, Y] = dY/dphi by least squares (the
     centralizer ambiguity drops out of B(Y,[u,v])) and divides by 2 pi.
     """
+    step = 1e-6   # central-difference step
     spec = orbit.algebra
     r = _split_radius(orbit)
     y = split_orbit_carrier(r, s, phi)
@@ -411,9 +427,9 @@ def damped_oscillatory_integral(orbit: OrbitSpec, x: AlgebraElement,
     from scipy.special import j0
 
     eps_schedule = tuple(float(e) for e in eps_schedule)
-    if not eps_schedule or any(
-        b >= a for a, b in zip(eps_schedule, eps_schedule[1:])
-    ) or eps_schedule[-1] <= 0:
+    if not (eps_schedule and np.isfinite(eps_schedule).all()
+            and all(b < a for a, b in zip(eps_schedule, eps_schedule[1:]))
+            and eps_schedule[-1] > 0):
         raise AlgebraError("damping schedule must decrease to a positive value")
     r = _split_radius(orbit)
     ev = standard_spectrum(x)

@@ -17,6 +17,7 @@ from .algebra import (
     AlgebraError,
     AlgebraSpec,
     _unit,
+    _upper_pairs,
     adjoint_matrix,
     bracket,
     build_algebra,
@@ -30,13 +31,13 @@ from .localize import (
     OrbitSpec,
     casimir_check,
     fourier_grid,
-    fourier_value,
     invariance_checks,
     make_orbit,
     random_group_element,
     standard_cartan,
 )
 from .oracle import (
+    _calibrated_comparison,
     calibrate,
     damped_oscillatory_integral,
     haar_orbit_sample,
@@ -53,6 +54,8 @@ SUITE_NAMES = ("algebra", "fixedpoints", "localize", "geometry", "oracle")
 # The suites key Philox streams at seed + 0 .. seed + 23, and Philox keys
 # lie in [0, 2^128).
 MAX_SEED = 2 ** 128 - 24
+
+_SWEEP = 20   # random points per sweep of a check
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,6 @@ class SuiteSettings:
     seed: int = 20240801
     mc_samples: int = 200_000
     eps_schedule: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025)
-    sweep: int = 20
     user_multiplicities: Optional[dict] = None
 
 
@@ -92,26 +94,32 @@ def _orbit(st: SuiteSettings) -> OrbitSpec:
                       user_multiplicities=st.user_multiplicities)
 
 
-def _root_gaps(ev: np.ndarray) -> np.ndarray:
-    """|alpha(x)| over the roots, from the standard-Cartan spectrum of x."""
-    i, j = np.triu_indices(len(ev), 1)
-    return np.abs(ev[i] - ev[j])
+def _values(orbit: OrbitSpec, points) -> np.ndarray:
+    """Transform values at elements or coordinate rows, as one batch."""
+    return np.array([r.value for r in fourier_grid(orbit, points)])
 
 
-def _random_regular(spec: AlgebraSpec, rng: np.random.Generator,
-                    split_only: bool = False):
-    """Gaussian ambient coordinates, filtered to the regular (split) set."""
-    for _ in range(400):
+def _draws(spec: AlgebraSpec, rng: np.random.Generator, tries: int):
+    """Regular Gaussian ambient points x, one draw each, with |alpha(x)|
+    over the roots (None for sl(n,R) points with a non-real spectrum)."""
+    i, j = _upper_pairs(spec.n)
+    for _ in range(tries):
         x = element(spec, rng.standard_normal(spec.dim) * 0.7)
         try:
             ev = standard_spectrum(x)
         except AlgebraError:
             continue
-        if ev is None:
+        yield x, None if ev is None else np.abs(ev[i] - ev[j])
+
+
+def _random_regular(spec: AlgebraSpec, rng: np.random.Generator,
+                    split_only: bool = False):
+    """Gaussian ambient coordinates, filtered to the regular (split) set."""
+    for x, vals in _draws(spec, rng, 400):
+        if vals is None:
             if split_only:
                 continue
             return x
-        vals = _root_gaps(ev)
         if vals.min() > 0.15 and vals.max() < 40.0:
             return x
     raise RuntimeError("failed to sample a usable regular element")
@@ -133,21 +141,15 @@ def _casimir_point(orbit: OrbitSpec, rng: np.random.Generator):
         gap_min, ratio_min, cancel_min = 0.7, 0.93 * peak, 0.15
     else:
         gap_min, ratio_min, cancel_min = 0.5, 0.0, 0.1
-    for _ in range(5000):
-        x = element(spec, rng.standard_normal(spec.dim) * 0.7)
-        try:
-            ev = standard_spectrum(x)
-        except AlgebraError:
+    for x, vals in _draws(spec, rng, 5000):
+        if vals is None:
             continue
-        if ev is None:
-            continue
-        vals = _root_gaps(ev)
         gap = float(vals.min())
         if gap < gap_min or vals.max() > 40.0:
             continue
         if ratio_min and gap / float(np.linalg.norm(x.matrix)) < ratio_min:
             continue
-        res = fourier_value(orbit, x)
+        res = fourier_grid(orbit, [x])[0]
         if abs(res.value) < cancel_min * sum(abs(t.value) for t in res.terms):
             continue
         return x
@@ -164,9 +166,10 @@ def _algebra_suite(st: SuiteSettings) -> list[CheckResult]:
     cart = standard_cartan(spec)
     out = []
 
-    # Structure tensor [e_i, e_j] = sum_k c[i,j,k] e_k, only for these checks.
-    units = [element(spec, row) for row in np.eye(spec.dim)]
-    c = np.array([[bracket(u, v).coords for v in units] for u in units])
+    # Structure tensor [e_i, e_j] = sum_k c[i,j,k] e_k, only for these
+    # checks: row j of ad(e_i)^T holds [e_i, e_j].
+    c = np.array([adjoint_matrix(element(spec, row)).T
+                  for row in np.eye(spec.dim)])
     jac = (
         np.einsum("ijm,mkl->ijkl", c, c)
         + np.einsum("jkm,mil->ijkl", c, c)
@@ -231,7 +234,7 @@ def _algebra_suite(st: SuiteSettings) -> list[CheckResult]:
     hs = [element_from_matrix(spec, m) for m in h]
     worst_rt = 0.0
     worst_comm = 0.0
-    for _ in range(st.sweep):
+    for _ in range(_SWEEP):
         x = _random_regular(spec, rng, split_only=(st.family == "sl_real"))
         red = reduce_to_cartan(x, cart)
         g = red.group_element
@@ -281,7 +284,7 @@ def _fixedpoints_suite(st: SuiteSettings) -> list[CheckResult]:
     # be closed under addition.
     i, j = np.triu_indices(n, 1)
     bad = 0.0
-    for _ in range(st.sweep):
+    for _ in range(_SWEEP):
         t = rng.uniform(0.3, 1.5, cart.rank) * rng.choice([-1.0, 1.0], cart.rank)
         d = np.append(t, 0.0) - np.append(0.0, t)
         values = d[i] - d[j]
@@ -325,7 +328,7 @@ def _localize_suite(st: SuiteSettings) -> list[CheckResult]:
     out = []
 
     worst = 0.0
-    for _ in range(st.sweep):
+    for _ in range(_SWEEP):
         x = _random_regular(spec, rng, split_only=split_only)
         g = random_group_element(spec, rng)
         rep = invariance_checks(orbit, x, g)
@@ -336,17 +339,15 @@ def _localize_suite(st: SuiteSettings) -> list[CheckResult]:
     out.append(_check("ad and weyl invariance of the transform", worst, 1e-9))
 
     worst = 0.0
-    for _ in range(st.sweep):
+    for _ in range(_SWEEP):
         x = _casimir_point(orbit, rng)
         res = casimir_check(orbit, x, step=1e-3)
         worst = max(worst, res.residual)
     out.append(_check("quadratic invariant eigenvalue identity", worst, 1e-4))
 
     if spec.family == "su" and spec.n == 2:
-        vals = [
-            fourier_value(orbit, element(spec, [2.0 ** -k, 0.0, 0.0])).value
-            for k in range(0, 21)
-        ]
+        vals = _values(orbit, np.array([[2.0 ** -k, 0.0, 0.0]
+                                        for k in range(0, 21)]))
         bound = max(abs(v) for v in vals)
         tail = max(abs(vals[k] - vals[k + 1]) for k in range(15, 20))
         out.append(_check("bounded through the origin (dyadic schedule)",
@@ -354,27 +355,25 @@ def _localize_suite(st: SuiteSettings) -> list[CheckResult]:
         out.append(_check("cauchy tail at the origin", tail, 1e-6))
 
     if split_only:
-        worst_im = 0.0
-        for _ in range(st.sweep):
-            x = _random_regular(spec, rng, split_only=True)
-            worst_im = max(worst_im, abs(fourier_value(orbit, x).value.imag))
+        # Each batch draws its points in the order a one-point loop does.
+        split = [_random_regular(spec, rng, split_only=True)
+                 for _ in range(_SWEEP)]
         if spec.n == 2:
+            worst_im = np.max(np.abs(_values(orbit, split).imag))
             out.append(_check("split-set values are real", worst_im, 1e-12))
-        zero = 0.0
-        if spec.n == 2:
-            for _ in range(st.sweep):
+            elliptic = []
+            for _ in range(_SWEEP):
                 theta = rng.uniform(0.3, 2.0)
                 g = random_group_element(spec, rng)
                 m = theta * np.array([[0.0, 1.0], [-1.0, 0.0]])
-                x = element_from_matrix(spec, g @ m @ np.linalg.inv(g))
-                zero = max(zero, abs(fourier_value(orbit, x).value))
+                elliptic.append(
+                    element_from_matrix(spec, g @ m @ np.linalg.inv(g)))
+            zero = np.max(np.abs(_values(orbit, elliptic)))
             out.append(_check("vanishing off the split class (exact)", zero, 0.0))
         if orbit.mode == "maximally_split":
             flipped = make_orbit(spec, st.weight, mode=orbit.mode, s0=-orbit.s0)
-            x = _random_regular(spec, rng, split_only=True)
-            covariance = abs(
-                fourier_value(flipped, x).value + fourier_value(orbit, x).value
-            )
+            x = [_random_regular(spec, rng, split_only=True)]
+            covariance = abs(_values(flipped, x)[0] + _values(orbit, x)[0])
             out.append(_check("global sign flip negates the transform",
                               covariance, 1e-12))
     return out
@@ -415,22 +414,11 @@ def _oracle_suite(st: SuiteSettings) -> list[CheckResult]:
 
         cal = calibrate(orbit, x_ref, st.seed + 17, st.mc_samples)
         shared = haar_orbit_sample(orbit, st.seed + 23, st.mc_samples)
-        points = [_random_regular(spec, rng) for _ in range(20)]
-        values = fourier_grid(orbit, np.array([x.coords for x in points]))
-        misses = 0
-        for x, res in zip(points, values):
-            est = mc_fourier_integral(
-                orbit, x, 0, 0, scale=cal.liouville_const, samples=shared
-            )
-            fv = res.value
-            sigma = np.hypot(
-                est.stderr,
-                abs(est.mean) * cal.stderr / abs(cal.liouville_const),
-            )
-            if abs(est.mean - fv) > 3.0 * sigma:
-                misses += 1
+        coords = np.array([_random_regular(spec, rng).coords for _ in range(20)])
+        verdicts = _calibrated_comparison(orbit, coords, _values(orbit, coords),
+                                          cal, shared)[2]
         out.append(_check("calibrated estimates match (<= 2 of 20 misses)",
-                          float(misses), 2.0))
+                          float(verdicts.count(False)), 2.0))
 
         rerun = haar_orbit_sample(orbit, st.seed, min(st.mc_samples, 4000))
         identical = np.array_equal(samples.coords, rerun.coords)
@@ -458,7 +446,7 @@ def _oracle_suite(st: SuiteSettings) -> list[CheckResult]:
         )
         mesh_rel = abs(half.estimates[0] - seq.estimates[-1]) / abs(seq.estimates[-1])
         out.append(_check("quadrature stable under mesh halving", mesh_rel, 1e-2))
-        fv = fourier_value(orbit, x).value
+        fv = _values(orbit, [x])[0]
         rel = abs(seq.extrapolated - fv) / max(abs(fv), 1e-12)
         out.append(_check("vanishing-damping limit matches the transform (10%)",
                           rel, 0.10))

@@ -738,3 +738,62 @@ def test_eval_json_terms_stay_blocked(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+# --- oracle, verify and calibrate output bytes -----------------------------
+
+SU3_ORACLE = {
+    "algebra": {"family": "su", "n": 3},
+    "weight": [0.9, 0.4],
+    "grid": {"axes": [{"start": 0.3, "stop": 0.9, "steps": 2},
+                      {"start": -0.4, "stop": 0.4, "steps": 2}]},
+    # Two Haar chunks of 2^15 draws each.
+    "oracle": {"seed": 3, "samples": 40_000},
+}
+# The fixed verify configs of the oracle-verify benchmark workload.
+SU3_VERIFY = {"algebra": {"family": "su", "n": 3}, "weight": [0.9, 0.4],
+              "oracle": {"seed": 1}}
+SL2_VERIFY = {"algebra": {"family": "sl_real", "n": 2}, "weight": [1.0],
+              "s0": -1, "oracle": {"seed": 20240802}}
+
+
+def report_digest(tmp_path, capsys, command, cfg) -> str:
+    """Hash of what a command writes: its output file, then its stdout."""
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / f"{command}.out"
+    argv = [command, "--config", path, "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    return hashlib.sha256(out.read_bytes()
+                          + capsys.readouterr().out.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("command,cfg,digest", [
+    ("oracle", SU3_ORACLE, "df16dcd163daa72b"),
+    ("oracle", SL2, "c44bc18510236c51"),
+    ("verify", SU3_VERIFY, "ff3de9eb06015186"),
+    ("verify", SL2_VERIFY, "23e4757206d8a613"),
+    ("calibrate", SU3_ORACLE, "bc37d498df51261e"),
+    ("calibrate", SL2, "e4433a096166693e"),
+], ids=["oracle-su3", "oracle-sl2", "verify-su3", "verify-sl2",
+        "calibrate-su3", "calibrate-sl2"])
+def test_oracle_verify_calibrate_golden_digest(tmp_path, capsys, command, cfg,
+                                               digest):
+    # Taken where cmd_oracle and the oracle suite each applied the 3 sigma
+    # rule themselves and the suites valued points one at a time: they pin
+    # every estimate, sigma, verdict and residual to the bit.
+    assert report_digest(tmp_path, capsys, command, cfg) == digest
+
+
+def test_split_localize_suite_makes_no_fourier_value_call(tmp_path, monkeypatch):
+    # The suite values its points in batches, through fourier_grid.
+    from orbit_localize import cli, localize, oracle, suites
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fourier_value called")
+
+    for module in (localize, suites, oracle, cli):
+        if hasattr(module, "fourier_value"):
+            monkeypatch.setattr(module, "fourier_value", refuse)
+    path = write_config(tmp_path, SL2_VERIFY)
+    assert main(["verify", "--config", path, "--suite", "localize"]) == 0

@@ -382,6 +382,18 @@ def test_damped_integral_schedule_validation():
         damped_oscillatory_integral(orbit, x, ())
 
 
+@pytest.mark.parametrize("eps", [
+    (float("nan"),), (0.2, float("nan"), 0.05), (float("inf"), 0.1),
+], ids=["nan", "nan-inside", "inf-first"])
+def test_damped_integral_refuses_non_finite_schedule(eps):
+    # NaN fails both order comparisons, so it needs its own refusal.
+    orbit = sl2_orbit()
+    x = element(orbit.algebra, [0.6, 0.0, 0.0])
+    with pytest.raises(AlgebraError,
+                       match="damping schedule must decrease to a positive value"):
+        damped_oscillatory_integral(orbit, x, eps)
+
+
 @pytest.mark.parametrize("coords, eps", [
     ([1e30, 0.0, 0.0], (0.2, 0.1, 0.05)),
     ([0.6, 0.0, 0.0], (1e-300,)),
