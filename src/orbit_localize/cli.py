@@ -33,7 +33,6 @@ from .oracle import (
     _calibrated_comparison,
     calibrate,
     damped_oscillatory_integral,
-    haar_orbit_sample,
     split_orbit_carrier,
 )
 from .suites import MAX_SEED, SUITE_NAMES, SuiteSettings, run_suite
@@ -536,10 +535,9 @@ def cmd_oracle(cfg: RunConfig, out: Optional[str],
 
     if orbit.algebra.family == "su":
         cal = calibrate(orbit, _default_reference(orbit), seed, cfg.mc_samples)
-        shared = haar_orbit_sample(orbit, seed + 1, cfg.mc_samples)
         values = [rows[k].value for k in usable]
         means, sigmas, verdicts = _calibrated_comparison(
-            orbit, coords[usable], values, cal, shared)
+            orbit, coords[usable], values, cal, seed + 1, cfg.mc_samples)
         lines = ["x_coords,re_formula,im_formula,re_mc,im_mc,stderr,agree_3sigma"]
         for k, fv, mc, sigma, agree in zip(usable, values, means, sigmas,
                                            verdicts):

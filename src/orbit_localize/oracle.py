@@ -28,17 +28,23 @@ of the constant to the estimate's own standard error.  This one rule
 
 Randomness comes from numpy's Philox counter-based generator keyed by the
 caller's seed and consumed in a fixed chunk order, so every estimate is a
-pure function of (seed, sample count, inputs).  The Haar sampler draws the
-next chunk on one helper thread while it works on the current one; the
-stream has one reader at a time and is read in the serial order, so the
-samples are those of a serial draw bit for bit.
+pure function of (seed, sample count, inputs).  One chunk loop
+(``_haar_pass``) serves the sampler and the estimates.  A helper thread
+draws the next chunk while the current one is worked on; the stream has
+one reader at a time and is read in the serial order, so the samples are
+those of a serial draw bit for bit.  An estimate without a stored sample
+set (``calibrate``, the comparison) values its points inside that loop,
+while each chunk is hot: both threads take points from one per-chunk
+iterator, and the (count, dim) sample set is never formed.  Each point's
+values come from the same rows whichever thread takes it, so the output
+does not depend on scheduling.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -70,6 +76,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 15     # Haar draws per Philox chunk
+_VALUES_BYTES = 1 << 26   # Monte Carlo values held per Haar pass
 _S_BLOCK = 1 << 16   # hyperbolic-angle nodes per summed block
 _MAX_S_NODES = 1 << 22   # hyperbolic-angle nodes per damping value
 
@@ -166,46 +173,69 @@ def _orbit_coords(re: np.ndarray, im: np.ndarray, zeta: np.ndarray,
             c += 2
 
 
-def haar_orbit_sample(orbit: OrbitSpec, seed: int, count: int) -> OrbitSamples:
-    """Conjugate the dual Cartan element by Haar-random unitaries.
-
-    Compact form only.  Deterministic in (seed, count): samples are drawn
-    in fixed-size chunks from one Philox stream, each chunk as the real
-    and then the imaginary parts of (take, n, n) Ginibre matrices.  Only
-    the first n-1 Gram-Schmidt columns are formed, since the last column
-    enters the sample only through u_n u_n^H = I - sum_{k<n} u_k u_k^H,
-    and the coordinates are written from them directly.  One helper
-    thread draws the next chunk into the single draw buffer while this
-    thread works on the current one; the stream has one consumer at a
-    time and is read in the same order, so the samples are bit for bit
-    those of a serial draw.
-    """
+def _haar_zeta(orbit: OrbitSpec) -> np.ndarray:
+    """zeta with carrier i diag(zeta); compact forms only."""
     if orbit.algebra.family != "su":
         raise AlgebraError("Haar orbit sampling requires the compact form")
-    spec = orbit.algebra
-    n = spec.n
     # The carrier is i diag(zeta), so U D U^H = i U diag(zeta) U^H.
-    zeta = np.diagonal(orbit.dual_element.matrix).imag
+    return np.diagonal(orbit.dual_element.matrix).imag
+
+
+def _haar_pass(zeta: np.ndarray, seed: int, count: int,
+               coords_at: Callable[[int, int], np.ndarray],
+               value: Optional[Callable[[int, int, np.ndarray], None]] = None,
+               points: int = 0) -> None:
+    """One pass over ``count`` Haar samples of the orbit of i diag(zeta).
+
+    Samples are drawn in fixed-size chunks from one Philox stream, each
+    chunk as the real and then the imaginary parts of (take, n, n) Ginibre
+    matrices.  ``coords_at(lo, take)`` is the (take, dim) array that
+    receives the coordinates of samples lo .. lo + take - 1.  Once they are
+    written, ``value(p, lo, coords)`` runs for p in 0 .. points - 1, while
+    the chunk is hot.
+
+    Two threads share the work.  Per chunk one helper thread first draws
+    the next chunk into the single draw buffer (the current one has been
+    copied out), then waits until this thread has written the coordinates,
+    and then both threads take points from one iterator until it is empty.
+    The stream has one reader at a time and is read in the serial order,
+    and each point is valued by one thread on the same rows, so the result
+    does not depend on scheduling.  A failure on either thread stops the
+    valuing, and is raised here once the helper has been joined.
+    """
+    n = len(zeta)
     rng = _philox(seed)
-    out = np.empty((count, spec.dim))
     buf = np.empty((2, min(_CHUNK, count), n, n))
     failure = []
+    lock = threading.Lock()
 
-    def draw(take: int) -> None:
+    def work(lo: int, coords: np.ndarray, todo) -> None:
+        while not failure:
+            with lock:
+                p = next(todo, None)
+            if p is None:
+                return
+            value(p, lo, coords)
+
+    def helper(take: int, ready: threading.Event, lo: int,
+               coords: np.ndarray, todo) -> None:
         try:
-            rng.standard_normal(out=buf[0, :take])
-            rng.standard_normal(out=buf[1, :take])
+            if take:
+                rng.standard_normal(out=buf[0, :take])
+                rng.standard_normal(out=buf[1, :take])
+            if todo is not None:
+                ready.wait()
+                work(lo, coords, todo)
         except BaseException as exc:   # handed to the caller, which raises it
             failure.append(exc)
 
-    def draw_ahead(lo: int) -> Optional[threading.Thread]:
-        if lo >= count:
-            return None
-        thread = threading.Thread(target=draw, args=(min(_CHUNK, count - lo),))
+    def start(*args) -> threading.Thread:
+        thread = threading.Thread(target=helper, args=args)
         thread.start()
         return thread
 
-    ahead = draw_ahead(0)
+    ready = None
+    ahead = start(min(_CHUNK, count), None, 0, None, None) if count else None
     try:
         for lo in range(0, count, _CHUNK):
             take = min(_CHUNK, count - lo)
@@ -216,12 +246,43 @@ def haar_orbit_sample(orbit: OrbitSpec, seed: int, count: int) -> OrbitSamples:
             # copy its first n-1 columns out as (column, row, sample).
             re, im = np.ascontiguousarray(
                 buf[:, :take, :, :n - 1].transpose(0, 3, 2, 1))
-            ahead = draw_ahead(lo + _CHUNK)
+            coords = coords_at(lo, take)
+            todo = iter(range(points)) if points else None
+            ready = threading.Event()
+            following = min(_CHUNK, count - lo - take)
+            ahead = (start(following, ready, lo, coords, todo)
+                     if following or todo is not None else None)
             _gram_schmidt(re, im)
-            _orbit_coords(re, im, zeta, out[lo:lo + take])
+            _orbit_coords(re, im, zeta, coords)
+            ready.set()
+            if todo is not None:
+                work(lo, coords, todo)
+    except BaseException as exc:
+        failure.append(exc)   # stops the helper's valuing
+        raise
     finally:
+        if ready is not None:
+            ready.set()
         if ahead is not None:
             ahead.join()
+    if failure:
+        raise failure[0]
+
+
+def haar_orbit_sample(orbit: OrbitSpec, seed: int, count: int) -> OrbitSamples:
+    """Conjugate the dual Cartan element by Haar-random unitaries.
+
+    Compact form only.  Deterministic in (seed, count): the samples come
+    from one ``_haar_pass`` over a Philox stream.  Only the first n-1
+    Gram-Schmidt columns are formed, since the last column enters the
+    sample only through u_n u_n^H = I - sum_{k<n} u_k u_k^H, and the
+    coordinates are written from them directly.  A helper thread draws
+    the next chunk while this thread works on the current one, and the
+    samples are bit for bit those of a serial draw.
+    """
+    zeta = _haar_zeta(orbit)
+    out = np.empty((count, orbit.algebra.dim))
+    _haar_pass(zeta, seed, count, lambda lo, take: out[lo:lo + take])
     return OrbitSamples(orbit=orbit, coords=out, seed=int(seed), count=count)
 
 
@@ -231,18 +292,18 @@ def orbit_exponents(samples: OrbitSamples, x: AlgebraElement) -> np.ndarray:
     return 1j * (samples.coords @ kx)
 
 
-def mc_fourier_integral(orbit: OrbitSpec, x: AlgebraElement, seed: int,
-                        count: int, scale: complex = 1.0,
-                        samples: Optional[OrbitSamples] = None) -> McEstimate:
-    """Monte Carlo average of exp(<x, zeta>) over the orbit, times ``scale``.
+def _exponentials(coords: np.ndarray, kx: np.ndarray, out: np.ndarray) -> None:
+    """exp(<x, zeta>) at the rows of one chunk of coordinates, into ``out``.
 
-    ``scale`` is the Liouville normalization constant from ``calibrate``;
-    pass 1 for the raw Haar average.  A precomputed sample set may be
-    supplied to share sampling cost across evaluation points.
+    Every estimate forms its exponents one chunk of at most ``_CHUNK`` rows
+    at a time, so a stored sample set and a fused pass give the same bits.
     """
-    if samples is None:
-        samples = haar_orbit_sample(orbit, seed, count)
-    vals = np.exp(orbit_exponents(samples, x))
+    np.multiply(1j, coords @ kx, out=out)
+    np.exp(out, out=out)
+
+
+def _estimate(vals: np.ndarray, scale: complex, seed: int) -> McEstimate:
+    """Mean and standard error of the values of one point, times ``scale``."""
     mean = complex(vals.mean()) if len(vals) else complex("nan")
     if len(vals) > 1:
         var = vals.real.var(ddof=1) + vals.imag.var(ddof=1)
@@ -252,25 +313,73 @@ def mc_fourier_integral(orbit: OrbitSpec, x: AlgebraElement, seed: int,
     return McEstimate(
         mean=complex(scale) * mean,
         stderr=abs(complex(scale)) * stderr,
-        count=samples.count,
-        seed=samples.seed,
+        count=len(vals),
+        seed=int(seed),
     )
+
+
+def _mc_estimates(orbit: OrbitSpec, xs: Sequence[AlgebraElement], seed: int,
+                  count: int, scale: complex = 1.0) -> list[McEstimate]:
+    """``mc_fourier_integral`` at each of ``xs`` on one Haar sample set.
+
+    The points are valued inside the sampler's chunk loop, on both of its
+    threads, and the (count, dim) sample set is never formed: each chunk's
+    coordinates go to one reused buffer.  What is kept is the values, a
+    (points, count) array.  Points beyond ``_VALUES_BYTES`` of values take
+    further passes over the same stream, so they see the same samples.
+    """
+    zeta = _haar_zeta(orbit)
+    kxs = [orbit.algebra.killing @ x.coords for x in xs]
+    group = max(1, _VALUES_BYTES // (16 * max(count, 1)))
+    vals = np.empty((min(group, len(kxs)), count), dtype=complex)
+    chunk = np.empty((min(_CHUNK, count), orbit.algebra.dim))
+    estimates = []
+    for first in range(0, len(kxs), group):
+        ks = kxs[first:first + group]
+
+        def value(p: int, lo: int, coords: np.ndarray) -> None:
+            _exponentials(coords, ks[p], vals[p, lo:lo + len(coords)])
+
+        _haar_pass(zeta, seed, count, lambda lo, take: chunk[:take],
+                   value, len(ks))
+        estimates += [_estimate(v, scale, seed) for v in vals[:len(ks)]]
+    return estimates
+
+
+def mc_fourier_integral(orbit: OrbitSpec, x: AlgebraElement, seed: int,
+                        count: int, scale: complex = 1.0,
+                        samples: Optional[OrbitSamples] = None) -> McEstimate:
+    """Monte Carlo average of exp(<x, zeta>) over the orbit, times ``scale``.
+
+    ``scale`` is the Liouville normalization constant from ``calibrate``;
+    pass 1 for the raw Haar average.  Without ``samples`` the point is
+    valued during the draw of (seed, count); a stored sample set gives the
+    same estimate bit for bit.
+    """
+    if samples is None:
+        return _mc_estimates(orbit, [x], seed, count, scale)[0]
+    kx = samples.orbit.algebra.killing @ x.coords
+    vals = np.empty(samples.count, dtype=complex)
+    for lo in range(0, samples.count, _CHUNK):
+        _exponentials(samples.coords[lo:lo + _CHUNK], kx,
+                      vals[lo:lo + _CHUNK])
+    return _estimate(vals, scale, samples.seed)
 
 
 def _calibrated_comparison(orbit: OrbitSpec, coords: np.ndarray,
                            values: Sequence[complex], cal: CalibrationResult,
-                           samples: OrbitSamples
+                           seed: int, count: int
                            ) -> tuple[list[complex], list[float], list[bool]]:
     """Calibrated means MC at the rows of ``coords``, their sigmas and the
     verdicts |MC - F| <= 3 sigma against the formula ``values`` F (see the
-    module docstring): one ``mc_fourier_integral`` call per point."""
-    means, sigmas = [], []
-    for c in coords:
-        est = mc_fourier_integral(orbit, element(orbit.algebra, c), 0, 0,
-                                  scale=cal.liouville_const, samples=samples)
-        means.append(est.mean)
-        sigmas.append(float(np.hypot(
-            est.stderr, abs(est.mean) * cal.stderr / abs(cal.liouville_const))))
+    module docstring).  All points are valued in one pass over the Haar
+    samples of (seed, count), with no stored sample set."""
+    ests = _mc_estimates(orbit, [element(orbit.algebra, c) for c in coords],
+                         seed, count, scale=cal.liouville_const)
+    means = [est.mean for est in ests]
+    sigmas = [float(np.hypot(
+        est.stderr, abs(est.mean) * cal.stderr / abs(cal.liouville_const)))
+        for est in ests]
     return means, sigmas, [abs(mc - fv) <= 3.0 * sigma
                            for mc, fv, sigma in zip(means, values, sigmas)]
 

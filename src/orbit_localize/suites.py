@@ -114,15 +114,26 @@ def _draws(spec: AlgebraSpec, rng: np.random.Generator, tries: int):
 
 def _random_regular(spec: AlgebraSpec, rng: np.random.Generator,
                     split_only: bool = False):
-    """Gaussian ambient coordinates, filtered to the regular (split) set."""
-    for x, vals in _draws(spec, rng, 400):
+    """Gaussian ambient coordinates, filtered to the regular (split) set.
+
+    If no draw passes, the refusal names the first filter that none of
+    them passed.
+    """
+    real = False   # some draw had a real spectrum
+    tries = 400
+    for x, vals in _draws(spec, rng, tries):
         if vals is None:
             if split_only:
                 continue
             return x
+        real = True
         if vals.min() > 0.15 and vals.max() < 40.0:
             return x
-    raise RuntimeError("failed to sample a usable regular element")
+    failed = "root gap in (0.15, 40)" if real else "real spectrum"
+    raise AlgebraError(
+        f"no usable regular point in {tries} draws: none passed the "
+        f"{failed} filter"
+    )
 
 
 def _casimir_point(orbit: OrbitSpec, rng: np.random.Generator):
@@ -131,7 +142,8 @@ def _casimir_point(orbit: OrbitSpec, rng: np.random.Generator):
     Excludes near-zeros of the transform (the pointwise-relative residual
     divides by |F|) and, for the split form, points too close to the cone,
     where the transform has a genuine pole and the fourth derivative
-    escapes the h^2 error budget.
+    escapes the h^2 error budget.  If no draw passes, the refusal names
+    the first filter that none of them passed.
     """
     spec = orbit.algebra
     split = spec.family == "sl_real"
@@ -141,19 +153,30 @@ def _casimir_point(orbit: OrbitSpec, rng: np.random.Generator):
         gap_min, ratio_min, cancel_min = 0.7, 0.93 * peak, 0.15
     else:
         gap_min, ratio_min, cancel_min = 0.5, 0.0, 0.1
-    for x, vals in _draws(spec, rng, 5000):
+    filters = ("real spectrum", f"root gap in [{gap_min}, 40]",
+               f"gap-to-norm ratio >= {ratio_min:.3f}",
+               f"|F| >= {cancel_min} sum |terms|")
+    passed = 0   # filters that some draw passed
+    tries = 5000
+    for x, vals in _draws(spec, rng, tries):
         if vals is None:
             continue
+        passed = max(passed, 1)
         gap = float(vals.min())
         if gap < gap_min or vals.max() > 40.0:
             continue
+        passed = max(passed, 2)
         if ratio_min and gap / float(np.linalg.norm(x.matrix)) < ratio_min:
             continue
+        passed = max(passed, 3)
         res = fourier_grid(orbit, [x])[0]
         if abs(res.value) < cancel_min * sum(abs(t.value) for t in res.terms):
             continue
         return x
-    raise RuntimeError("failed to sample a casimir-testable point")
+    raise AlgebraError(
+        f"no casimir-testable point in {tries} draws: none passed the "
+        f"{filters[passed]} filter"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +436,9 @@ def _oracle_suite(st: SuiteSettings) -> list[CheckResult]:
                           0.0 if consistent else 1.0, 0.5))
 
         cal = calibrate(orbit, x_ref, st.seed + 17, st.mc_samples)
-        shared = haar_orbit_sample(orbit, st.seed + 23, st.mc_samples)
         coords = np.array([_random_regular(spec, rng).coords for _ in range(20)])
         verdicts = _calibrated_comparison(orbit, coords, _values(orbit, coords),
-                                          cal, shared)[2]
+                                          cal, st.seed + 23, st.mc_samples)[2]
         out.append(_check("calibrated estimates match (<= 2 of 20 misses)",
                           float(verdicts.count(False)), 2.0))
 

@@ -301,6 +301,31 @@ def test_oracle_suite_restricted_to_rank_one_split(tmp_path, capsys):
     assert "sl(2,R)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n,weight,message", [
+    # No Gaussian sl(4,R) draw in 5,000 has a spectrum spread evenly
+    # enough for the split gap-to-norm filter of the casimir check.
+    (4, [0.9, 1.4, 0.6],
+     "no casimir-testable point in 5000 draws: none passed the "
+     "gap-to-norm ratio >= 0.416 filter"),
+    # Nor does any Gaussian sl(7,R) draw in 400 have a real spectrum.
+    (7, [1.0614, 1.6895, 2.0643, 2.0557, 1.6738, 1.0186],
+     "no usable regular point in 400 draws: none passed the "
+     "real spectrum filter"),
+], ids=["casimir-sl4", "regular-sl7"])
+def test_localize_suite_without_usable_point_refused(tmp_path, capsys, n,
+                                                     weight, message):
+    cfg = write_config(tmp_path, {
+        "algebra": {"family": "sl_real", "n": n}, "weight": weight,
+        "oracle": {"seed": 2 if n == 4 else 3}})
+    out = tmp_path / "report.txt"
+    assert main(["verify", "--config", cfg, "--suite", "localize",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_cycle_limit_requires_sl2(tmp_path, capsys):
     cfg = write_config(tmp_path, SU2)
     assert main(["cycle-limit", "--config", cfg]) == 2

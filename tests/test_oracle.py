@@ -172,24 +172,156 @@ def test_multi_chunk_sampling_deterministic_and_joins_its_thread():
     assert threading.active_count() == before
 
 
+class _FailingThirdFill:
+    """A Philox generator whose third fill raises.
+
+    The first chunk takes two fills; the third fill is the helper thread's
+    draw of the second chunk.
+    """
+
+    def __init__(self, seed):
+        self.rng, self.fills = _philox(seed), 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.fills += 1
+        if self.fills == 3:
+            raise MemoryError("fill failed")
+        return self.rng.standard_normal(*args, **kwargs)
+
+
 def test_draw_error_reaches_caller_and_leaves_no_thread(monkeypatch):
-    # The first chunk takes two fills; the third fill is the helper
-    # thread's draw of the second chunk.
-    class Failing:
-        def __init__(self, seed):
-            self.rng, self.fills = _philox(seed), 0
-
-        def standard_normal(self, *args, **kwargs):
-            self.fills += 1
-            if self.fills == 3:
-                raise MemoryError("fill failed")
-            return self.rng.standard_normal(*args, **kwargs)
-
-    monkeypatch.setattr(oracle, "_philox", Failing)
+    monkeypatch.setattr(oracle, "_philox", _FailingThirdFill)
     orbit = make_orbit(build_algebra("su", 3), [0.9, 0.4])
     before = threading.active_count()
     with pytest.raises(MemoryError, match="fill failed"):
         haar_orbit_sample(orbit, seed=5, count=3 * _CHUNK)
+    assert threading.active_count() == before
+
+
+# --- estimates valued during the draw ----------------------------------------
+
+def _bits(est):
+    return repr(est.mean), repr(est.stderr), est.count, est.seed
+
+
+def _points(orbit, k):
+    rng = np.random.default_rng(k)
+    return [element(orbit.algebra, rng.standard_normal(orbit.algebra.dim) * 0.6)
+            for _ in range(k)]
+
+
+def _stored_estimates(orbit, xs, seed, count, scale):
+    samples = haar_orbit_sample(orbit, seed, count)
+    return [mc_fourier_integral(orbit, x, 0, 0, scale=scale, samples=samples)
+            for x in xs]
+
+
+@pytest.mark.parametrize("points", [1, 2, 20])
+@pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, 3 * _CHUNK + 17],
+                         ids=["0", "1", "chunk-1", "chunk", "3chunks+17"])
+def test_fused_estimates_equal_stored_sample_estimates(count, points):
+    orbit = make_orbit(build_algebra("su", 3), [0.9, 0.4])
+    xs = _points(orbit, points)
+    scale = 2.0 - 0.5j
+    want = [_bits(e) for e in _stored_estimates(orbit, xs, 13, count, scale)]
+    got = oracle._mc_estimates(orbit, xs, 13, count, scale)
+    assert [_bits(e) for e in got] == want
+
+
+@pytest.mark.parametrize("points", [2, 20])
+def test_fused_estimates_independent_of_thread_switching(points):
+    # Threads switch every microsecond, so which thread values which point
+    # changes from chunk to chunk.
+    orbit = make_orbit(build_algebra("su", 3), [0.9, 0.4])
+    xs = _points(orbit, points)
+    count = 3 * _CHUNK + 17
+    want = [_bits(e) for e in _stored_estimates(orbit, xs, 21, count, 1.0)]
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = oracle._mc_estimates(orbit, xs, 21, count)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [_bits(e) for e in got] == want
+    assert threading.active_count() == before
+
+
+def test_points_beyond_the_values_cap_take_more_passes(monkeypatch):
+    # Room for the values of three points: 20 points take seven passes
+    # over the same stream.
+    orbit = make_orbit(build_algebra("su", 3), [0.9, 0.4])
+    xs = _points(orbit, 20)
+    count = _CHUNK + 5
+    want = [_bits(e) for e in _stored_estimates(orbit, xs, 8, count, 1.0)]
+    monkeypatch.setattr(oracle, "_VALUES_BYTES", 3 * 16 * count)
+    passes = []
+    real_pass = oracle._haar_pass
+    monkeypatch.setattr(oracle, "_haar_pass",
+                        lambda *a, **k: passes.append(1) or real_pass(*a, **k))
+    got = oracle._mc_estimates(orbit, xs, 8, count)
+    assert [_bits(e) for e in got] == want
+    assert len(passes) == 7
+
+
+def test_fused_estimate_of_zero_and_one_samples():
+    orbit = su2_orbit()
+    x = element(orbit.algebra, [0.5, 0.2, 0.1])
+    empty = mc_fourier_integral(orbit, x, 3, 0)
+    assert np.isnan(empty.mean) and empty.stderr == float("inf")
+    assert empty.count == 0
+    one = mc_fourier_integral(orbit, x, 3, 1)
+    assert abs(abs(one.mean) - 1.0) < 1e-12 and one.stderr == float("inf")
+    assert one.count == 1
+
+
+def test_fused_draw_error_reaches_caller_and_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(oracle, "_philox", _FailingThirdFill)
+    orbit = make_orbit(build_algebra("su", 3), [0.9, 0.4])
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="fill failed"):
+        oracle._mc_estimates(orbit, _points(orbit, 4), 5, 3 * _CHUNK)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_valuing_error_reaches_caller_and_leaves_no_thread(monkeypatch,
+                                                           failing):
+    # The other thread holds its point until the failing one has taken
+    # one, so each thread values at least one point.
+    caller = threading.current_thread()
+    entered = threading.Event()
+    real = oracle._exponentials
+
+    def value(coords, kx, out):
+        on_caller = threading.current_thread() is caller
+        if on_caller == (failing == "caller"):
+            entered.set()
+            raise MemoryError("valuing failed")
+        assert entered.wait(10)
+        real(coords, kx, out)
+
+    monkeypatch.setattr(oracle, "_exponentials", value)
+    orbit = make_orbit(build_algebra("su", 3), [0.9, 0.4])
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="valuing failed"):
+        oracle._mc_estimates(orbit, _points(orbit, 20), 5, 3 * _CHUNK)
+    assert threading.active_count() == before
+
+
+def test_coordinate_error_stops_the_helper_before_it_values(monkeypatch):
+    # The helper is released from its wait but values no unwritten chunk.
+    def fail(*args):
+        raise MemoryError("coordinates failed")
+
+    valued = []
+    monkeypatch.setattr(oracle, "_orbit_coords", fail)
+    monkeypatch.setattr(oracle, "_exponentials", lambda *a: valued.append(1))
+    orbit = make_orbit(build_algebra("su", 3), [0.9, 0.4])
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="coordinates failed"):
+        oracle._mc_estimates(orbit, _points(orbit, 4), 5, 3 * _CHUNK)
+    assert valued == []
     assert threading.active_count() == before
 
 
