@@ -7,8 +7,9 @@ timestamps or machine state, so identical configs produce byte-identical
 result files.
 
 Subcommands: eval, verify, calibrate, oracle, cycle-limit.
-Exit codes: 0 success, 2 configuration error (malformed fields included),
-3 degenerate-only grid, 4 verification failure.
+Exit codes: 0 success, 1 stdout closed by its reader (``| head``), 2
+configuration error (malformed fields and unreadable or unwritable paths
+included), 3 degenerate-only grid, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
+from itertools import islice, product
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -129,6 +132,8 @@ def load_config(path: str) -> RunConfig:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:   # a directory, or a file we may not read
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}")
     except ValueError as exc:
         # A JSONDecodeError, or an integer literal beyond int's digit limit.
         raise ConfigError(f"config is not valid JSON: {exc}")
@@ -230,14 +235,16 @@ def _build_orbit(cfg: RunConfig) -> OrbitSpec:
     )
 
 
-def _grid_points(cfg: RunConfig, orbit: OrbitSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Cartesian grid: the axis values and the basis coordinates of each point.
+def _grid_points(cfg: RunConfig, orbit: OrbitSpec
+                 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Cartesian grid: the axis ranges, each point's axis values and its
+    basis coordinates.
 
     Default axis directions are the real Cartan basis, the first rank
     coordinate rows.  Points run in
-    ``itertools.product`` order (last axis fastest), and coordinates are
-    summed in axis order, zeros + c0*d0 + c1*d1 + ...  Grids whose points
-    overflow to non-finite coordinates are refused.
+    ``itertools.product`` order of the ranges (last axis fastest), and
+    coordinates are summed in axis order, zeros + c0*d0 + c1*d1 + ...
+    Grids whose points overflow to non-finite coordinates are refused.
     """
     spec = orbit.algebra
     axes = cfg.axes
@@ -272,7 +279,7 @@ def _grid_points(cfg: RunConfig, orbit: OrbitSpec) -> tuple[np.ndarray, np.ndarr
             f"grid point {first} has non-finite coordinates "
             f"({int(np.sum(~finite))} of {len(values)} points)"
         )
-    return values, coords
+    return ranges, values, coords
 
 
 def _fmt(x: float) -> str:
@@ -284,11 +291,19 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def _write_chunks(path: Optional[str], chunks: Iterable[str]) -> None:
+    """Write the chunks to stdout, or to ``path``.
+
+    A path that cannot be opened or written is a ConfigError (exit 2); a
+    failed open leaves no file.
+    """
     if path is None:
         sys.stdout.writelines(chunks)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.writelines(chunks)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _json_dump(obj) -> str:
@@ -301,36 +316,70 @@ def _json_dump(obj) -> str:
 
 def cmd_eval(cfg: RunConfig, out: Optional[str], fmt: str) -> int:
     orbit = _build_orbit(cfg)
-    grid, coords = _grid_points(cfg, orbit)
+    ranges, _, coords = _grid_points(cfg, orbit)
     # One pass of the block kernel; rows are classified as fourier_grid
     # classifies them.
     codes, values, spectra, _ = _evaluate(orbit, coords,
                                           np.ones(len(coords), dtype=bool))
     degenerate = (codes != _REGULAR) & (codes != _NONREAL)
     if fmt == "csv":
-        _write_text(out, _eval_csv(orbit, grid, values, degenerate))
+        _write_text(out, _eval_csv(orbit, ranges, values, degenerate))
     else:
-        _write_chunks(out, _eval_json(cfg, orbit, grid, codes, values, spectra))
+        _write_chunks(out, _eval_json(cfg, orbit, ranges, codes, values, spectra))
     if degenerate.all():
         return EXIT_DEGENERATE
     return EXIT_OK
 
 
-def _eval_csv(orbit: OrbitSpec, grid: np.ndarray, values: np.ndarray,
-              degenerate: np.ndarray) -> str:
-    header = [f"x{i}" for i in range(grid.shape[1])]
+def _reprs(values: np.ndarray) -> list[str]:
+    """repr of each float of an array, in C order."""
+    return list(map(repr, values.ravel().tolist()))
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """json's text for each float of an array, in C order.
+
+    NaN, Infinity and -0.0 come out as they do in any json.dumps output.
+    json writes a finite float as its repr, and mapping repr over the list
+    is faster than encoding it and splitting the text, so only an array
+    with a non-finite float goes through the C encoder.
+    """
+    if np.isfinite(values).all():
+        return _reprs(values)
+    return json.dumps(values.ravel().tolist())[1:-1].split(", ")
+
+
+def _grid_text(ranges: Sequence[np.ndarray],
+               texts: Callable[[np.ndarray], list[str]], sep: str) -> Iterator[str]:
+    """Each grid row's axis values as text joined by ``sep``, lazily, in row order.
+
+    Grid rows are the ``itertools.product`` of the axis ranges
+    (``_grid_points``), so ``texts`` formats each axis value once and the
+    rows are joined from those texts as they are read.
+    """
+    return map(sep.join, product(*map(texts, ranges)))
+
+
+def _eval_csv(orbit: OrbitSpec, ranges: Sequence[np.ndarray],
+              values: np.ndarray, degenerate: np.ndarray) -> str:
+    """The eval CSV: a header, then one line per grid row, floats as repr.
+
+    The axis columns come from ``_grid_text``, so each axis value is
+    formatted once; the values are formatted per row.  Refused rows read
+    nan with the degenerate flag 1.  The flag and the mode, s0 and version
+    columns after it are one of two fixed strings.
+    """
+    header = [f"x{i}" for i in range(len(ranges))]
     header += ["re_f", "im_f", "degenerate", "mode", "s0", "version"]
     suffix = f",{orbit.mode},{orbit.s0},{RESULT_VERSION}"
-    columns = [map(repr, axis) for axis in grid.T.tolist()]
-    re = list(map(repr, values.real.tolist()))
-    im = list(map(repr, values.imag.tolist()))
-    flag = ["0"] * len(re)
+    re = _reprs(values.real)
+    im = _reprs(values.imag)
+    tail = ["0" + suffix] * len(re)
     for k in np.flatnonzero(degenerate).tolist():
         re[k] = im[k] = "nan"
-        flag[k] = "1"
-    lines = [",".join(header)]
-    lines += [",".join(row) + suffix for row in zip(*columns, re, im, flag)]
-    return "\n".join(lines) + "\n"
+        tail[k] = "1" + suffix
+    rows = map(",".join, zip(_grid_text(ranges, _reprs, ","), re, im, tail))
+    return ",".join(header) + "\n" + "\n".join(rows) + "\n"
 
 
 # Terms per block of the JSON writer: one _terms call and one round of
@@ -340,15 +389,34 @@ def _eval_csv(orbit: OrbitSpec, grid: np.ndarray, values: np.ndarray,
 _TEXT_BLOCK = 1 << 12
 
 
-def _json_floats(values: np.ndarray) -> list[str]:
-    """json's text for each float of an array, from one C-encoder call.
+def _term_texts(expo: np.ndarray, den: np.ndarray, vals: np.ndarray,
+                signs: np.ndarray) -> list[str]:
+    """json's text of the term floats of ``_terms``, row by row.
 
-    NaN, Infinity and -0.0 come out as they do in any json.dumps output.
+    Each term gives six, in key order: im_denominator, im_exponent,
+    im_value, re_denominator, re_exponent, re_value.  Exponents and values
+    are formatted in one ``_json_floats`` call.  Row w of ``den`` is
+    signs[w] * V from one product, so all rows of one sign are equal bit
+    for bit: the texts of the identity's row and of the first odd
+    element's row serve every term.  (-V itself is not used: it can differ
+    from -1 * V in the sign of a zero part.)
     """
-    return json.dumps(values.ravel().tolist())[1:-1].split(", ")
+    width, rows = den.shape
+    texts = [""] * (6 * width * rows)
+    ev = _json_floats(np.stack([expo.imag, vals.imag, expo.real, vals.real],
+                               axis=-1).transpose(1, 0, 2))
+    for j, slot in enumerate((1, 2, 4, 5)):
+        texts[slot::6] = ev[j::4]
+    one = den[[0, int(np.argmin(signs))]]
+    dt = _json_floats(np.stack([one.imag, one.real]))   # (part, sign, row)
+    for w, odd in enumerate((signs < 0).tolist()):
+        for part, slot in enumerate((0, 3)):
+            at = (2 * part + odd) * rows
+            texts[6 * w + slot::6 * width] = dt[at:at + rows]
+    return texts
 
 
-def _eval_json(cfg: RunConfig, orbit: OrbitSpec, grid: np.ndarray,
+def _eval_json(cfg: RunConfig, orbit: OrbitSpec, ranges: Sequence[np.ndarray],
                codes: np.ndarray, values: np.ndarray, spectra: np.ndarray):
     """The eval document, in chunks, exactly as _json_dump would write it.
 
@@ -356,23 +424,26 @@ def _eval_json(cfg: RunConfig, orbit: OrbitSpec, grid: np.ndarray,
     in sorted order, one space deeper per level of nesting, so the rows and
     their terms fill fixed templates.  Floats take json's own encoding
     (``_json_floats``) and strings ``encode_basestring_ascii``; the config
-    echo is json.dumps of the config, one level deeper.  Term values come
-    from one _terms call per block of rows, bit for bit the values of
-    ``EvalResult.terms``.
+    echo is json.dumps of the config, one level deeper.  Each axis value
+    is formatted once (``_grid_text``).  Term values come from one _terms
+    call per block of rows, bit for bit the values of ``EvalResult.terms``;
+    of a row's denominators, which are V and -V, each is formatted once
+    (``_term_texts``).
     """
     config = json.dumps(cfg.raw, sort_keys=True, indent=1).replace("\n", "\n ")
     yield ('{\n "config": ' + config + ',\n "mode": '
            + encode_basestring_ascii(orbit.mode) + ',\n "rows": [')
 
     labels = orbit.cartan._labels
-    width, n_axes = 6 * len(labels), grid.shape[1]
-    x = ",\n    ".join(["%s"] * n_axes)
+    signs = orbit.cartan._table.signs
+    width = 6 * len(labels)
+    points = _grid_text(ranges, _json_floats, ",\n    ")
 
     def row(conjugacy: str, degenerate: str, f: str, terms: str) -> str:
         return ('\n  {\n   "conjugacy": "' + conjugacy + '",\n   "degenerate": '
                 + degenerate + ',\n   "im_f": ' + f + ',\n   "re_f": ' + f
-                + ',\n   "terms": [' + terms + '],\n   "x": [\n    ' + x
-                + '\n   ]\n  }')
+                + ',\n   "terms": [' + terms + '],\n   "x": [\n    %s'
+                '\n   ]\n  }')
 
     terms = ",".join(
         '\n    {\n     "im_denominator": %s,\n     "im_exponent": %s,'
@@ -391,25 +462,20 @@ def _eval_json(cfg: RunConfig, orbit: OrbitSpec, grid: np.ndarray,
     for lo in range(0, len(codes), step):
         block = codes[lo:lo + step]
         ok = block == _REGULAR
-        xs = _json_floats(grid[lo:lo + step])
         re = _json_floats(values.real[lo:lo + step])
         im = _json_floats(values.imag[lo:lo + step])
         if ok.any():
-            expo, den, vals = _terms(orbit, spectra[lo:lo + step][ok])
-            # (rows, |W|, 6): each term's floats in key order.
-            parts = np.stack([den.imag, expo.imag, vals.imag,
-                              den.real, expo.real, vals.real], axis=-1)
-            ts = _json_floats(parts.transpose(1, 0, 2))
+            ts = _term_texts(*_terms(orbit, spectra[lo:lo + step][ok]), signs)
         chunk, at = [], 0
-        for k, code in enumerate(block.tolist()):
-            point = xs[k * n_axes:(k + 1) * n_axes]
+        rows = zip(block.tolist(), islice(points, len(block)))
+        for k, (code, point) in enumerate(rows):
             if code == _REGULAR:
-                chunk.append(valued % (im[k], re[k], *ts[at:at + width], *point))
+                chunk.append(valued % (im[k], re[k], *ts[at:at + width], point))
                 at += width
             elif code == _NONREAL:
-                chunk.append(outside % (im[k], re[k], *point))
+                chunk.append(outside % (im[k], re[k], point))
             else:
-                chunk.append(refused % tuple(point))
+                chunk.append(refused % point)
         yield ("," if lo else "") + ",".join(chunk)
     yield f'\n ],\n "s0": {orbit.s0},\n "version": {RESULT_VERSION}\n}}\n'
 
@@ -506,7 +572,7 @@ def cmd_calibrate(cfg: RunConfig, config_path: str, out: Optional[str],
             "reference": [float(c) for c in x0.coords],
         },
     }
-    target.write_text(_json_dump(updated))
+    _write_text(str(target), _json_dump(updated))
     sys.stdout.write(
         f"calibration written to {target.name}: "
         f"const=({result.liouville_const.real!r}, {result.liouville_const.imag!r}) "
@@ -527,7 +593,7 @@ def cmd_oracle(cfg: RunConfig, out: Optional[str],
                seed_override: Optional[int]) -> int:
     seed = _oracle_seed(cfg, seed_override)
     orbit = _build_orbit(cfg)
-    grid, coords = _grid_points(cfg, orbit)
+    _, grid, coords = _grid_points(cfg, orbit)
     # Degenerate rows (walls, non-regular and indeterminate points) have
     # no formula value and are skipped.
     rows = fourier_grid(orbit, coords)
@@ -622,14 +688,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         fmt = args.format or cfg.out_format
         out = args.out or cfg.out_path
         if args.command == "eval":
-            return cmd_eval(cfg, out, fmt)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.suite or "all", out, args.seed)
-        if args.command == "calibrate":
-            return cmd_calibrate(cfg, args.config, out, args.seed)
-        if args.command == "oracle":
-            return cmd_oracle(cfg, out, args.seed)
-        return cmd_cycle_limit(cfg, out, args.seed)
+            code = cmd_eval(cfg, out, fmt)
+        elif args.command == "verify":
+            code = cmd_verify(cfg, args.suite or "all", out, args.seed)
+        elif args.command == "calibrate":
+            code = cmd_calibrate(cfg, args.config, out, args.seed)
+        elif args.command == "oracle":
+            code = cmd_oracle(cfg, out, args.seed)
+        else:
+            code = cmd_cycle_limit(cfg, out, args.seed)
+        sys.stdout.flush()
+        return code
     except (ConfigError, CalibrationError, AlgebraError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
@@ -637,6 +706,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # A grid or sample count too large to allocate.
         sys.stderr.write(f"error: out of memory: {exc}\n")
         return EXIT_CONFIG
+    except BrokenPipeError:
+        # The reader of stdout has gone (``| head``).  As the Python docs
+        # advise, point stdout at devnull so that the interpreter's last
+        # flush fails silently too, and exit 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -11,7 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orbit_localize.cli import main
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+
+from orbit_localize.cli import _grid_text, _json_floats, _reprs, _term_texts, main
 
 SU2 = {
     "algebra": {"family": "su", "n": 2},
@@ -136,6 +141,56 @@ def test_config_errors_named(tmp_path, capsys):
     cfg = write_config(tmp_path, singular, "singular.json")
     assert main(["eval", "--config", cfg]) == 2
     assert "singular" in capsys.readouterr().err
+
+
+def one_error_line(err: str, path) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+
+@pytest.mark.parametrize("command,fmt", [
+    ("eval", "csv"), ("eval", "json"), ("calibrate", None)])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_path_exit_2(tmp_path, capsys, command, fmt, where):
+    cfg = write_config(tmp_path, SU2)
+    out = tmp_path / "out"
+    if where == "directory":
+        out.mkdir()
+    else:
+        out = out / "result.txt"
+    argv = [command, "--config", cfg, "--out", str(out)]
+    assert main(argv + (["--format", fmt] if fmt else [])) == 2
+    assert one_error_line(capsys.readouterr().err, out)
+    if where == "directory":
+        assert not any(out.iterdir())
+    else:
+        assert not out.parent.exists()
+
+
+def test_config_that_is_a_directory_exit_2(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["eval", "--config", str(tmp_path), "--out", str(out)]) == 2
+    assert one_error_line(capsys.readouterr().err, tmp_path)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_closed_stdout_pipe_exits_1_without_traceback(tmp_path, fmt):
+    # 3,721 rows: more text than a pipe holds, so writes meet the closed end.
+    cfg = write_config(tmp_path, dict(SU3_WALL, grid={"axes": [
+        {"start": -2.0, "stop": 2.0, "steps": 61}] * 2}))
+    # With PYTHONUNBUFFERED, stdout has no buffer, and Python's text layer
+    # drops the unwritten rest of a short write without an error; the
+    # default buffered stdout reports the closed pipe.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orbit_localize.cli", "eval", "--config", cfg,
+         "--format", fmt], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=env)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=60) == 1
 
 
 def test_unknown_suite_rejected(tmp_path):
@@ -732,13 +787,20 @@ def test_eval_json_is_the_sorted_indent_1_encoding(tmp_path, cfg):
 @pytest.mark.parametrize("cfg,digest", [
     (SU3_WALL, "c36486bca6bb4997"),
     (SL3_ROTATED, "6eac3e3dd8de4364"),
-], ids=["su3-json", "sl3-csv"])
+    (dict(SU3_WALL, output={"format": "csv"}), "eea3e79b05a687a3"),
+    (dict(SL3_ROTATED, output={"format": "json"}), "6ed3f4cca8fb5b75"),
+    (SL2_MIXED, "3c7574743f2b6811"),
+], ids=["su3-json", "sl3-csv", "su3-csv", "sl3-json", "sl2-outside-json"])
 def test_eval_output_golden_digest(tmp_path, cfg, digest):
     # Hashes of outputs whose values come from the closed form (det M / V,
-    # s0 perm M / V).  They replaced the hashes of the term-sum values
-    # (70cc0e9f009794f6, 0feef3723a47ab69) after every changed float was
-    # checked within 1e-14 sum |terms| of those (at most 2.2e-16); the
-    # JSON terms and every other byte are unchanged.
+    # s0 perm M / V).  The first two replaced the hashes of the term-sum
+    # values (70cc0e9f009794f6, 0feef3723a47ab69) after every changed float
+    # was checked within 1e-14 sum |terms| of those (at most 2.2e-16); the
+    # JSON terms and every other byte are unchanged.  The last three were
+    # taken at commit 42830b2, where both writers still formatted every
+    # axis value and denominator of every row, before they were changed to
+    # format each distinct one once: they pin the other writer of each
+    # family, and rows outside the real form in JSON.
     text = eval_output(tmp_path, cfg)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
@@ -763,6 +825,79 @@ def test_eval_json_terms_stay_blocked(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
+               1.5, 1e16, -1.0 / 3.0]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+
+
+def json_texts(values) -> list:
+    return [json.dumps(x) for x in np.ravel(values).tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(float, array_shapes(max_dims=3, max_side=4), elements=FLOATS))
+@example(np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324]))
+@example(np.full((3, 2), -0.0))
+def test_float_texts_are_repr_and_json_per_element(values):
+    assert _reprs(values) == [repr(x) for x in values.ravel().tolist()]
+    assert _json_floats(values) == json_texts(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(arrays(float, st.integers(1, 4), elements=FLOATS),
+                min_size=1, max_size=3))
+@example([np.array([0.0, -0.0, 0.0]), np.full(2, 1.5)])   # equal values
+@example([np.array([math.nan]), np.array([-0.0]), np.array([math.inf])])
+def test_grid_text_formats_each_row_as_its_floats(ranges):
+    # The rows _grid_points builds from these ranges, formatted per element.
+    values = np.stack([g.ravel() for g in np.meshgrid(*ranges, indexing="ij")],
+                      axis=1)
+    for texts, one in ((_reprs, repr), (_json_floats, json.dumps)):
+        expected = [", ".join(map(one, row)) for row in values.tolist()]
+        assert list(_grid_text(ranges, texts, ", ")) == expected
+
+
+def complex_of(re, im):
+    # Exact parts, where re + 1j * im would turn inf * 0 into NaN.
+    z = np.zeros(np.broadcast(re, im).shape, complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def check_term_texts(signs, v, expo, vals):
+    with np.errstate(invalid="ignore"):
+        den = signs[:, None] * v   # as localize._terms forms it
+    keyed = np.stack([den.imag, expo.imag, vals.imag, den.real, expo.real,
+                      vals.real], axis=-1).transpose(1, 0, 2)
+    assert _term_texts(expo, den, vals, signs) == json_texts(keyed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_term_texts_are_the_per_element_json_of_every_term(data):
+    width = data.draw(st.integers(1, 6))
+    rows = data.draw(st.integers(1, 4))
+    signs = np.array([1.0] + data.draw(st.lists(
+        st.sampled_from([1.0, -1.0]), min_size=width - 1, max_size=width - 1)))
+    re, im = (data.draw(arrays(float, (rows,), elements=FLOATS)) for _ in "ri")
+    expo, vals = (data.draw(arrays(complex, (width, rows), elements=st.complex_numbers()))
+                  for _ in "ev")
+    check_term_texts(signs, complex_of(re, im), expo, vals)
+
+
+def test_term_texts_on_signed_zeros_and_non_finite_denominators():
+    # S_3's signs in table order.  Multiplying 0.0 - 2j by -1 gives the real
+    # part +0.0, where the negation -(0.0 - 2j) would give -0.0.
+    signs = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0])
+    re = np.array([0.0, -0.0, 0.0, math.nan, math.inf, 5e-324, -0.0])
+    im = np.array([-2.0, 2.0, 0.0, 1.0, -0.0, -math.inf, -0.0])
+    v = complex_of(re, im)
+    expo = complex_of(0.0, np.linspace(-3.0, 3.0, 42).reshape(6, 7))
+    check_term_texts(signs, v, expo, np.exp(expo))
+    assert (json.dumps((signs[1] * v[0]).real), json.dumps((-v[0]).real)) \
+        == ("0.0", "-0.0")
 
 
 # --- oracle, verify and calibrate output bytes -----------------------------
