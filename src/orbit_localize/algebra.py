@@ -96,8 +96,19 @@ class AlgebraSpec:
     n: int
     dim: int
     rank: int
-    labels: tuple[str, ...]
     basis: np.ndarray       # (dim, n, n) complex defining matrices e_i
+
+    @functools.cached_property
+    def labels(self) -> tuple[str, ...]:
+        """The basis labels in basis order, formed on first read."""
+        n = self.n
+        if self.family == "sl_real":
+            return (*(f"h{c}" for c in range(1, n)),
+                    *(f"e{a}{b}" for a in range(1, n + 1)
+                      for b in range(1, n + 1) if a != b))
+        return (*(f"d{c}" for c in range(1, n)),
+                *(f"{kind}{a}{b}" for a in range(1, n + 1)
+                  for b in range(a + 1, n + 1) for kind in "sa"))
 
     @functools.cached_property
     def killing(self) -> np.ndarray:
@@ -162,17 +173,15 @@ def _unit(n: int, j: int, k: int) -> np.ndarray:
     return m
 
 
-def _basis_matrices(family: str, n: int) -> tuple[np.ndarray, list[str]]:
-    """The (dim, n, n) basis stack and its labels, laid out by index assignment."""
+def _basis_matrices(family: str, n: int) -> np.ndarray:
+    """The (dim, n, n) basis stack, laid out by index assignment."""
     k = np.arange(n - 1)
     basis = np.zeros((n * n - 1, n, n), dtype=complex)
     if family == "sl_real":
         basis[k, k, k], basis[k, k + 1, k + 1] = 1.0, -1.0
         j, m = np.nonzero(~np.eye(n, dtype=bool))   # j != m, row-major
         basis[n - 1 + np.arange(len(j)), j, m] = 1.0
-        labels = [f"h{c}" for c in range(1, n)]
-        labels += [f"e{a + 1}{b + 1}" for a, b in zip(j.tolist(), m.tolist())]
-        return basis, labels
+        return basis
     # i*(E_kk - E_(k+1)(k+1)) as the complex product forms it: -i has real
     # part -0.0.
     basis[k, k, k], basis[k, k + 1, k + 1] = 1j, complex(-0.0, -1.0)
@@ -180,10 +189,7 @@ def _basis_matrices(family: str, n: int) -> tuple[np.ndarray, list[str]]:
     s = n - 1 + 2 * np.arange(len(j))   # E_jm - E_mj, then i(E_jm + E_mj)
     basis[s, j, m], basis[s, m, j] = 1.0, -1.0
     basis[s + 1, j, m] = basis[s + 1, m, j] = 1j
-    labels = [f"d{c}" for c in range(1, n)]
-    for a, b in zip(j.tolist(), m.tolist()):
-        labels += [f"s{a + 1}{b + 1}", f"a{a + 1}{b + 1}"]
-    return basis, labels
+    return basis
 
 
 def _matrix_to_coords(proj: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -207,13 +213,12 @@ def build_algebra(family: str, n: int) -> AlgebraSpec:
     if n < 2:
         raise AlgebraError(f"rank parameter must satisfy n >= 2, got {n}")
 
-    basis, labels = _basis_matrices(family, n)
+    basis = _basis_matrices(family, n)
     return AlgebraSpec(
         family=family,
         n=n,
         dim=len(basis),
         rank=n - 1,
-        labels=tuple(labels),
         basis=_readonly(basis),
     )
 
@@ -326,8 +331,10 @@ def _spectra(spec: AlgebraSpec, coords: np.ndarray, real: np.ndarray
 
 @functools.lru_cache(maxsize=None)
 def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (i, j) of the pairs i < j of range(n)."""
-    return tuple(_readonly(a) for a in np.triu_indices(n, 1))
+    """Index arrays (i, j) of the pairs i < j of range(n), row-major."""
+    i = [a for a in range(n) for _ in range(a + 1, n)]
+    j = [b for a in range(n) for b in range(a + 1, n)]
+    return _readonly(np.array(i, np.intp)), _readonly(np.array(j, np.intp))
 
 
 def _refuse(status: int, sep: float) -> None:
@@ -384,20 +391,28 @@ class CartanDatum:
 
     Everything is index data: root r is e_i - e_j for
     ``root_pairs[r] = (i, j)``, with root vector E_ij, and the Weyl group
-    is S_n.  Roots are stored as value-vectors on the complex Cartan basis
-    h_k = E_kk - E_(k+1)(k+1) (``roots[r, k] = alpha_r(h_k)``); functionals
-    on the Cartan use the same representation throughout.  The real basis
-    is the first rank coordinate rows of the algebra: h_k for sl(n,R),
-    i h_k for su(n).
+    is S_n.  Roots are value-vectors on the complex Cartan basis
+    h_k = E_kk - E_(k+1)(k+1) (``roots[r, k] = alpha_r(h_k)``), formed on
+    first read; functionals on the Cartan use the same representation
+    throughout.  The real basis is the first rank coordinate rows of the
+    algebra: h_k for sl(n,R), i h_k for su(n).
     """
 
     algebra: AlgebraSpec
-    roots: np.ndarray               # (n_roots, rank) real
-    positive: tuple[int, ...]
 
     @property
     def rank(self) -> int:
         return self.algebra.rank
+
+    @functools.cached_property
+    def roots(self) -> np.ndarray:
+        """(n_roots, rank) real root values, formed on first read."""
+        return _readonly(_root_values(self.algebra.n))
+
+    @functools.cached_property
+    def positive(self) -> tuple[int, ...]:
+        """The indices of the positive roots e_i - e_j, i < j."""
+        return tuple(r for r, (i, j) in enumerate(self.root_pairs) if i < j)
 
     @functools.cached_property
     def _table(self) -> _WeylTable:
@@ -519,16 +534,11 @@ def _standard_cartan(spec: AlgebraSpec) -> CartanDatum:
     """The diagonal Cartan, laid out from index data alone.
 
     No matrix of the algebra is formed and no linear algebra is done.  The
-    Weyl table is built on first read, and refused above MAX_TABLE_N before
-    anything is allocated.
+    roots and the Weyl table are built on first read, and the table is
+    refused above MAX_TABLE_N before anything is allocated.
     """
     _refuse_large_table(spec.family, spec.n)
-    pairs = _root_pairs(spec.n)
-    return CartanDatum(
-        algebra=spec,
-        roots=_readonly(_root_values(spec.n)),
-        positive=tuple(r for r, (i, j) in enumerate(pairs) if i < j),
-    )
+    return CartanDatum(spec)
 
 
 def cartan_coordinates(cartan: CartanDatum, x: AlgebraElement) -> np.ndarray:

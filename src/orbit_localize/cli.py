@@ -323,7 +323,7 @@ def cmd_eval(cfg: RunConfig, out: Optional[str], fmt: str) -> int:
                                           np.ones(len(coords), dtype=bool))
     degenerate = (codes != _REGULAR) & (codes != _NONREAL)
     if fmt == "csv":
-        _write_text(out, _eval_csv(orbit, ranges, values, degenerate))
+        _write_chunks(out, _eval_csv(orbit, ranges, values, degenerate))
     else:
         _write_chunks(out, _eval_json(cfg, orbit, ranges, codes, values, spectra))
     if degenerate.all():
@@ -360,33 +360,37 @@ def _grid_text(ranges: Sequence[np.ndarray],
     return map(sep.join, product(*map(texts, ranges)))
 
 
-def _eval_csv(orbit: OrbitSpec, ranges: Sequence[np.ndarray],
-              values: np.ndarray, degenerate: np.ndarray) -> str:
-    """The eval CSV: a header, then one line per grid row, floats as repr.
+# Terms per block of the JSON writer, and rows per block of the CSV
+# writer: one round of float formatting each (for JSON one _terms call).
+# The text of a term is some 20 times the size of its arrays, so this is
+# smaller than localize._BLOCK; it bounds the writers' memory and changes
+# no byte.
+_TEXT_BLOCK = 1 << 12
 
-    The axis columns come from ``_grid_text``, so each axis value is
-    formatted once; the values are formatted per row.  Refused rows read
-    nan with the degenerate flag 1.  The flag and the mode, s0 and version
-    columns after it are one of two fixed strings.
+
+def _eval_csv(orbit: OrbitSpec, ranges: Sequence[np.ndarray],
+              values: np.ndarray, degenerate: np.ndarray) -> Iterator[str]:
+    """The eval CSV in blocks of _TEXT_BLOCK rows, floats as repr.
+
+    A header, then one line per grid row.  The axis columns come from
+    ``_grid_text``, so each axis value is formatted once; the values are
+    formatted per row.  Refused rows read nan with the degenerate flag 1.
+    The flag and the mode, s0 and version columns after it are one of two
+    fixed strings.
     """
     header = [f"x{i}" for i in range(len(ranges))]
     header += ["re_f", "im_f", "degenerate", "mode", "s0", "version"]
-    suffix = f",{orbit.mode},{orbit.s0},{RESULT_VERSION}"
-    re = _reprs(values.real)
-    im = _reprs(values.imag)
-    tail = ["0" + suffix] * len(re)
-    for k in np.flatnonzero(degenerate).tolist():
-        re[k] = im[k] = "nan"
-        tail[k] = "1" + suffix
-    rows = map(",".join, zip(_grid_text(ranges, _reprs, ","), re, im, tail))
-    return ",".join(header) + "\n" + "\n".join(rows) + "\n"
-
-
-# Terms per block of the JSON writer: one _terms call and one round of
-# float encoding each.  The text of a term is some 20 times the size of its
-# arrays, so this is smaller than localize._BLOCK; it bounds the writer's
-# memory and changes no byte.
-_TEXT_BLOCK = 1 << 12
+    yield ",".join(header) + "\n"
+    suffix = f",{orbit.mode},{orbit.s0},{RESULT_VERSION}\n"
+    points = _grid_text(ranges, _reprs, ",")
+    for lo in range(0, len(values), _TEXT_BLOCK):
+        rows = slice(lo, lo + _TEXT_BLOCK)
+        re, im = _reprs(values.real[rows]), _reprs(values.imag[rows])
+        tail = ["0" + suffix] * len(re)
+        for k in np.flatnonzero(degenerate[rows]).tolist():
+            re[k] = im[k] = "nan"
+            tail[k] = "1" + suffix
+        yield "".join(map(",".join, zip(islice(points, len(re)), re, im, tail)))
 
 
 def _term_texts(expo: np.ndarray, den: np.ndarray, vals: np.ndarray,

@@ -30,11 +30,12 @@ case; see README.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraError, CartanDatum, WeylElement, _upper_pairs
+from .algebra import AlgebraError, CartanDatum, WeylElement
 
 __all__ = [
     "FixedPoint",
@@ -78,16 +79,17 @@ class MultiplicityAssignment:
     sign: int                      # global calibration sign (split mode)
 
 
-def _check_regular(zeta: np.ndarray) -> None:
+def _check_regular(zeta: Sequence[complex]) -> None:
     """Refuse a parameter whose diagonal zeta has two entries too close.
 
     The coroot of e_i - e_j pairs with the parameter to a multiple of
     zeta_i - zeta_j, so it is regular when the entries of zeta are
-    distinct: the smallest gap above 1e-8 times the largest.
+    distinct: the smallest gap above 1e-8 times the largest.  A NaN gap
+    is refused.
     """
-    i, j = _upper_pairs(len(zeta))
-    gaps = np.abs(zeta[i] - zeta[j])
-    if not gaps.min() > 1e-8 * gaps.max():
+    gaps = [abs(a - b) for a, b in combinations(zeta, 2)]
+    floor = 1e-8 * max(gaps)
+    if not all(gap > floor for gap in gaps):
         raise AlgebraError("orbit parameter is singular (vanishing coroot pairing)")
 
 
@@ -106,7 +108,7 @@ def enumerate_fixed_points(cartan: CartanDatum,
         )
     # Its values on h_k are differences of adjacent diagonal entries, so
     # the partial sums are the diagonal up to a shift and a scale.
-    _check_regular(np.cumsum(np.append(0.0, covector)))
+    _check_regular(np.cumsum(np.append(0.0, covector)).tolist())
     return tuple(FixedPoint(w, w.apply(covector), 0) for w in cartan.weyl)
 
 

@@ -55,6 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -226,27 +227,28 @@ def make_orbit(spec: AlgebraSpec, weight: Sequence[float], mode: str = None,
         raise AlgebraError(
             f"weight needs {cart.rank} coordinates, got {len(weight)}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        zeta = np.zeros(spec.n)
-        zeta[:-1] += weight
-        zeta[1:] -= weight
-        if mode != "user_supplied":
-            zeta = np.sort(zeta)[::-1]
-            weight = tuple(np.cumsum(zeta)[:-1].tolist())
-        # The largest root pairing bounds every coroot pairing.
-        span = abs(_scale(spec)) * (zeta.max() - zeta.min())
-    if not np.isfinite([*weight, span]).all():
+    # n Python floats until stored, in the order of operations of the array
+    # form zeros(n); zeta[:-1] += weight; zeta[1:] -= weight, bit for bit.
+    zeta = [(0.0 + a) - b for a, b in zip(weight + (0.0,), (0.0,) + weight)]
+    finite = all(map(math.isfinite, zeta))
+    if finite and mode != "user_supplied":
+        zeta = sorted(zeta)[::-1]   # ties in the order of np.sort(zeta)[::-1]
+        weight = tuple(accumulate(zeta))[:-1]
+    # The largest root pairing bounds every coroot pairing.
+    span = abs(_scale(spec)) * (max(zeta) - min(zeta))
+    if not (finite and all(map(math.isfinite, (*weight, span)))):
         raise AlgebraError("orbit parameter is non-finite or too large to represent")
     _check_regular(zeta)
     _check_mode(mode, s0, user_multiplicities)
+    steps = [a - b for a, b in zip(zeta, zeta[1:])]
     orbit = OrbitSpec(
         algebra=spec,
         cartan=cart,
         weight=weight,
         mode=mode,
         s0=int(s0),
-        weight_values=_scale(spec) * (zeta[:-1] - zeta[1:]),
-        zeta=_readonly(zeta),
+        weight_values=_scale(spec) * np.array(steps),
+        zeta=_readonly(np.array(zeta)),
         user_multiplicities=user_multiplicities,
     )
     # Only user-supplied multiplicities are keyed by label, so only that

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from orbit_localize.cli import _grid_text, _json_floats, _reprs, _term_texts, main
+from orbit_localize import build_algebra, make_orbit
+from orbit_localize.cli import (_TEXT_BLOCK, _eval_csv, _grid_text, _json_floats, _reprs,
+                               _term_texts, main)
 
 SU2 = {
     "algebra": {"family": "su", "n": 2},
@@ -825,6 +828,35 @@ def test_eval_json_terms_stay_blocked(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def test_eval_csv_streams_in_blocks():
+    # 90,000 rows are 8 MB of CSV text.  Built as one string with its row
+    # and float lists they take about 35 MB at once; in blocks of
+    # _TEXT_BLOCK rows, about 2 MB.  The blocks join to the text of the
+    # rows formatted one by one.
+    orbit = make_orbit(build_algebra("su", 3), [0.9, 0.4])
+    rng = np.random.default_rng(4)
+    ranges = [np.linspace(-2.0, 2.0, 300), np.linspace(-1.9, 2.1, 300)]
+    values = rng.standard_normal(90_000) + 1j * rng.standard_normal(90_000)
+    degenerate = rng.random(90_000) < 0.1
+    digest, blocks = hashlib.sha256(), 0
+    tracemalloc.start()
+    try:
+        for chunk in _eval_csv(orbit, ranges, values, degenerate):
+            digest.update(chunk.encode())
+            blocks += 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert blocks == 1 + math.ceil(90_000 / _TEXT_BLOCK)
+    lines = ["x0,x1,re_f,im_f,degenerate,mode,s0,version"]
+    points = product(*(r.tolist() for r in ranges))
+    for (a, b), value, flag in zip(points, values.tolist(), degenerate.tolist()):
+        f = ("nan", "nan") if flag else (repr(value.real), repr(value.imag))
+        lines.append(f"{a!r},{b!r},{f[0]},{f[1]},{int(flag)},compact,1,1")
+    assert digest.digest() == hashlib.sha256(("\n".join(lines) + "\n").encode()).digest()
 
 
 EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
