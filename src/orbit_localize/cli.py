@@ -604,10 +604,9 @@ def cmd_oracle(cfg: RunConfig, out: Optional[str],
     usable = [k for k, res in enumerate(rows) if not res.degenerate]
 
     if orbit.algebra.family == "su":
-        cal = calibrate(orbit, _default_reference(orbit), seed, cfg.mc_samples)
         values = [rows[k].value for k in usable]
         means, sigmas, verdicts = _calibrated_comparison(
-            orbit, coords[usable], values, cal, seed + 1, cfg.mc_samples)
+            orbit, coords[usable], values, seed + 1, cfg.mc_samples)
         lines = ["x_coords,re_formula,im_formula,re_mc,im_mc,stderr,agree_3sigma"]
         for k, fv, mc, sigma, agree in zip(usable, values, means, sigmas,
                                            verdicts):

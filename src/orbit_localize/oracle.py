@@ -17,14 +17,18 @@ evaluator and to pin its calibration constants:
   extrapolated limit is good to about 1%.
 
 The Haar average equals the Liouville integral only up to a constant (both
-are invariant measures on the orbit), so the compact route carries a
-one-point calibration constant; the hyperboloid route needs none, and its
-sign fixes the split-mode multiplicity calibration.  A calibrated estimate
-MC agrees with the formula value F when |MC - F| <= 3 sigma, where
-sigma = hypot(stderr, |MC| cal.stderr / |const|) adds the relative error
-of the constant to the estimate's own standard error.  This one rule
+are invariant measures on the orbit, and the Haar average of exp<X, .> is 1
+at X = 0), so the compact route carries the constant F(0), the orbit's
+symplectic volume.  It is known in closed form (``_liouville_const``): the
+fixed-point sum det M / V tends to s^m V(zeta) / prod_{k<n} k! as X -> 0.
+The hyperboloid route needs no constant, and its sign fixes the split-mode
+multiplicity calibration.  A calibrated estimate MC agrees with the formula
+value F when |MC - F| <= 3 sigma, where sigma is the estimate's own
+standard error (the constant carries no error).  This one rule
 (``_calibrated_comparison``) gives the ``agree_3sigma`` column of the
 ``oracle`` command and the oracle suite's "calibrated estimates match" row.
+``calibrate`` keeps the Monte Carlo route to the constant, a one-point
+estimate, as a check on the closed form.
 
 Randomness comes from numpy's Philox counter-based generator keyed by the
 caller's seed and consumed in a fixed chunk order, so every estimate is a
@@ -42,8 +46,11 @@ does not depend on scheduling.
 
 from __future__ import annotations
 
+import cmath
+import math
 import threading
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -56,7 +63,7 @@ from .algebra import (
     killing_form,
     standard_spectrum,
 )
-from .localize import OrbitSpec, fourier_value
+from .localize import OrbitSpec, _scale, fourier_value
 
 __all__ = [
     "CalibrationError",
@@ -351,8 +358,9 @@ def mc_fourier_integral(orbit: OrbitSpec, x: AlgebraElement, seed: int,
                         samples: Optional[OrbitSamples] = None) -> McEstimate:
     """Monte Carlo average of exp(<x, zeta>) over the orbit, times ``scale``.
 
-    ``scale`` is the Liouville normalization constant from ``calibrate``;
-    pass 1 for the raw Haar average.  Without ``samples`` the point is
+    ``scale`` is the Liouville normalization constant
+    (``_liouville_const``, or the estimate of ``calibrate``); pass 1 for
+    the raw Haar average.  Without ``samples`` the point is
     valued during the draw of (seed, count); a stored sample set gives the
     same estimate bit for bit.
     """
@@ -366,20 +374,39 @@ def mc_fourier_integral(orbit: OrbitSpec, x: AlgebraElement, seed: int,
     return _estimate(vals, scale, samples.seed)
 
 
+def _liouville_const(orbit: OrbitSpec) -> complex:
+    """The Haar-to-Liouville constant F(0) = s^m V(zeta) / prod_{k<n} k!.
+
+    The Haar average of exp<X, .> is 1 at X = 0, so the constant is the
+    transform there, the orbit's symplectic volume (Duistermaat-Heckman).
+    With M = exp(outer(ev, s zeta)), det M / V at ev = t h tends to it as
+    t -> 0 (Harish-Chandra's formula), for m = n(n-1)/2, s =
+    ``localize._scale`` and V(zeta) = prod over i < j of (zeta_j - zeta_i),
+    ordered as ``localize._vandermonde`` orders V(ev).
+    """
+    zeta = orbit.zeta.tolist()
+    n = len(zeta)
+    volume = (_scale(orbit.algebra) ** (n * (n - 1) // 2)
+              * math.prod(b - a for a, b in combinations(zeta, 2))
+              / math.prod(map(math.factorial, range(n))))
+    if not (cmath.isfinite(volume) and volume):
+        raise CalibrationError("the orbit volume is not representable")
+    return volume
+
+
 def _calibrated_comparison(orbit: OrbitSpec, coords: np.ndarray,
-                           values: Sequence[complex], cal: CalibrationResult,
-                           seed: int, count: int
+                           values: Sequence[complex], seed: int, count: int
                            ) -> tuple[list[complex], list[float], list[bool]]:
     """Calibrated means MC at the rows of ``coords``, their sigmas and the
     verdicts |MC - F| <= 3 sigma against the formula ``values`` F (see the
-    module docstring).  All points are valued in one pass over the Haar
-    samples of (seed, count), with no stored sample set."""
+    module docstring).  The Haar averages are scaled by the closed-form
+    ``_liouville_const``, so sigma is each estimate's own standard error.
+    All points are valued in one pass over the Haar samples of (seed,
+    count), with no stored sample set."""
     ests = _mc_estimates(orbit, [element(orbit.algebra, c) for c in coords],
-                         seed, count, scale=cal.liouville_const)
+                         seed, count, scale=_liouville_const(orbit))
     means = [est.mean for est in ests]
-    sigmas = [float(np.hypot(
-        est.stderr, abs(est.mean) * cal.stderr / abs(cal.liouville_const)))
-        for est in ests]
+    sigmas = [est.stderr for est in ests]
     return means, sigmas, [abs(mc - fv) <= 3.0 * sigma
                            for mc, fv, sigma in zip(means, values, sigmas)]
 

@@ -281,6 +281,26 @@ def test_verify_algebra_suite_passes(tmp_path):
     assert doc["passed"] and all(c["passed"] for c in doc["checks"])
 
 
+@pytest.mark.parametrize("corrupt", ["duplicated row", "non-permutation row"])
+def test_weyl_closure_row_fails_on_a_corrupted_table(monkeypatch, corrupt):
+    from orbit_localize import algebra, suites
+
+    spec = build_algebra("su", 4)
+    cart = algebra.CartanDatum(spec)
+    table = algebra._weyl_table(4)
+    pos = table.pos.copy()
+    if corrupt == "duplicated row":
+        pos[5] = pos[9]
+    else:
+        pos[5, 0] = pos[5, 1]
+    cart.__dict__["_table"] = table._replace(pos=pos)
+    monkeypatch.setattr(suites, "standard_cartan", lambda spec: cart)
+    rows = {r.name: r for r in suites.run_suite(
+        "algebra", suites.SuiteSettings(family="su", n=4, weight=(0.9, 0.4, 0.3)))}
+    closure = rows["weyl closure under composition"]
+    assert closure.residual == 1.0 and not closure.passed
+
+
 def test_verify_honours_config_seed_zero(tmp_path, capsys):
     cfg = json.loads(json.dumps(SU2))
     cfg["oracle"]["seed"] = 0
@@ -961,7 +981,7 @@ def report_digest(tmp_path, capsys, command, cfg) -> str:
 
 
 @pytest.mark.parametrize("command,cfg,digest", [
-    ("oracle", SU3_ORACLE, "df16dcd163daa72b"),
+    ("oracle", SU3_ORACLE, "d87e03a92f877db1"),
     ("oracle", SL2, "c44bc18510236c51"),
     ("verify", SU3_VERIFY, "ff3de9eb06015186"),
     ("verify", SL2_VERIFY, "23e4757206d8a613"),
@@ -975,6 +995,45 @@ def test_oracle_verify_calibrate_golden_digest(tmp_path, capsys, command, cfg,
     # rule themselves and the suites valued points one at a time: they pin
     # every estimate, sigma, verdict and residual to the bit.
     assert report_digest(tmp_path, capsys, command, cfg) == digest
+
+
+def test_compact_oracle_makes_one_haar_pass(tmp_path, monkeypatch):
+    # The constant is the closed form, so the comparison is the only draw.
+    from orbit_localize import oracle
+
+    calls = []
+    haar_pass = oracle._haar_pass
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])   # (seed, count)
+        return haar_pass(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_haar_pass", counted)
+    path = write_config(tmp_path, SU3_ORACLE)
+    assert main(["oracle", "--config", path, "--out", str(tmp_path / "o.csv")]) == 0
+    assert calls == [(4, 40_000)]
+
+
+@pytest.mark.parametrize("n, weight, seed", [
+    (3, [0.9, 0.4], 2),
+    (3, [0.9, 0.4], 5),
+    (3, [0.9, 0.4], 12),
+    (3, [0.9, 0.8], 1),
+    (4, [0.68, 0.52, 0.88], 1),
+    (5, [1.29, 1.51, 0.43, 0.96], 1),
+])
+def test_compact_oracle_suite_gives_a_verdict(tmp_path, n, weight, seed):
+    # The su(3) cases drew a calibration point whose Haar average was too
+    # small to measure ("consistent with zero", exit 2) while the constant
+    # was a Monte Carlo estimate; su(4) and su(5) refused the same way.
+    cfg = {"algebra": {"family": "su", "n": n}, "weight": weight,
+           "oracle": {"seed": seed}}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", path, "--suite", "oracle",
+                 "--out", str(out)]) == 0
+    names = [c["name"] for c in json.loads(out.read_text())["checks"]]
+    assert "calibrated estimates match (<= 2 of 20 misses)" in names
 
 
 def test_split_localize_suite_makes_no_fourier_value_call(tmp_path, monkeypatch):

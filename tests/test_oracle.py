@@ -9,6 +9,7 @@ evaluator; it doubles as the strongest end-to-end check in the suite.
 import sys
 import threading
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
@@ -25,6 +26,7 @@ from orbit_localize.oracle import (
     _CHUNK,
     CalibrationError,
     _gram_schmidt,
+    _liouville_const,
     _philox,
     calibrate,
     damped_oscillatory_integral,
@@ -385,6 +387,56 @@ def test_volume_limit_at_zero_argument():
         orbit, element(orbit.algebra, [2.0 ** -20, 0.0, 0.0])
     ).value
     assert abs(est.mean - limit) <= 4.0 * cal.stderr
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_liouville_const_is_the_zero_limit_of_det_m_over_v(n):
+    # det M / V at ev = t h, t -> 0, in mpmath: det M vanishes to order
+    # t^m, so about 16 m digits cancel at t = 1e-16 and 30 + 17 m digits
+    # leave more than 30.  The O(t) term sits far below the 1e-12 gate.
+    weight = np.random.default_rng(n).uniform(0.4, 1.6, n - 1)
+    orbit = make_orbit(build_algebra("su", n), weight)
+    m = n * (n - 1) // 2
+    with mp.workdps(30 + 17 * m):
+        t = mp.mpf(10) ** -16
+        ev = [t * (n - 1 - 2 * i) / 2 for i in range(n)]
+        zeta = [mp.mpf(float(z)) for z in orbit.zeta]
+        s = -2 * n
+        det = mp.det(mp.matrix([[mp.exp(s * e * z) for z in zeta] for e in ev]))
+        vander = mp.fprod(ev[j] - ev[i] for i in range(n) for j in range(i + 1, n))
+        limit = det / vander
+        const = _liouville_const(orbit)
+        assert const.imag == 0.0
+        assert abs(const.real - limit) <= 1e-12 * abs(limit)
+
+
+@pytest.mark.parametrize("n, weight, const", [
+    (2, [1.0], 8.0),
+    (3, [0.9, 0.4], 19.656),
+])
+def test_liouville_const_pinned_values(n, weight, const):
+    got = _liouville_const(make_orbit(build_algebra("su", n), weight))
+    assert got == pytest.approx(const, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n, weight, x0, seed", [
+    (2, [1.0], [0.6, 0.2, -0.3], 3),
+    (2, [0.6], [0.3, -0.5, 0.4], 4),
+    (3, [0.9, 0.4], [0.2, -0.1, 0.3, 0.1, -0.2, 0.15, 0.05, -0.1], 2),
+    (3, [1.2, 0.5], [-0.15, 0.25, 0.1, -0.3, 0.2, 0.05, -0.1, 0.2], 5),
+])
+def test_monte_carlo_calibration_agrees_with_the_closed_form(n, weight, x0,
+                                                            seed):
+    orbit = make_orbit(build_algebra("su", n), weight)
+    cal = calibrate(orbit, element(orbit.algebra, x0), seed, 100_000)
+    assert abs(cal.liouville_const - _liouville_const(orbit)) <= 3.0 * cal.stderr
+
+
+def test_liouville_const_refuses_an_unrepresentable_volume():
+    # The weight is finite but V(zeta) overflows.
+    orbit = make_orbit(build_algebra("su", 3), [1e120, 3e120])
+    with pytest.raises(CalibrationError):
+        _liouville_const(orbit)
 
 
 def test_mc_matches_formula_small_run():
