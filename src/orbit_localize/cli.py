@@ -523,7 +523,7 @@ def cmd_verify(cfg: RunConfig, suite: str, out: Optional[str],
     width = max(len(c.name) for c in checks)
     lines = []
     for c in checks:
-        status = "PASS" if c.passed else "FAIL"
+        status = "SKIP" if c.skipped else "PASS" if c.passed else "FAIL"
         lines.append(
             f"{status}  {c.name:<{width}}  residual={c.residual:.3e}"
             f"  threshold={c.threshold:.3e}"
@@ -539,6 +539,7 @@ def cmd_verify(cfg: RunConfig, suite: str, out: Optional[str],
                     "residual": c.residual,
                     "threshold": c.threshold,
                     "passed": c.passed,
+                    **({"skipped": True} if c.skipped else {}),
                 }
                 for c in checks
             ],
@@ -548,33 +549,28 @@ def cmd_verify(cfg: RunConfig, suite: str, out: Optional[str],
     return EXIT_OK if all(c.passed for c in checks) else EXIT_VERIFY
 
 
-def cmd_calibrate(cfg: RunConfig, config_path: str, out: Optional[str],
-                  seed_override: Optional[int]) -> int:
-    if "oracle" not in cfg.raw:
-        raise ConfigError("missing oracle block")
-    seed = _oracle_seed(cfg, seed_override)
+def cmd_calibrate(cfg: RunConfig, config_path: str, out: Optional[str]) -> int:
     orbit = _build_orbit(cfg)
     if cfg.reference is not None:
         x0 = element(orbit.algebra, cfg.reference)
     else:
         x0 = _default_reference(orbit)
-    result = calibrate(orbit, x0, seed, cfg.mc_samples)
+    result = calibrate(orbit, x0)
 
     target = Path(out) if out else Path(config_path).with_suffix(".calibrated.json")
     if target.resolve() == Path(config_path).resolve():
         raise ConfigError("calibration output would overwrite the input config")
+    # The provenance names what the result depends on beyond the orbit.
+    provenance = {"stderr": result.stderr}
+    if result.reference is not None:
+        provenance["reference"] = list(result.reference)
     updated = dict(cfg.raw)
     updated["s0"] = result.sign
     updated["calibration"] = {
         "liouville_const_re": result.liouville_const.real,
         "liouville_const_im": result.liouville_const.imag,
         "s0": result.sign,
-        "provenance": {
-            "seed": result.seed,
-            "samples": result.count,
-            "stderr": result.stderr,
-            "reference": [float(c) for c in x0.coords],
-        },
+        "provenance": provenance,
     }
     _write_text(str(target), _json_dump(updated))
     sys.stdout.write(
@@ -695,7 +691,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "verify":
             code = cmd_verify(cfg, args.suite or "all", out, args.seed)
         elif args.command == "calibrate":
-            code = cmd_calibrate(cfg, args.config, out, args.seed)
+            code = cmd_calibrate(cfg, args.config, out)
         elif args.command == "oracle":
             code = cmd_oracle(cfg, out, args.seed)
         else:

@@ -21,14 +21,13 @@ are invariant measures on the orbit, and the Haar average of exp<X, .> is 1
 at X = 0), so the compact route carries the constant F(0), the orbit's
 symplectic volume.  It is known in closed form (``_liouville_const``): the
 fixed-point sum det M / V tends to s^m V(zeta) / prod_{k<n} k! as X -> 0.
-The hyperboloid route needs no constant, and its sign fixes the split-mode
-multiplicity calibration.  A calibrated estimate MC agrees with the formula
-value F when |MC - F| <= 3 sigma, where sigma is the estimate's own
-standard error (the constant carries no error).  This one rule
-(``_calibrated_comparison``) gives the ``agree_3sigma`` column of the
-``oracle`` command and the oracle suite's "calibrated estimates match" row.
-``calibrate`` keeps the Monte Carlo route to the constant, a one-point
-estimate, as a check on the closed form.
+``calibrate`` returns it for su(n), with no sample drawn.  The hyperboloid
+route needs no constant, and its sign fixes the split-mode multiplicity
+calibration.  A calibrated estimate MC agrees with the formula value F
+when |MC - F| <= 3 sigma, where sigma is the estimate's own standard error
+(the constant carries no error).  This one rule (``_calibrated_comparison``)
+gives the ``agree_3sigma`` column of the ``oracle`` command and the oracle
+suite's "calibrated estimates match" row.
 
 Randomness comes from numpy's Philox counter-based generator keyed by the
 caller's seed and consumed in a fixed chunk order, so every estimate is a
@@ -37,7 +36,7 @@ pure function of (seed, sample count, inputs).  One chunk loop
 draws the next chunk while the current one is worked on; the stream has
 one reader at a time and is read in the serial order, so the samples are
 those of a serial draw bit for bit.  An estimate without a stored sample
-set (``calibrate``, the comparison) values its points inside that loop,
+set (the comparison) values its points inside that loop,
 while each chunk is hot: both threads take points from one per-chunk
 iterator, and the (count, dim) sample set is never formed.  Each point's
 values come from the same rows whichever thread takes it, so the output
@@ -89,7 +88,8 @@ _MAX_S_NODES = 1 << 22   # hyperbolic-angle nodes per damping value
 
 
 class CalibrationError(AlgebraError):
-    """Calibration reference unusable (degenerate or consistent with zero)."""
+    """No calibration: the orbit volume is not representable, or the
+    sl(2,R) sign reference is degenerate or ambiguous."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +118,7 @@ class CalibrationResult:
     liouville_const: complex
     stderr: float
     sign: int
-    seed: int
-    count: int
+    reference: Optional[tuple[float, ...]]   # the point read; None for su(n)
 
 
 def _philox(seed: int) -> np.random.Generator:
@@ -359,10 +358,9 @@ def mc_fourier_integral(orbit: OrbitSpec, x: AlgebraElement, seed: int,
     """Monte Carlo average of exp(<x, zeta>) over the orbit, times ``scale``.
 
     ``scale`` is the Liouville normalization constant
-    (``_liouville_const``, or the estimate of ``calibrate``); pass 1 for
-    the raw Haar average.  Without ``samples`` the point is
-    valued during the draw of (seed, count); a stored sample set gives the
-    same estimate bit for bit.
+    (``_liouville_const``); pass 1 for the raw Haar average.  Without
+    ``samples`` the point is valued during the draw of (seed, count); a
+    stored sample set gives the same estimate bit for bit.
     """
     if samples is None:
         return _mc_estimates(orbit, [x], seed, count, scale)[0]
@@ -411,30 +409,17 @@ def _calibrated_comparison(orbit: OrbitSpec, coords: np.ndarray,
                            for mc, fv, sigma in zip(means, values, sigmas)]
 
 
-def calibrate(orbit: OrbitSpec, x0: AlgebraElement, seed: int,
-              count: int) -> CalibrationResult:
-    """Pin the Haar-to-Liouville constant (compact) or the global sign (split).
+def calibrate(orbit: OrbitSpec, x0: AlgebraElement) -> CalibrationResult:
+    """The Haar-to-Liouville constant (compact) or the global sign (split).
 
-    Compact form: one-point calibration against the fixed-point value at
-    the reference point.  Split sl(2,R): the damped hyperboloid integral is
-    extrapolated and its sign compared with the fixed-point value.
+    Compact form: the closed-form ``_liouville_const``, exact, so its
+    stderr is 0; x0 is not read.  Split sl(2,R): the damped hyperboloid
+    integral at x0 is extrapolated and its sign compared with the
+    fixed-point value; the stderr is the margin between the two signs.
+    Both are deterministic: no sample is drawn.
     """
     if orbit.algebra.family == "su":
-        raw = mc_fourier_integral(orbit, x0, seed, count)
-        if abs(raw.mean) <= 3.0 * raw.stderr:
-            raise CalibrationError(
-                "reference Haar average is consistent with zero"
-            )
-        target = fourier_value(orbit, x0).value
-        const = target / raw.mean
-        rel = raw.stderr / abs(raw.mean)
-        return CalibrationResult(
-            liouville_const=complex(const),
-            stderr=abs(const) * rel,
-            sign=orbit.s0,
-            seed=int(seed),
-            count=count,
-        )
+        return CalibrationResult(_liouville_const(orbit), 0.0, orbit.s0, None)
 
     if (orbit.algebra.family, orbit.algebra.n) != ("sl_real", 2):
         raise CalibrationError(
@@ -460,8 +445,7 @@ def calibrate(orbit: OrbitSpec, x0: AlgebraElement, seed: int,
         liouville_const=1.0 + 0.0j,
         stderr=float(abs(d_plus - d_minus)),
         sign=sign,
-        seed=int(seed),
-        count=count,
+        reference=tuple(x0.coords.tolist()),
     )
 
 

@@ -42,7 +42,7 @@ from orbit_localize.localize import (
     standard_cartan,
 )
 from orbit_localize.oracle import (
-    calibrate,
+    _liouville_const,
     haar_orbit_sample,
     mc_fourier_integral,
     split_orbit_carrier,
@@ -94,19 +94,18 @@ def test_criterion_1_compact_oracle_agreement(family, n, weight):
     rng = np.random.default_rng(1000 + n)
     spec = build_algebra(family, n)
     orbit = make_orbit(spec, weight)
-    x_ref = random_regular(spec, rng)
-    cal = calibrate(orbit, x_ref, seed=2024_001, count=MC_SAMPLES)
+    # The former Monte Carlo calibration point is still drawn, so the 20
+    # test points stay the same.
+    random_regular(spec, rng)
+    const = _liouville_const(orbit)
     shared = haar_orbit_sample(orbit, seed=2024_002, count=MC_SAMPLES)
     misses = 0
     worst = 0.0
     for _ in range(20):
         x = random_regular(spec, rng)
-        est = mc_fourier_integral(orbit, x, 0, 0,
-                                  scale=cal.liouville_const, samples=shared)
+        est = mc_fourier_integral(orbit, x, 0, 0, scale=const, samples=shared)
         fv = fourier_value(orbit, x).value
-        sigma = np.hypot(est.stderr,
-                         abs(est.mean) * cal.stderr / abs(cal.liouville_const))
-        pulls = abs(est.mean - fv) / sigma
+        pulls = abs(est.mean - fv) / est.stderr
         worst = max(worst, pulls)
         if pulls > 3.0:
             misses += 1

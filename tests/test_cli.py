@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from orbit_localize import build_algebra, make_orbit
+from orbit_localize.oracle import _liouville_const
 from orbit_localize.cli import (_TEXT_BLOCK, _eval_csv, _grid_text, _json_floats, _reprs,
                                _term_texts, main)
 
@@ -323,17 +324,64 @@ def test_calibrate_writes_sibling_never_in_place(tmp_path, capsys):
     sibling = Path(cfg).with_suffix(".calibrated.json")
     doc = json.loads(sibling.read_text())
     assert "calibration" in doc
-    prov = doc["calibration"]["provenance"]
-    assert prov["seed"] == 9 and prov["samples"] == 20000
+    # The compact constant is exact and reads no reference point.
+    assert doc["calibration"]["provenance"] == {"stderr": 0.0}
     assert main(["calibrate", "--config", cfg, "--out", cfg]) == 2
     assert "overwrite" in capsys.readouterr().err
 
 
-def test_calibrate_requires_oracle_block(tmp_path, capsys):
+def test_calibrate_runs_without_oracle_block(tmp_path, capsys):
     no_oracle = {k: v for k, v in SU2.items() if k != "oracle"}
     cfg = write_config(tmp_path, no_oracle)
-    assert main(["calibrate", "--config", cfg]) == 2
-    assert "oracle" in capsys.readouterr().err
+    assert main(["calibrate", "--config", cfg]) == 0
+    doc = json.loads(Path(cfg).with_suffix(".calibrated.json").read_text())
+    assert doc["calibration"]["liouville_const_re"] == 8.0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("cfg", [SU2, SL2], ids=["su2", "sl2"])
+def test_calibrate_reads_no_seed_or_sample_count(tmp_path, capsys, cfg):
+    # Both constants are deterministic, so neither --seed (in or out of the
+    # Philox key range) nor the oracle block moves a byte of the result.
+    # The written file echoes the input config, so the oracle block that
+    # a variant adds is dropped from it before comparing.
+    def run(variant, flags=()):
+        path = write_config(tmp_path, variant)
+        out = tmp_path / "calibrated.json"
+        capsys.readouterr()
+        assert main(["calibrate", "--config", path, "--out", str(out),
+                     *flags]) == 0
+        doc = json.loads(out.read_text())
+        doc.pop("oracle", None)
+        text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        return text, capsys.readouterr()
+
+    bare = {k: v for k, v in cfg.items() if k != "oracle"}
+    reference = run(bare)
+    assert reference[0] == (tmp_path / "calibrated.json").read_text()
+    for flags in (["--seed", "-1"], ["--seed", "7"]):
+        assert run(cfg, flags) == reference
+    for samples in (2, 10 ** 6):
+        variant = json.loads(json.dumps(cfg))
+        variant["oracle"]["samples"] = samples
+        assert run(variant) == reference
+
+
+@pytest.mark.parametrize("n, weight", [
+    (4, [0.68, 0.52, 0.88]),
+    (5, [1.29, 1.51, 0.43, 0.96]),
+    (6, [1.2, 0.7, 1.5, 0.9, 1.3]),
+])
+def test_calibrate_default_reference_beyond_su3(tmp_path, capsys, n, weight):
+    # For n >= 4 the default reference 0.7 + 0.31 k has repeated
+    # eigenvalues; the closed form does not read it.
+    cfg = {"algebra": {"family": "su", "n": n}, "weight": weight}
+    path = write_config(tmp_path, cfg)
+    assert main(["calibrate", "--config", path]) == 0
+    doc = json.loads(Path(path).with_suffix(".calibrated.json").read_text())
+    orbit = make_orbit(build_algebra("su", n), weight)
+    assert doc["calibration"]["liouville_const_re"] == \
+        _liouville_const(orbit).real
 
 
 def test_oracle_and_cycle_limit_outputs(tmp_path):
@@ -422,7 +470,7 @@ PHILOX_END = 2 ** 128   # Philox keys lie in [0, 2^128); the suites add up to 23
 
 
 @pytest.mark.parametrize("command", [
-    ["oracle"], ["calibrate"], ["cycle-limit"],
+    ["oracle"], ["verify"], ["cycle-limit"],
     *(["verify", "--suite", name] for name in
       ("algebra", "fixedpoints", "localize", "geometry", "oracle", "all")),
 ])
@@ -587,12 +635,11 @@ def test_refuses_weyl_tables_too_large_to_build(tmp_path, capsys,
 @pytest.mark.parametrize("command,path,value,message", [
     ("eval", ("grid", "axes", 0, "steps"), 10 ** 15, "out of memory: Unable to allocate"),
     ("oracle", ("oracle", "samples"), 10 ** 15, "out of memory: Unable to allocate"),
-    ("calibrate", ("oracle", "samples"), 10 ** 15, "out of memory: Unable to allocate"),
     ("eval", ("grid", "axes", 0, "steps"), 10 ** 20,
      "grid.axes[0].steps = 100000000000000000000 is too large to allocate"),
     ("oracle", ("oracle", "samples"), 10 ** 20,
      "oracle.samples = 100000000000000000000 is too large to allocate"),
-], ids=["eval", "oracle", "calibrate", "eval-beyond-intp", "oracle-beyond-intp"])
+], ids=["eval", "oracle", "eval-beyond-intp", "oracle-beyond-intp"])
 def test_sizes_too_large_to_allocate_exit_2(tmp_path, capsys, command, path,
                                             value, message):
     # 10^15 rows would take petabytes: numpy refuses to allocate them at
@@ -985,8 +1032,8 @@ def report_digest(tmp_path, capsys, command, cfg) -> str:
     ("oracle", SL2, "c44bc18510236c51"),
     ("verify", SU3_VERIFY, "ff3de9eb06015186"),
     ("verify", SL2_VERIFY, "23e4757206d8a613"),
-    ("calibrate", SU3_ORACLE, "bc37d498df51261e"),
-    ("calibrate", SL2, "e4433a096166693e"),
+    ("calibrate", SU3_ORACLE, "3389e74ef1934a76"),
+    ("calibrate", SL2, "7819a877c38472f1"),
 ], ids=["oracle-su3", "oracle-sl2", "verify-su3", "verify-sl2",
         "calibrate-su3", "calibrate-sl2"])
 def test_oracle_verify_calibrate_golden_digest(tmp_path, capsys, command, cfg,
@@ -1014,6 +1061,20 @@ def test_compact_oracle_makes_one_haar_pass(tmp_path, monkeypatch):
     assert calls == [(4, 40_000)]
 
 
+def test_compact_calibrate_makes_no_haar_pass(tmp_path, monkeypatch, capsys):
+    from orbit_localize import oracle
+
+    calls = []
+    monkeypatch.setattr(oracle, "_haar_pass", lambda *a, **k: calls.append(a))
+    path = write_config(tmp_path, SU3_ORACLE)
+    assert main(["calibrate", "--config", path,
+                 "--out", str(tmp_path / "c.json")]) == 0
+    assert calls == []
+
+
+GATE_RNG = np.random.default_rng(2026)   # weights of the oracle suite gate
+
+
 @pytest.mark.parametrize("n, weight, seed", [
     (3, [0.9, 0.4], 2),
     (3, [0.9, 0.4], 5),
@@ -1021,11 +1082,14 @@ def test_compact_oracle_makes_one_haar_pass(tmp_path, monkeypatch):
     (3, [0.9, 0.8], 1),
     (4, [0.68, 0.52, 0.88], 1),
     (5, [1.29, 1.51, 0.43, 0.96], 1),
+    *((n, GATE_RNG.uniform(0.4, 1.6, n - 1).tolist(), 1)
+      for n in (2, 2, 6, 6)),
 ])
 def test_compact_oracle_suite_gives_a_verdict(tmp_path, n, weight, seed):
     # The su(3) cases drew a calibration point whose Haar average was too
     # small to measure ("consistent with zero", exit 2) while the constant
     # was a Monte Carlo estimate; su(4) and su(5) refused the same way.
+    # su(2) and su(6) run at two random weights each.
     cfg = {"algebra": {"family": "su", "n": n}, "weight": weight,
            "oracle": {"seed": seed}}
     path = write_config(tmp_path, cfg)
@@ -1034,6 +1098,23 @@ def test_compact_oracle_suite_gives_a_verdict(tmp_path, n, weight, seed):
                  "--out", str(out)]) == 0
     names = [c["name"] for c in json.loads(out.read_text())["checks"]]
     assert "calibrated estimates match (<= 2 of 20 misses)" in names
+
+
+def test_skipped_oracle_suite_reads_as_a_skip(tmp_path, capsys):
+    # The noncompact oracle covers sl(2,R) only; on sl(3,R) its row is a
+    # skip, in the report and in the JSON, and does not change the exit.
+    cfg = {"algebra": {"family": "sl_real", "n": 3}, "weight": [0.9, 1.3],
+           "s0": -1, "oracle": {"seed": 1}}
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln[:4] for ln in lines if "oracle:" in ln] == ["SKIP"]
+    assert all(ln[:4] == "PASS" for ln in lines if "oracle:" not in ln)
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["name"] for c in checks if c.get("skipped")] == [
+        "oracle: skipped (noncompact oracle covers sl(2,R) only)"]
+    assert all("skipped" not in c for c in checks if "oracle:" not in c["name"])
 
 
 def test_split_localize_suite_makes_no_fourier_value_call(tmp_path, monkeypatch):
