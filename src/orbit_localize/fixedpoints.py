@@ -12,7 +12,8 @@ spanning its Borel's nilradical are read off the permutation.  One rule
 decides whether an orbit parameter is regular (``_check_regular``), for
 ``make_orbit`` and ``enumerate_fixed_points`` alike.
 
-Multiplicity modes:
+Multiplicity modes (the automatic ones are the rows of ``RULES``, which
+the term sum, the closed form and ``make_orbit`` read):
 
 * ``compact``      -- every fixed point carries +1.
 * ``maximally_split`` -- det(w) times a global calibration sign on the
@@ -45,7 +46,10 @@ __all__ = [
     "assign_multiplicities",
 ]
 
-MODES = ("compact", "maximally_split", "user_supplied")
+# Automatic mode -> (family, power, signed): the fixed point w carries
+# c det(w)^power, c = s0 when signed and 1 otherwise, so over the Borel
+# denominators det(w) V the sum is c det M / V (power 0) or c perm M / V.
+RULES = {"compact": ("su", 0, False), "maximally_split": ("sl_real", 1, True)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +135,7 @@ def closed_orbit_support(cartan: CartanDatum,
 def _check_mode(mode: str, sign: int,
                 user_values: Optional[Mapping[str, int]]) -> None:
     """Refuse what the mode rules refuse before any label is read."""
-    if mode not in MODES:
+    if mode not in RULES and mode != "user_supplied":
         raise AlgebraError(f"unknown multiplicity mode {mode!r}")
     if sign not in (1, -1):
         raise AlgebraError("calibration sign must be +1 or -1")
@@ -147,10 +151,9 @@ def _multiplicities(labels: Optional[Sequence[str]], signs: np.ndarray, mode: st
     ``labels`` is read in user_supplied mode only.
     """
     _check_mode(mode, sign, user_values)
-    if mode == "compact":
-        return np.ones(len(signs), dtype=np.int64)
-    if mode == "maximally_split":
-        return int(sign) * np.asarray(signs).astype(np.int64)
+    if mode in RULES:
+        _, power, signed = RULES[mode]
+        return (int(sign) if signed else 1) * np.asarray(signs, np.int64) ** power
     known = set(labels)
     for key, val in user_values.items():
         if key not in known:

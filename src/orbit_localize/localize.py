@@ -18,17 +18,18 @@ ev, so invariance holds by construction; in split mode the multiplicity
 pattern is tied to the canonical chamber.
 
 In the automatic modes the sum over W has a closed form (Harish-Chandra's
-formula).  With M = exp(outer(ev, s zeta)), the compact multiplicities
-+1 make it the alternating sum det M / V, and the split multiplicities
-s0 det(w) cancel the signs, leaving s0 perm M / V: n^2 exponentials a row
-and an LU determinant, or Glynn's permanent in 2^(n-1) n products, in
-place of n! terms.  It values the points of the real form, which read
-no permutation table, so a CSV ``eval`` in these modes builds none.  The
-term sum over W stays: it gives the values of user_supplied mode and of
-points off the real form (complex coordinates, whose su(n) exponents
-have real parts), and the term breakdowns (``EvalResult.terms`` and the
-JSON ``terms``), whose sum matches the closed-form value to
-1e-14 sum |terms| (measured at exponents up to about 350).
+formula), read off the mode's row of ``fixedpoints.RULES`` as the
+multiplicities are.  With M = exp(outer(ev, s zeta)), the compact
+multiplicities +1 make it det M / V, and the split ones s0 det(w) cancel
+the signs, leaving s0 perm M / V: n^2 exponentials a row and an LU
+determinant, or Glynn's permanent in 2^(n-1) n products, in place of n!
+terms.  It values the points of the real form, which read no permutation
+table, so a CSV ``eval`` in these modes builds none.  The term sum over W
+stays: it gives the values of user_supplied mode and of points off the
+real form (complex coordinates, whose su(n) exponents have real parts),
+and the term breakdowns (``EvalResult.terms`` and the JSON ``terms``),
+whose sum matches the closed-form value to 1e-14 sum |terms| (measured at
+exponents up to about 350).
 
 A batch of points is one pass of a block kernel (``fourier_grid``).  Each
 block of rows takes one batched eigenvalue solve and classification, then
@@ -79,6 +80,7 @@ from .algebra import (
     killing_form,
 )
 from .fixedpoints import (
+    RULES,
     FixedPoint,
     MultiplicityAssignment,
     _check_mode,
@@ -215,11 +217,10 @@ def make_orbit(spec: AlgebraSpec, weight: Sequence[float], mode: str = None,
     of the parameter as given, so that mode keeps it as given.
     """
     if mode is None:
-        mode = "compact" if spec.family == "su" else "maximally_split"
-    if mode == "compact" and spec.family != "su":
-        raise AlgebraError("compact mode requires the su family")
-    if mode == "maximally_split" and spec.family != "sl_real":
-        raise AlgebraError("maximally_split mode requires the sl_real family")
+        mode = next(m for m, rule in RULES.items() if rule[0] == spec.family)
+    family = RULES.get(mode, (spec.family,))[0]
+    if family != spec.family:
+        raise AlgebraError(f"{mode} mode requires the {family} family")
 
     weight = tuple(float(w) for w in weight)
     cart = standard_cartan(spec)
@@ -231,7 +232,7 @@ def make_orbit(spec: AlgebraSpec, weight: Sequence[float], mode: str = None,
     # form zeros(n); zeta[:-1] += weight; zeta[1:] -= weight, bit for bit.
     zeta = [(0.0 + a) - b for a, b in zip(weight + (0.0,), (0.0,) + weight)]
     finite = all(map(math.isfinite, zeta))
-    if finite and mode != "user_supplied":
+    if finite and mode in RULES:
         zeta = sorted(zeta)[::-1]   # ties in the order of np.sort(zeta)[::-1]
         weight = tuple(accumulate(zeta))[:-1]
     # The largest root pairing bounds every coroot pairing.
@@ -378,16 +379,16 @@ def _closed_form(orbit: OrbitSpec, ev: np.ndarray) -> np.ndarray:
     """The fixed-point sum of an automatic mode at N canonical spectra, (N,).
 
     With M = exp(outer(ev, s zeta)), the term of w is the product of the
-    entries M[i, w^-1 i] times m_w det(w) / V.  Compact multiplicities
-    are 1, so the sum is det M / V; split ones are s0 det(w), so it is
-    s0 perm M / V (Harish-Chandra's formula).  n^2 exponentials a row in
-    place of the n! of the term sum.
+    entries M[i, w^-1 i] times m_w det(w) / V.  With the mode's
+    m_w = c det(w)^power (``fixedpoints.RULES``) the sum is c det M / V at
+    power 0 and c perm M / V at power 1 (Harish-Chandra's formula).  n^2
+    exponentials a row in place of the n! of the term sum.
     """
+    _, power, signed = RULES[orbit.mode]
     m = np.exp(ev[:, :, None] * (_scale(orbit.algebra) * orbit.zeta))
-    if orbit.mode == "compact":
-        num = np.linalg.det(m)
-    else:
-        num = orbit.s0 * _permanent(m)
+    num = _permanent(m) if power else np.linalg.det(m)
+    if signed:
+        num = orbit.s0 * num
     return num / _vandermonde(ev)
 
 
@@ -458,7 +459,7 @@ def _evaluate_block(orbit: OrbitSpec, coords: np.ndarray, real: np.ndarray
     ok = code == _REGULAR
     values = np.where(code == _NONREAL, 0j, complex("nan"))
     summed = ok
-    if orbit.mode != "user_supplied":
+    if orbit.mode in RULES:
         # Rows off the real form (complex coordinates) keep the term sum,
         # so their value is exactly the sum of their reported terms.  An
         # su(n) spectrum there has real parts, and so do the exponents: a

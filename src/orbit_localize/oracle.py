@@ -380,7 +380,7 @@ def _liouville_const(orbit: OrbitSpec) -> complex:
     With M = exp(outer(ev, s zeta)), det M / V at ev = t h tends to it as
     t -> 0 (Harish-Chandra's formula), for m = n(n-1)/2, s =
     ``localize._scale`` and V(zeta) = prod over i < j of (zeta_j - zeta_i),
-    ordered as ``localize._vandermonde`` orders V(ev).
+    ordered as ``localize._vandermonde`` orders V(ev); imaginary part +0.0.
     """
     zeta = orbit.zeta.tolist()
     n = len(zeta)
@@ -389,7 +389,7 @@ def _liouville_const(orbit: OrbitSpec) -> complex:
               / math.prod(map(math.factorial, range(n))))
     if not (cmath.isfinite(volume) and volume):
         raise CalibrationError("the orbit volume is not representable")
-    return volume
+    return complex(volume.real, 0.0)
 
 
 def _calibrated_comparison(orbit: OrbitSpec, coords: np.ndarray,

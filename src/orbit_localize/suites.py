@@ -27,9 +27,11 @@ from .algebra import (
     reduce_to_cartan,
     standard_spectrum,
 )
-from .fixedpoints import _multiplicities
+from .fixedpoints import RULES, _multiplicities
 from .localize import (
     OrbitSpec,
+    _closed_form,
+    _term_sum,
     casimir_check,
     fourier_grid,
     invariance_checks,
@@ -323,17 +325,21 @@ def _fixedpoints_suite(st: SuiteSettings) -> list[CheckResult]:
     out.append(_check("sign-split subsets satisfy both conditions", bad, 0.5))
 
     mults = orbit._multiplicities
-    if orbit.mode == "compact":
-        out.append(_check("compact multiplicities identically one",
-                          0.0 if (mults == 1).all() else 1.0, 0.5))
-    elif orbit.mode == "maximally_split":
+    if orbit.mode == "maximally_split":
         flipped = _multiplicities(None, orbit.cartan._table.signs, orbit.mode,
                                   -orbit.s0, None)
         out.append(_check("global sign flip negates multiplicities",
                           float(np.abs(flipped + mults).max()), 0.5))
-        off = [not fp.in_closed_orbit for fp in orbit.fixed_points]
-        out.append(_check("multiplicities vanish off the closed orbit",
-                          0.0 if (mults[off] == 0).all() else 1.0, 0.5))
+    if orbit.mode in RULES:
+        # Both readers of RULES at canonical real-form spectra i t (su) or
+        # t (sl), t descending of mean 0, where sum |terms| = n!/|V|.
+        t = np.sort(rng.standard_normal((_SWEEP, n)), axis=1)[:, ::-1]
+        t = t - t.mean(axis=1, keepdims=True)
+        ev = t * 1j if orbit.algebra.family == "su" else t + 0j
+        scale = math.factorial(n) / np.abs(np.prod(t[:, j] - t[:, i], axis=1))
+        gap = np.abs(_closed_form(orbit, ev) - _term_sum(orbit, ev))
+        out.append(_check("closed form equals the sum over the multiplicities",
+                          float((gap / scale).max()), 1e-14))
     else:
         out.append(_check("user multiplicities are integral",
                           0.0 if mults.dtype == np.int64 else 1.0, 0.5))

@@ -1030,9 +1030,9 @@ def report_digest(tmp_path, capsys, command, cfg) -> str:
 @pytest.mark.parametrize("command,cfg,digest", [
     ("oracle", SU3_ORACLE, "d87e03a92f877db1"),
     ("oracle", SL2, "c44bc18510236c51"),
-    ("verify", SU3_VERIFY, "ff3de9eb06015186"),
-    ("verify", SL2_VERIFY, "23e4757206d8a613"),
-    ("calibrate", SU3_ORACLE, "3389e74ef1934a76"),
+    ("verify", SU3_VERIFY, "0de886adf2edacd0"),
+    ("verify", SL2_VERIFY, "75de5721a58cac20"),
+    ("calibrate", SU3_ORACLE, "e001cbc01f7a08ba"),
     ("calibrate", SL2, "7819a877c38472f1"),
 ], ids=["oracle-su3", "oracle-sl2", "verify-su3", "verify-sl2",
         "calibrate-su3", "calibrate-sl2"])

@@ -4,8 +4,10 @@ In the automatic modes the evaluator reports det M / V (su(n)) or
 s0 perm M / V (sl(n,R)) with M = exp(outer(ev, s zeta)) at points of the
 real form; the term sum stays for user_supplied mode, for points off the
 real form and for term breakdowns.  These tests hold
-the two to 1e-14 sum |terms|, pin user_supplied output bytes, and check
-that a CSV eval in an automatic mode runs with no S_n table at all.
+the two to 1e-14 sum |terms|, pin user_supplied output bytes, check
+that a CSV eval in an automatic mode runs with no S_n table at all, and
+check that ``verify`` fails when one reader of ``fixedpoints.RULES``
+leaves the table.
 """
 
 import hashlib
@@ -16,9 +18,10 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from orbit_localize import algebra
+from orbit_localize import algebra, fixedpoints, localize, suites
 from orbit_localize.algebra import _REGULAR, build_algebra, element_from_matrix
 from orbit_localize.cli import main
+from orbit_localize.fixedpoints import RULES
 from orbit_localize.localize import (
     _closed_form,
     _evaluate,
@@ -165,3 +168,69 @@ def test_csv_eval_in_automatic_modes_builds_no_table(tmp_path, monkeypatch,
     assert main(["eval", "--config", str(path), "--out", str(out)]) == 0
     rows = out.read_text().splitlines()[1:]
     assert len(rows) == 5
+
+
+# --- verify ties the two readers of the rule --------------------------------
+
+VERIFY_SU3 = {"algebra": {"family": "su", "n": 3}, "weight": [0.9, 0.4],
+              "oracle": {"seed": 1, "samples": 10_000}}
+VERIFY_SL2 = {"algebra": {"family": "sl_real", "n": 2}, "weight": [1.0],
+              "s0": -1, "oracle": {"seed": 20240802}}
+VERIFY_SL3 = {"algebra": {"family": "sl_real", "n": 3}, "weight": [0.9, 1.3],
+              "s0": -1, "oracle": {"seed": 1}}
+TIE = "closed form equals the sum over the multiplicities"
+
+
+def verify(tmp_path, capsys, cfg, suite):
+    """Exit code of ``verify --suite`` and the names of its failed rows."""
+    path = tmp_path / "verify.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    code = main(["verify", "--suite", suite, "--config", str(path)])
+    failed = [line[4:].split("residual=")[0].strip()
+              for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL")]
+    return code, failed
+
+
+def split_rule_read_as(rule, reader):
+    """``reader`` seeing RULES["maximally_split"] as ``rule``, during its calls only."""
+    def mutant(*args):
+        kept = RULES["maximally_split"]
+        RULES["maximally_split"] = rule
+        try:
+            return reader(*args)
+        finally:
+            RULES["maximally_split"] = kept
+    return mutant
+
+
+@pytest.mark.parametrize("reader,rule", [
+    ("_multiplicities", ("sl_real", 0, True)),   # ignores the power
+    ("_closed_form", ("sl_real", 0, True)),      # takes det for perm
+    ("_closed_form", ("sl_real", 1, False)),     # drops s0
+], ids=["multiplicities-ignore-power", "closed-form-det",
+        "closed-form-unsigned"])
+def test_verify_fails_a_reader_that_leaves_the_rule(tmp_path, capsys,
+                                                    monkeypatch, reader, rule):
+    # Without the tie these three kept every fixedpoints row passing, and
+    # the first two kept ``verify --suite all`` at exit 0 on sl(3,R).
+    for cfg in (VERIFY_SL2, VERIFY_SL3):
+        assert verify(tmp_path, capsys, cfg, "fixedpoints") == (0, [])
+    mutant = split_rule_read_as(rule, getattr(localize, reader))
+    for module in (fixedpoints, localize, suites):
+        if hasattr(module, reader):
+            monkeypatch.setattr(module, reader, mutant)
+    for cfg in (VERIFY_SL2, VERIFY_SL3):
+        assert verify(tmp_path, capsys, cfg, "fixedpoints") == (4, [TIE])
+
+
+def test_a_rule_both_readers_follow_is_left_to_the_oracle(tmp_path, capsys,
+                                                         monkeypatch):
+    # Compact multiplicities det(w) and the numerator perm M move together,
+    # so the tie holds; the Monte Carlo comparison catches the change.
+    assert verify(tmp_path, capsys, VERIFY_SU3, "oracle") == (0, [])
+    monkeypatch.setitem(RULES, "compact", ("su", 1, False))
+    assert verify(tmp_path, capsys, VERIFY_SU3, "fixedpoints") == (0, [])
+    assert verify(tmp_path, capsys, VERIFY_SU3, "oracle") \
+        == (4, ["calibrated estimates match (<= 2 of 20 misses)"])

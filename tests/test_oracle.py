@@ -6,6 +6,7 @@ the arc integral of J0 over the ruling), independent of the fixed-point
 evaluator; it doubles as the strongest end-to-end check in the suite.
 """
 
+import math
 import sys
 import threading
 
@@ -422,6 +423,14 @@ def test_liouville_const_is_the_zero_limit_of_det_m_over_v(n):
         const = _liouville_const(orbit)
         assert const.imag == 0.0
         assert abs(const.real - limit) <= 1e-12 * abs(limit)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_liouville_const_imaginary_part_is_positive_zero(n):
+    # s^m alone would make it -0.0 wherever m = n(n-1)/2 is odd.
+    weight = np.random.default_rng(n).uniform(0.4, 1.6, n - 1)
+    const = _liouville_const(make_orbit(build_algebra("su", n), weight))
+    assert math.copysign(1.0, const.imag) == 1.0 and const.imag == 0.0
 
 
 @pytest.mark.parametrize("n, weight, const", [
