@@ -38,7 +38,8 @@ from .oracle import (
     damped_oscillatory_integral,
     split_orbit_carrier,
 )
-from .suites import MAX_SEED, SUITE_NAMES, SuiteSettings, run_suite
+from .suites import (MAX_SEED, SUITE_NAMES, CheckResult, SuiteRefusal,
+                     SuiteSettings, run_suite)
 
 __all__ = ["main", "RunConfig", "load_config"]
 
@@ -502,6 +503,18 @@ def _oracle_seed(cfg: RunConfig, override: Optional[int],
     return seed
 
 
+def _print_checks(checks: Sequence[CheckResult]) -> None:
+    width = max((len(c.name) for c in checks), default=0)
+    lines = []
+    for c in checks:
+        status = "SKIP" if c.skipped else "PASS" if c.passed else "FAIL"
+        lines.append(
+            f"{status}  {c.name:<{width}}  residual={c.residual:.3e}"
+            f"  threshold={c.threshold:.3e}\n"
+        )
+    sys.stdout.write("".join(lines))
+
+
 def cmd_verify(cfg: RunConfig, suite: str, out: Optional[str],
                seed_override: Optional[int]) -> int:
     if suite not in SUITE_NAMES + ("all",):
@@ -519,17 +532,17 @@ def cmd_verify(cfg: RunConfig, suite: str, out: Optional[str],
         eps_schedule=cfg.eps_schedule,
         user_multiplicities=cfg.multiplicities,
     )
-    checks = run_suite(suite, settings)
-    width = max(len(c.name) for c in checks)
-    lines = []
-    for c in checks:
-        status = "SKIP" if c.skipped else "PASS" if c.passed else "FAIL"
-        lines.append(
-            f"{status}  {c.name:<{width}}  residual={c.residual:.3e}"
-            f"  threshold={c.threshold:.3e}"
-        )
-    report = "\n".join(lines) + "\n"
-    sys.stdout.write(report)
+    try:
+        checks = run_suite(suite, settings)
+    except SuiteRefusal as exc:
+        # The rows measured before the refusal are printed, and a FAIL
+        # among them outranks the refusal; no report file is written.
+        _print_checks(exc.checks)
+        sys.stdout.flush()
+        sys.stderr.write(f"error: {exc}\n")
+        return (EXIT_CONFIG if all(c.passed for c in exc.checks)
+                else EXIT_VERIFY)
+    _print_checks(checks)
     if out:
         _write_text(out, _json_dump({
             "suite": suite,

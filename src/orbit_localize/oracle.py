@@ -38,9 +38,13 @@ one reader at a time and is read in the serial order, so the samples are
 those of a serial draw bit for bit.  An estimate without a stored sample
 set (the comparison) values its points inside that loop,
 while each chunk is hot: both threads take points from one per-chunk
-iterator, and the (count, dim) sample set is never formed.  Each point's
-values come from the same rows whichever thread takes it, so the output
-does not depend on scheduling.
+iterator, and the (count, dim) sample set is never formed.  Each chunk's
+values of a point are reduced to running moments (sums and squared
+deviations of Re and Im, merged chunk by chunk in a fixed order) and
+dropped, so a point costs four floats however many samples it takes.
+Each point's values come from the same rows whichever thread takes it,
+and its chunks are merged in order, so the output does not depend on
+scheduling.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 15     # Haar draws per Philox chunk
-_VALUES_BYTES = 1 << 26   # Monte Carlo values held per Haar pass
+_MAX_SAMPLES = 1 << 32   # Haar draws per pass
 _S_BLOCK = 1 << 16   # hyperbolic-angle nodes per summed block
 _MAX_S_NODES = 1 << 22   # hyperbolic-angle nodes per damping value
 
@@ -207,8 +211,15 @@ def _haar_pass(zeta: np.ndarray, seed: int, count: int,
     The stream has one reader at a time and is read in the serial order,
     and each point is valued by one thread on the same rows, so the result
     does not depend on scheduling.  A failure on either thread stops the
-    valuing, and is raised here once the helper has been joined.
+    valuing, and is raised here once the helper has been joined.  More
+    than ``_MAX_SAMPLES`` draws (about 40 minutes of su(3) draws at one
+    point on a 2-core x86 host) are refused with ``AlgebraError`` before
+    any is drawn: an estimate keeps no per-sample memory, so no allocation
+    would refuse them.
     """
+    if count > _MAX_SAMPLES:
+        raise AlgebraError(f"{count:,} Haar samples in one pass; the cap is "
+                           f"{_MAX_SAMPLES:,}")
     n = len(zeta)
     rng = _philox(seed)
     buf = np.empty((2, min(_CHUNK, count), n, n))
@@ -308,18 +319,43 @@ def _exponentials(coords: np.ndarray, kx: np.ndarray, out: np.ndarray) -> None:
     np.exp(out, out=out)
 
 
-def _estimate(vals: np.ndarray, scale: complex, seed: int) -> McEstimate:
-    """Mean and standard error of the values of one point, times ``scale``."""
-    mean = complex(vals.mean()) if len(vals) else complex("nan")
-    if len(vals) > 1:
-        var = vals.real.var(ddof=1) + vals.imag.var(ddof=1)
-        stderr = float(np.sqrt(var / len(vals)))
+def _merge_chunk(moments: np.ndarray, lo: int, vals: np.ndarray) -> None:
+    """Merge the values of samples lo .. lo + len(vals) - 1 into ``moments``.
+
+    ``moments`` is (sum Re, sum Im, M2 Re, M2 Im) over samples 0 .. lo - 1,
+    M2 the sum of squared deviations from the mean.  The chunk's sums and
+    its M2 about its own mean join the totals by the pairwise update of
+    Chan, Golub and LeVeque (Amer. Statist. 37, 1983): M2 = M2_a + M2_b +
+    delta^2 n_a n_b / (n_a + n_b), delta the difference of the two means.
+    No BLAS call: it would contend with the Haar threads for the cores.
+    """
+    take = len(vals)
+    for k, part in enumerate((vals.real, vals.imag)):
+        total = part.sum()
+        dev = part - total / take
+        m2 = np.square(dev, out=dev).sum()
+        if lo:
+            delta = total / take - moments[k] / lo
+            m2 += delta * delta * (lo * take / (lo + take))
+        moments[k] += total
+        moments[2 + k] += m2
+
+
+def _estimate(moments: np.ndarray, count: int, scale: complex,
+              seed: int) -> McEstimate:
+    """Mean and standard error from one point's merged ``moments`` over
+    ``count`` samples, times ``scale``."""
+    total_re, total_im, m2_re, m2_im = moments.tolist()
+    mean = (complex(total_re / count, total_im / count) if count
+            else complex("nan"))
+    if count > 1:
+        stderr = math.sqrt((m2_re + m2_im) / (count - 1) / count)
     else:
         stderr = float("inf")
     return McEstimate(
         mean=complex(scale) * mean,
         stderr=abs(complex(scale)) * stderr,
-        count=len(vals),
+        count=count,
         seed=int(seed),
     )
 
@@ -330,26 +366,26 @@ def _mc_estimates(orbit: OrbitSpec, xs: Sequence[AlgebraElement], seed: int,
 
     The points are valued inside the sampler's chunk loop, on both of its
     threads, and the (count, dim) sample set is never formed: each chunk's
-    coordinates go to one reused buffer.  What is kept is the values, a
-    (points, count) array.  Points beyond ``_VALUES_BYTES`` of values take
-    further passes over the same stream, so they see the same samples.
+    coordinates go to one reused buffer.  Each chunk's values are merged
+    into their point's running moments (``_merge_chunk``) and dropped, so
+    what is kept is four floats a point, and every point is valued in one
+    pass whatever the number of points and samples.  Chunk k of a point is
+    merged before chunk k + 1, by whichever thread takes the point, so the
+    moments do not depend on scheduling.
     """
     zeta = _haar_zeta(orbit)
     kxs = [orbit.algebra.killing @ x.coords for x in xs]
-    group = max(1, _VALUES_BYTES // (16 * max(count, 1)))
-    vals = np.empty((min(group, len(kxs)), count), dtype=complex)
+    moments = np.zeros((len(kxs), 4))
     chunk = np.empty((min(_CHUNK, count), orbit.algebra.dim))
-    estimates = []
-    for first in range(0, len(kxs), group):
-        ks = kxs[first:first + group]
 
-        def value(p: int, lo: int, coords: np.ndarray) -> None:
-            _exponentials(coords, ks[p], vals[p, lo:lo + len(coords)])
+    def value(p: int, lo: int, coords: np.ndarray) -> None:
+        vals = np.empty(len(coords), dtype=complex)
+        _exponentials(coords, kxs[p], vals)
+        _merge_chunk(moments[p], lo, vals)
 
-        _haar_pass(zeta, seed, count, lambda lo, take: chunk[:take],
-                   value, len(ks))
-        estimates += [_estimate(v, scale, seed) for v in vals[:len(ks)]]
-    return estimates
+    _haar_pass(zeta, seed, count, lambda lo, take: chunk[:take],
+               value, len(kxs))
+    return [_estimate(m, count, scale, seed) for m in moments]
 
 
 def mc_fourier_integral(orbit: OrbitSpec, x: AlgebraElement, seed: int,
@@ -360,16 +396,19 @@ def mc_fourier_integral(orbit: OrbitSpec, x: AlgebraElement, seed: int,
     ``scale`` is the Liouville normalization constant
     (``_liouville_const``); pass 1 for the raw Haar average.  Without
     ``samples`` the point is valued during the draw of (seed, count); a
-    stored sample set gives the same estimate bit for bit.
+    stored sample set is valued and merged on the same chunks, so it gives
+    the same estimate bit for bit.
     """
     if samples is None:
         return _mc_estimates(orbit, [x], seed, count, scale)[0]
     kx = samples.orbit.algebra.killing @ x.coords
-    vals = np.empty(samples.count, dtype=complex)
+    moments = np.zeros(4)
+    vals = np.empty(min(_CHUNK, samples.count), dtype=complex)
     for lo in range(0, samples.count, _CHUNK):
-        _exponentials(samples.coords[lo:lo + _CHUNK], kx,
-                      vals[lo:lo + _CHUNK])
-    return _estimate(vals, scale, samples.seed)
+        chunk = samples.coords[lo:lo + _CHUNK]
+        _exponentials(chunk, kx, vals[:len(chunk)])
+        _merge_chunk(moments, lo, vals[:len(chunk)])
+    return _estimate(moments, samples.count, scale, samples.seed)
 
 
 def _liouville_const(orbit: OrbitSpec) -> complex:

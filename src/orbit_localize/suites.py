@@ -50,7 +50,8 @@ from .oracle import (
     split_orbit_liouville_density,
 )
 
-__all__ = ["CheckResult", "SuiteSettings", "SUITE_NAMES", "run_suite"]
+__all__ = ["CheckResult", "SuiteSettings", "SuiteRefusal", "SUITE_NAMES",
+           "run_suite"]
 
 SUITE_NAMES = ("algebra", "fixedpoints", "localize", "geometry", "oracle")
 
@@ -68,6 +69,15 @@ class CheckResult:
     threshold: float
     passed: bool
     skipped: bool = False   # a check that was not run; it fails nothing
+
+
+class SuiteRefusal(AlgebraError):
+    """A suite of ``run_suite("all")`` refused; ``checks`` holds the rows
+    of the suites that ran before it."""
+
+    def __init__(self, error: AlgebraError, checks: list[CheckResult]):
+        super().__init__(str(error))
+        self.checks = checks
 
 
 @dataclass(frozen=True)
@@ -284,15 +294,21 @@ def _fixedpoints_suite(st: SuiteSettings) -> list[CheckResult]:
     orbit = _orbit(st)
     cart = orbit.cartan
     out = []
+    # The fixed points are the rows of the S_n table: n! distinct
+    # permutations of 0 .. n-1.  Each missing, extra, repeated or
+    # non-permutation row adds one to the residual.
+    n = orbit.algebra.n
+    pos = cart._table.pos
+    perms = pos[(np.sort(pos, axis=1) == np.arange(n)).all(axis=1)]
+    distinct = len(np.unique(perms @ n ** np.arange(n, dtype=np.int64)))
     out.append(_check("fixed point count = weyl order",
-                      abs(len(orbit.fixed_points) - len(cart.weyl)), 0.5))
+                      abs(len(pos) - math.factorial(n)) + len(pos) - distinct,
+                      0.5))
 
     # Root e_i - e_j as the index pair (i, j): its negative is (j, i), and
     # a sum of two roots is a root only as (i, j) + (j, k) = (i, k).  The
     # Borel of w carries the w-images (w i, w j), i > j, of the negative
     # roots, so with pos = w^-1 it holds (i, j) exactly when pos_i > pos_j.
-    n = orbit.algebra.n
-    pos = cart._table.pos
     borel = pos[:, :, None] > pos[:, None, :]
     negated = borel.transpose(0, 2, 1)
     tiled = (((borel | negated) == ~np.eye(n, dtype=bool)).all()
@@ -580,9 +596,13 @@ def run_suite(name: str, settings: SuiteSettings) -> list[CheckResult]:
                     0.0, 0.5, True, skipped=True,
                 ))
                 continue
+            try:
+                checks = runners[key](settings)
+            except AlgebraError as exc:
+                raise SuiteRefusal(exc, out) from exc
             out.extend(
                 CheckResult(f"{key}: {c.name}", c.residual, c.threshold, c.passed)
-                for c in runners[key](settings)
+                for c in checks
             )
         return out
     if name not in runners:

@@ -282,12 +282,11 @@ def test_verify_algebra_suite_passes(tmp_path):
     assert doc["passed"] and all(c["passed"] for c in doc["checks"])
 
 
-@pytest.mark.parametrize("corrupt", ["duplicated row", "non-permutation row"])
-def test_weyl_closure_row_fails_on_a_corrupted_table(monkeypatch, corrupt):
-    from orbit_localize import algebra, suites
+def corrupted_cartan(corrupt):
+    """The su(4) Cartan with one row of its S_n table corrupted."""
+    from orbit_localize import algebra
 
-    spec = build_algebra("su", 4)
-    cart = algebra.CartanDatum(spec)
+    cart = algebra.CartanDatum(build_algebra("su", 4))
     table = algebra._weyl_table(4)
     pos = table.pos.copy()
     if corrupt == "duplicated row":
@@ -295,11 +294,31 @@ def test_weyl_closure_row_fails_on_a_corrupted_table(monkeypatch, corrupt):
     else:
         pos[5, 0] = pos[5, 1]
     cart.__dict__["_table"] = table._replace(pos=pos)
+    return cart
+
+
+@pytest.mark.parametrize("corrupt", ["duplicated row", "non-permutation row"])
+def test_weyl_closure_row_fails_on_a_corrupted_table(monkeypatch, corrupt):
+    from orbit_localize import suites
+
+    cart = corrupted_cartan(corrupt)
     monkeypatch.setattr(suites, "standard_cartan", lambda spec: cart)
     rows = {r.name: r for r in suites.run_suite(
         "algebra", suites.SuiteSettings(family="su", n=4, weight=(0.9, 0.4, 0.3)))}
     closure = rows["weyl closure under composition"]
     assert closure.residual == 1.0 and not closure.passed
+
+
+@pytest.mark.parametrize("corrupt", ["duplicated row", "non-permutation row"])
+def test_fixed_point_count_row_fails_on_a_corrupted_table(monkeypatch, corrupt):
+    from orbit_localize import localize, suites
+
+    monkeypatch.setitem(localize._STANDARD_CARTANS, ("su", 4),
+                        corrupted_cartan(corrupt))
+    rows = {r.name: r for r in suites.run_suite(
+        "fixedpoints", suites.SuiteSettings(family="su", n=4, weight=(0.9, 0.4, 0.3)))}
+    count = rows["fixed point count = weyl order"]
+    assert count.residual == 1.0 and not count.passed
 
 
 def test_verify_honours_config_seed_zero(tmp_path, capsys):
@@ -634,7 +653,8 @@ def test_refuses_weyl_tables_too_large_to_build(tmp_path, capsys,
 
 @pytest.mark.parametrize("command,path,value,message", [
     ("eval", ("grid", "axes", 0, "steps"), 10 ** 15, "out of memory: Unable to allocate"),
-    ("oracle", ("oracle", "samples"), 10 ** 15, "out of memory: Unable to allocate"),
+    ("oracle", ("oracle", "samples"), 10 ** 15,
+     "1,000,000,000,000,000 Haar samples in one pass; the cap is 4,294,967,296"),
     ("eval", ("grid", "axes", 0, "steps"), 10 ** 20,
      "grid.axes[0].steps = 100000000000000000000 is too large to allocate"),
     ("oracle", ("oracle", "samples"), 10 ** 20,
@@ -643,7 +663,9 @@ def test_refuses_weyl_tables_too_large_to_build(tmp_path, capsys,
 def test_sizes_too_large_to_allocate_exit_2(tmp_path, capsys, command, path,
                                             value, message):
     # 10^15 rows would take petabytes: numpy refuses to allocate them at
-    # once, and sizes beyond the index range are refused while parsing.
+    # once.  10^15 Haar samples take no memory, as the estimates keep no
+    # per-sample values, but years of draws: the sampler's cap refuses
+    # them.  Sizes beyond the index range are refused while parsing.
     cfg = json.loads(json.dumps(SU3))
     target = cfg
     for key in path[:-1]:
@@ -1028,7 +1050,7 @@ def report_digest(tmp_path, capsys, command, cfg) -> str:
 
 
 @pytest.mark.parametrize("command,cfg,digest", [
-    ("oracle", SU3_ORACLE, "d87e03a92f877db1"),
+    ("oracle", SU3_ORACLE, "39ff763223b74358"),
     ("oracle", SL2, "c44bc18510236c51"),
     ("verify", SU3_VERIFY, "0de886adf2edacd0"),
     ("verify", SL2_VERIFY, "75de5721a58cac20"),

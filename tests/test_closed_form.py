@@ -225,6 +225,25 @@ def test_verify_fails_a_reader_that_leaves_the_rule(tmp_path, capsys,
         assert verify(tmp_path, capsys, cfg, "fixedpoints") == (4, [TIE])
 
 
+def test_verify_all_prints_the_failed_rows_before_a_later_refusal(
+        tmp_path, capsys, monkeypatch):
+    # Under det for perm the sl(2,R) sign calibration is ambiguous, so the
+    # oracle suite refuses after the fixedpoints suite has failed its tie.
+    mutant = split_rule_read_as(("sl_real", 0, True), localize._closed_form)
+    for module in (localize, suites):
+        monkeypatch.setattr(module, "_closed_form", mutant)
+    path = tmp_path / "verify.json"
+    path.write_text(json.dumps(VERIFY_SL2))
+    capsys.readouterr()
+    assert main(["verify", "--suite", "all", "--config", str(path)]) == 4
+    out, err = capsys.readouterr()
+    rows = out.splitlines()
+    assert any(r.startswith(f"FAIL  fixedpoints: {TIE}") for r in rows)
+    assert {r.split()[1] for r in rows} \
+        == {"algebra:", "fixedpoints:", "localize:", "geometry:"}
+    assert err == "error: sign calibration is ambiguous at this point\n"
+
+
 def test_a_rule_both_readers_follow_is_left_to_the_oracle(tmp_path, capsys,
                                                          monkeypatch):
     # Compact multiplicities det(w) and the numerator perm M move together,

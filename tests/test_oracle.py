@@ -9,6 +9,7 @@ evaluator; it doubles as the strongest end-to-end check in the suite.
 import math
 import sys
 import threading
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -260,21 +261,68 @@ def test_fused_estimates_independent_of_thread_switching(points):
     assert threading.active_count() == before
 
 
-def test_points_beyond_the_values_cap_take_more_passes(monkeypatch):
-    # Room for the values of three points: 20 points take seven passes
-    # over the same stream.
+def test_every_point_is_valued_in_one_pass(monkeypatch):
+    # Only four moments a point are kept, so 20 points over two chunks
+    # take one pass over the stream.
     orbit = make_orbit(build_algebra("su", 3), [0.9, 0.4])
     xs = _points(orbit, 20)
     count = _CHUNK + 5
     want = [_bits(e) for e in _stored_estimates(orbit, xs, 8, count, 1.0)]
-    monkeypatch.setattr(oracle, "_VALUES_BYTES", 3 * 16 * count)
     passes = []
     real_pass = oracle._haar_pass
     monkeypatch.setattr(oracle, "_haar_pass",
                         lambda *a, **k: passes.append(1) or real_pass(*a, **k))
     got = oracle._mc_estimates(orbit, xs, 8, count)
     assert [_bits(e) for e in got] == want
-    assert len(passes) == 7
+    assert len(passes) == 1
+
+
+def test_merged_moments_match_the_full_sample_mean_and_variance():
+    # Against np.mean and np.var(ddof=1) over all values at once, from the
+    # origin (all values 1) through the small-variance regime to |X| = 2.
+    orbit = make_orbit(build_algebra("su", 3), [0.9, 0.4])
+    count = 10 ** 6 + 17
+    samples = haar_orbit_sample(orbit, 17, count)
+    const = _liouville_const(orbit)
+    direction = np.random.default_rng(4).standard_normal(orbit.algebra.dim)
+    direction /= np.linalg.norm(direction)
+    for norm in (0.0, 1e-4, 0.05, 0.6, 2.0):
+        x = element(orbit.algebra, norm * direction)
+        est = mc_fourier_integral(orbit, x, 0, 0, scale=const, samples=samples)
+        vals = np.exp(orbit_exponents(samples, x))
+        mean = const * vals.mean()
+        stderr = abs(const) * math.sqrt(
+            (vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / count)
+        assert abs(est.mean - mean) <= 1e-14 * abs(const), norm
+        assert abs(est.stderr - stderr) <= 1e-12 * stderr, norm
+        value = fourier_value(orbit, x).value if norm else const
+        assert (abs(est.mean - value) <= 3.0 * est.stderr) \
+            == (abs(mean - value) <= 3.0 * stderr), norm
+
+
+def test_fused_estimates_keep_no_per_sample_values():
+    # The values of 20 points x 200,000 samples would take 64 MB; the
+    # chunk buffers of the Haar pass take under 24 MB.
+    orbit = make_orbit(build_algebra("su", 3), [0.9, 0.4])
+    xs = _points(orbit, 20)
+    tracemalloc.start()
+    try:
+        oracle._mc_estimates(orbit, xs, 1, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24e6
+
+
+def test_samples_above_the_cap_are_refused_before_any_draw(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(oracle, "_MAX_SAMPLES", 10)
+    monkeypatch.setattr(oracle, "_philox", lambda seed: drawn.append(seed))
+    orbit = su2_orbit()
+    x = element(orbit.algebra, [0.5, 0.2, 0.1])
+    with pytest.raises(AlgebraError, match="11 Haar samples in one pass; the cap is 10"):
+        mc_fourier_integral(orbit, x, 3, 11)
+    assert drawn == []
 
 
 def test_fused_estimate_of_zero_and_one_samples():
