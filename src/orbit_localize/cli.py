@@ -34,6 +34,7 @@ from .localize import OrbitSpec, _evaluate, _terms, fourier_grid, make_orbit
 from .oracle import (
     CalibrationError,
     _calibrated_comparison,
+    _calibrated_estimates,
     calibrate,
     damped_oscillatory_integral,
     split_orbit_carrier,
@@ -608,14 +609,15 @@ def cmd_oracle(cfg: RunConfig, out: Optional[str],
     orbit = _build_orbit(cfg)
     _, grid, coords = _grid_points(cfg, orbit)
     # Degenerate rows (walls, non-regular and indeterminate points) have
-    # no formula value and are skipped.
+    # no formula value and are skipped; with none left nothing is drawn.
     rows = fourier_grid(orbit, coords)
     usable = [k for k, res in enumerate(rows) if not res.degenerate]
 
     if orbit.algebra.family == "su":
         values = [rows[k].value for k in usable]
         means, sigmas, verdicts = _calibrated_comparison(
-            orbit, coords[usable], values, seed + 1, cfg.mc_samples)
+            _calibrated_estimates(orbit, coords[usable], seed + 1,
+                                  cfg.mc_samples), values)
         lines = ["x_coords,re_formula,im_formula,re_mc,im_mc,stderr,agree_3sigma"]
         for k, fv, mc, sigma, agree in zip(usable, values, means, sigmas,
                                            verdicts):
@@ -625,7 +627,7 @@ def cmd_oracle(cfg: RunConfig, out: Optional[str],
                 _fmt(sigma), "1" if agree else "0",
             ]))
         _write_text(out, "\n".join(lines) + "\n")
-        return EXIT_OK
+        return EXIT_OK if usable else EXIT_DEGENERATE
 
     split = [k for k in usable if rows[k].conjugacy == "cartan"]
     if not split:

@@ -44,7 +44,11 @@ deviations of Re and Im, merged chunk by chunk in a fixed order) and
 dropped, so a point costs four floats however many samples it takes.
 Each point's values come from the same rows whichever thread takes it,
 and its chunks are merged in order, so the output does not depend on
-scheduling.
+scheduling.  A point can also be read at nested prefixes of the pass (the
+oracle suite's dyadic sample counts): at a prefix m a copy of its moments
+takes the first m samples' values, and the estimate equals the stored-set
+estimate on those m samples bit for bit, while its running moments, and
+so its estimate over the whole pass, are left as they are.
 """
 
 from __future__ import annotations
@@ -314,6 +318,9 @@ def _exponentials(coords: np.ndarray, kx: np.ndarray, out: np.ndarray) -> None:
 
     Every estimate forms its exponents one chunk of at most ``_CHUNK`` rows
     at a time, so a stored sample set and a fused pass give the same bits.
+    A row's bits can depend on how many rows the product takes (OpenBLAS
+    treats a tail of a few rows apart), so a chunk cut short is valued on
+    its own rows, never read off the values of the whole chunk.
     """
     np.multiply(1j, coords @ kx, out=out)
     np.exp(out, out=out)
@@ -361,7 +368,8 @@ def _estimate(moments: np.ndarray, count: int, scale: complex,
 
 
 def _mc_estimates(orbit: OrbitSpec, xs: Sequence[AlgebraElement], seed: int,
-                  count: int, scale: complex = 1.0) -> list[McEstimate]:
+                  count: int, scale: complex = 1.0,
+                  prefixes: Sequence[Sequence[int]] = ()) -> list[McEstimate]:
     """``mc_fourier_integral`` at each of ``xs`` on one Haar sample set.
 
     The points are valued inside the sampler's chunk loop, on both of its
@@ -371,21 +379,52 @@ def _mc_estimates(orbit: OrbitSpec, xs: Sequence[AlgebraElement], seed: int,
     what is kept is four floats a point, and every point is valued in one
     pass whatever the number of points and samples.  Chunk k of a point is
     merged before chunk k + 1, by whichever thread takes the point, so the
-    moments do not depend on scheduling.
+    moments do not depend on scheduling.  With no point nothing is drawn.
+
+    ``prefixes[p]``, if given, holds ascending sample counts in 1 .. count
+    at which point p is also read, and its estimates at them come just
+    before its estimate at ``count``.  At a count m inside the chunk from
+    lo, a copy of the point's moments takes the values of the chunk's
+    first m - lo rows, valued on those rows alone, while the running
+    moments take the whole chunk as they do without prefixes.  So the
+    estimates at ``count`` keep their bits, and the one at m is that of
+    ``mc_fourier_integral`` on the first m samples of the pass, bit for
+    bit: both value and merge the same rows on the same ``_CHUNK``
+    boundaries.
     """
+    if len(prefixes) > len(xs):
+        raise ValueError(f"{len(prefixes)} prefix lists for {len(xs)} points")
+    for asked in prefixes:
+        bounds = [0, *asked]
+        if not all(a < b for a, b in zip(bounds, asked)) or bounds[-1] > count:
+            raise ValueError(f"prefixes {list(asked)} do not ascend "
+                             f"within 1 .. {count}")
+    if not xs:
+        return []
     zeta = _haar_zeta(orbit)
     kxs = [orbit.algebra.killing @ x.coords for x in xs]
     moments = np.zeros((len(kxs), 4))
+    marks = [list(m) for m in prefixes] + [[]] * (len(kxs) - len(prefixes))
+    reads = [[] for _ in kxs]    # moments at each prefix of a point
     chunk = np.empty((min(_CHUNK, count), orbit.algebra.dim))
 
     def value(p: int, lo: int, coords: np.ndarray) -> None:
         vals = np.empty(len(coords), dtype=complex)
         _exponentials(coords, kxs[p], vals)
+        for m in marks[p]:
+            if lo < m <= lo + len(vals):
+                head = np.empty(m - lo, dtype=complex)
+                _exponentials(coords[:m - lo], kxs[p], head)
+                read = moments[p].copy()
+                _merge_chunk(read, lo, head)
+                reads[p].append(read)
         _merge_chunk(moments[p], lo, vals)
 
     _haar_pass(zeta, seed, count, lambda lo, take: chunk[:take],
                value, len(kxs))
-    return [_estimate(m, count, scale, seed) for m in moments]
+    return [_estimate(m, c, scale, seed)
+            for p in range(len(kxs))
+            for m, c in zip(reads[p] + [moments[p]], marks[p] + [count])]
 
 
 def mc_fourier_integral(orbit: OrbitSpec, x: AlgebraElement, seed: int,
@@ -431,17 +470,25 @@ def _liouville_const(orbit: OrbitSpec) -> complex:
     return complex(volume.real, 0.0)
 
 
-def _calibrated_comparison(orbit: OrbitSpec, coords: np.ndarray,
-                           values: Sequence[complex], seed: int, count: int
+def _calibrated_estimates(orbit: OrbitSpec, coords: np.ndarray, seed: int,
+                          count: int, prefixes: Sequence[Sequence[int]] = ()
+                          ) -> list[McEstimate]:
+    """``_mc_estimates`` at the rows of ``coords``, the Haar averages
+    scaled by the closed-form ``_liouville_const``: all points are valued
+    in one pass over the Haar samples of (seed, count), with no stored
+    sample set."""
+    return _mc_estimates(orbit, [element(orbit.algebra, c) for c in coords],
+                         seed, count, scale=_liouville_const(orbit),
+                         prefixes=prefixes)
+
+
+def _calibrated_comparison(ests: Sequence[McEstimate],
+                           values: Sequence[complex]
                            ) -> tuple[list[complex], list[float], list[bool]]:
-    """Calibrated means MC at the rows of ``coords``, their sigmas and the
-    verdicts |MC - F| <= 3 sigma against the formula ``values`` F (see the
-    module docstring).  The Haar averages are scaled by the closed-form
-    ``_liouville_const``, so sigma is each estimate's own standard error.
-    All points are valued in one pass over the Haar samples of (seed,
-    count), with no stored sample set."""
-    ests = _mc_estimates(orbit, [element(orbit.algebra, c) for c in coords],
-                         seed, count, scale=_liouville_const(orbit))
+    """The means MC of calibrated estimates (``_calibrated_estimates``),
+    their sigmas and the verdicts |MC - F| <= 3 sigma against the formula
+    ``values`` F (see the module docstring).  The constant is exact, so
+    sigma is each estimate's own standard error."""
     means = [est.mean for est in ests]
     sigmas = [est.stderr for est in ests]
     return means, sigmas, [abs(mc - fv) <= 3.0 * sigma

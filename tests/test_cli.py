@@ -1083,6 +1083,45 @@ def test_compact_oracle_makes_one_haar_pass(tmp_path, monkeypatch):
     assert calls == [(4, 40_000)]
 
 
+def test_compact_oracle_suite_makes_one_estimate_pass(tmp_path, monkeypatch):
+    # The dyadic reference and the 20 comparison points share the pass at
+    # seed + 23; the other two calls are the 4,000-sample orbit and
+    # determinism draws.
+    from orbit_localize import oracle
+
+    calls = []
+    haar_pass = oracle._haar_pass
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])   # (seed, count)
+        return haar_pass(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_haar_pass", counted)
+    path = write_config(tmp_path, SU3_VERIFY)
+    assert main(["verify", "--config", path, "--suite", "oracle"]) == 0
+    assert calls == [(1, 4000), (24, 200_000), (1, 4000)]
+
+
+def test_compact_oracle_with_no_usable_row_draws_nothing_and_exits_3(
+        tmp_path, monkeypatch):
+    # Every row of the grid is degenerate: the header is written, as eval
+    # writes its output, and no Haar sample is drawn.
+    from orbit_localize import oracle
+
+    calls = []
+    monkeypatch.setattr(oracle, "_haar_pass", lambda *a, **k: calls.append(a))
+    cfg = {"algebra": {"family": "su", "n": 3}, "weight": [0.9, 0.4],
+           "grid": {"axes": [{"start": 0.0, "stop": 0.0, "steps": 1},
+                             {"start": 0.0, "stop": 0.0, "steps": 1}]},
+           "oracle": {"seed": 3, "samples": 1_000_000}}
+    out = tmp_path / "o.csv"
+    assert main(["oracle", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 3
+    assert out.read_text() == (
+        "x_coords,re_formula,im_formula,re_mc,im_mc,stderr,agree_3sigma\n")
+    assert calls == []
+
+
 def test_compact_calibrate_makes_no_haar_pass(tmp_path, monkeypatch, capsys):
     from orbit_localize import oracle
 

@@ -277,6 +277,79 @@ def test_every_point_is_valued_in_one_pass(monkeypatch):
     assert len(passes) == 1
 
 
+_PREFIXES = [1, _CHUNK - 1, _CHUNK, _CHUNK + 5, 3 * _CHUNK + 17]
+
+
+@pytest.mark.parametrize("points", [2, 20])
+@pytest.mark.parametrize("switch", [None, 1e-6], ids=["default", "1us"])
+def test_prefix_reads_equal_stored_estimates_on_the_first_rows(points, switch):
+    # A read at m is the stored-sample estimate on the first m rows of the
+    # pass, and the reads leave the estimates at count as they are.  At a
+    # 1 us switch interval which thread values which point changes from
+    # chunk to chunk.
+    orbit = make_orbit(build_algebra("su", 3), [0.9, 0.4])
+    xs = _points(orbit, points)
+    count = 3 * _CHUNK + 17
+    scale = 2.0 - 0.5j
+    rows = haar_orbit_sample(orbit, 29, count).coords
+    want = []
+    for x in xs:
+        for m in _PREFIXES:
+            first = oracle.OrbitSamples(orbit, rows[:m], 29, m)
+            want.append(_bits(mc_fourier_integral(orbit, x, 0, 0, scale=scale,
+                                                  samples=first)))
+    finals = [_bits(e) for e in oracle._mc_estimates(orbit, xs, 29, count,
+                                                     scale)]
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    if switch:
+        sys.setswitchinterval(switch)
+    try:
+        got = oracle._mc_estimates(orbit, xs, 29, count, scale,
+                                   prefixes=[_PREFIXES] * points)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    reads = len(_PREFIXES)
+    assert [_bits(e) for e in got] == [
+        b for p in range(points)
+        for b in want[p * reads:(p + 1) * reads] + [finals[p]]]
+
+
+def test_prefix_reads_of_some_points_leave_the_others_alone():
+    # Only the points with prefixes get more estimates, each just before
+    # its estimate at count.
+    orbit = make_orbit(build_algebra("su", 3), [0.9, 0.4])
+    xs = _points(orbit, 3)
+    count = _CHUNK + 5
+    finals = oracle._mc_estimates(orbit, xs, 4, count)
+    got = oracle._mc_estimates(orbit, xs, 4, count, prefixes=[[3, count]])
+    assert [e.count for e in got] == [3, count, count, count, count]
+    assert [_bits(e) for e in got[1:3]] == [_bits(finals[0])] * 2
+    assert [_bits(e) for e in got[3:]] == [_bits(e) for e in finals[1:]]
+
+
+@pytest.mark.parametrize("prefixes", [
+    [[4, 2]], [[3, 3]], [[0, 5]], [[-1]], [[11]], [[2], [2], [2]],
+], ids=["descending", "repeated", "zero", "negative", "above-count",
+        "more-lists-than-points"])
+def test_bad_prefixes_are_refused_before_any_draw(monkeypatch, prefixes):
+    drawn = []
+    monkeypatch.setattr(oracle, "_philox", lambda seed: drawn.append(seed))
+    orbit = su2_orbit()
+    with pytest.raises(ValueError):
+        oracle._mc_estimates(orbit, _points(orbit, 2), 3, 10,
+                             prefixes=prefixes)
+    assert drawn == []
+
+
+def test_no_point_draws_nothing(monkeypatch):
+    passes = []
+    monkeypatch.setattr(oracle, "_haar_pass", lambda *a, **k: passes.append(a))
+    assert oracle._mc_estimates(su2_orbit(), [], 3, 10 ** 6) == []
+    assert passes == []
+
+
 def test_merged_moments_match_the_full_sample_mean_and_variance():
     # Against np.mean and np.var(ddof=1) over all values at once, from the
     # origin (all values 1) through the small-variance regime to |X| = 2.
