@@ -157,6 +157,8 @@ def _parse_config(raw: dict) -> RunConfig:
         _refuse_large_table(family, n)
     weight = _numbers(_require(raw, "weight", ""), "weight")
     mode = raw.get("mode")
+    if mode is not None and not isinstance(mode, str):
+        raise ConfigError(f"mode must be a string, got {mode!r}")
     s0 = _integer(raw.get("s0", 1), "s0")
     mults = raw.get("multiplicities")
     if mults is not None:
@@ -630,11 +632,12 @@ def cmd_oracle(cfg: RunConfig, out: Optional[str],
         return EXIT_OK if usable else EXIT_DEGENERATE
 
     split = [k for k in usable if rows[k].conjugacy == "cartan"]
+    lines = ["eps,re_estimate,im_estimate"]
     if not split:
+        _write_text(out, lines[0] + "\n")
         return EXIT_DEGENERATE
     x, res = element(orbit.algebra, coords[split[0]]), rows[split[0]]
     seq = damped_oscillatory_integral(orbit, x, cfg.eps_schedule)
-    lines = ["eps,re_estimate,im_estimate"]
     for eps, v in zip(seq.eps_schedule, seq.estimates):
         lines.append(",".join([_fmt(eps), _fmt(v.real), _fmt(v.imag)]))
     lines.append(f"extrapolated,{_fmt(seq.extrapolated.real)},{_fmt(seq.extrapolated.imag)}")

@@ -32,23 +32,25 @@ suite's "calibrated estimates match" row.
 Randomness comes from numpy's Philox counter-based generator keyed by the
 caller's seed and consumed in a fixed chunk order, so every estimate is a
 pure function of (seed, sample count, inputs).  One chunk loop
-(``_haar_pass``) serves the sampler and the estimates.  A helper thread
-draws the next chunk while the current one is worked on; the stream has
-one reader at a time and is read in the serial order, so the samples are
-those of a serial draw bit for bit.  An estimate without a stored sample
-set (the comparison) values its points inside that loop,
-while each chunk is hot: both threads take points from one per-chunk
-iterator, and the (count, dim) sample set is never formed.  Each chunk's
-values of a point are reduced to running moments (sums and squared
-deviations of Re and Im, merged chunk by chunk in a fixed order) and
-dropped, so a point costs four floats however many samples it takes.
-Each point's values come from the same rows whichever thread takes it,
-and its chunks are merged in order, so the output does not depend on
-scheduling.  A point can also be read at nested prefixes of the pass (the
-oracle suite's dyadic sample counts): at a prefix m a copy of its moments
-takes the first m samples' values, and the estimate equals the stored-set
-estimate on those m samples bit for bit, while its running moments, and
-so its estimate over the whole pass, are left as they are.
+(``_haar_pass``) serves the sampler and the estimates.  It keeps one
+helper thread, a one-worker executor whose tasks run in order: per chunk
+it draws the next chunk while the current one is worked on, and then takes
+its share of the current chunk's points.  The stream has one reader at a
+time and is read in the serial order, so the samples are those of a serial
+draw bit for bit.  An estimate without a stored sample set (the
+comparison) values its points inside that loop, while each chunk is hot:
+both threads take points from one per-chunk iterator, and the (count, dim)
+sample set is never formed.  Each chunk's values of a point are reduced to
+running moments (sums and squared deviations of Re and Im, merged chunk by
+chunk in a fixed order) and dropped, so a point costs four floats however
+many samples it takes.  Each point's values come from the same rows
+whichever thread takes it, and its chunks are merged in order, so the
+output does not depend on scheduling.  A point can also be read at nested
+prefixes of the pass (the oracle suite's dyadic sample counts): at a
+prefix m a copy of its moments takes the first m samples' values, and the
+estimate equals the stored-set estimate on those m samples bit for bit,
+while its running moments, and so its estimate over the whole pass, are
+left as they are.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from __future__ import annotations
 import cmath
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional, Sequence
@@ -208,18 +211,20 @@ def _haar_pass(zeta: np.ndarray, seed: int, count: int,
     written, ``value(p, lo, coords)`` runs for p in 0 .. points - 1, while
     the chunk is hot.
 
-    Two threads share the work.  Per chunk one helper thread first draws
+    One helper thread shares the work: a one-worker executor, whose tasks
+    run in the order they are submitted.  Per chunk its first task draws
     the next chunk into the single draw buffer (the current one has been
-    copied out), then waits until this thread has written the coordinates,
-    and then both threads take points from one iterator until it is empty.
+    copied out).  Its second, submitted only once this thread has written
+    the chunk's coordinates, takes points from the iterator that this
+    thread takes them from too, and is waited for before the next chunk.
     The stream has one reader at a time and is read in the serial order,
     and each point is valued by one thread on the same rows, so the result
-    does not depend on scheduling.  A failure on either thread stops the
-    valuing, and is raised here once the helper has been joined.  More
-    than ``_MAX_SAMPLES`` draws (about 40 minutes of su(3) draws at one
-    point on a 2-core x86 host) are refused with ``AlgebraError`` before
-    any is drawn: an estimate keeps no per-sample memory, so no allocation
-    would refuse them.
+    does not depend on scheduling.  A valuing failure on either thread
+    stops the valuing on both; every failure is raised here, and the
+    helper is joined on every way out.  More than ``_MAX_SAMPLES`` draws
+    (about 40 minutes of su(3) draws at one point on a 2-core x86 host)
+    are refused with ``AlgebraError`` before any is drawn: an estimate
+    keeps no per-sample memory, so no allocation would refuse them.
     """
     if count > _MAX_SAMPLES:
         raise AlgebraError(f"{count:,} Haar samples in one pass; the cap is "
@@ -230,64 +235,41 @@ def _haar_pass(zeta: np.ndarray, seed: int, count: int,
     failure = []
     lock = threading.Lock()
 
+    def draw(take: int) -> None:
+        rng.standard_normal(out=buf[0, :take])
+        rng.standard_normal(out=buf[1, :take])
+
     def work(lo: int, coords: np.ndarray, todo) -> None:
-        while not failure:
-            with lock:
-                p = next(todo, None)
-            if p is None:
-                return
-            value(p, lo, coords)
-
-    def helper(take: int, ready: threading.Event, lo: int,
-               coords: np.ndarray, todo) -> None:
         try:
-            if take:
-                rng.standard_normal(out=buf[0, :take])
-                rng.standard_normal(out=buf[1, :take])
-            if todo is not None:
-                ready.wait()
-                work(lo, coords, todo)
-        except BaseException as exc:   # handed to the caller, which raises it
-            failure.append(exc)
+            while not failure:
+                with lock:
+                    p = next(todo, None)
+                if p is None:
+                    return
+                value(p, lo, coords)
+        except BaseException:
+            failure.append(True)   # stops the other thread's valuing
+            raise
 
-    def start(*args) -> threading.Thread:
-        thread = threading.Thread(target=helper, args=args)
-        thread.start()
-        return thread
-
-    ready = None
-    ahead = start(min(_CHUNK, count), None, 0, None, None) if count else None
-    try:
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        drawn = helper.submit(draw, min(_CHUNK, count))
         for lo in range(0, count, _CHUNK):
             take = min(_CHUNK, count - lo)
-            ahead.join()
-            if failure:
-                raise failure[0]
+            drawn.result()
             # Matrix t of the chunk is buf[:, t] with entry (row, column);
             # copy its first n-1 columns out as (column, row, sample).
             re, im = np.ascontiguousarray(
                 buf[:, :take, :, :n - 1].transpose(0, 3, 2, 1))
+            drawn = helper.submit(draw, min(_CHUNK, count - lo - take))
             coords = coords_at(lo, take)
-            todo = iter(range(points)) if points else None
-            ready = threading.Event()
-            following = min(_CHUNK, count - lo - take)
-            ahead = (start(following, ready, lo, coords, todo)
-                     if following or todo is not None else None)
             _gram_schmidt(re, im)
             _orbit_coords(re, im, zeta, coords)
-            ready.set()
-            if todo is not None:
+            if points:
+                todo = iter(range(points))
+                shared = helper.submit(work, lo, coords, todo)
                 work(lo, coords, todo)
-    except BaseException as exc:
-        failure.append(exc)   # stops the helper's valuing
-        raise
-    finally:
-        if ready is not None:
-            ready.set()
-        if ahead is not None:
-            ahead.join()
-    if failure:
-        raise failure[0]
+                shared.result()
+        drawn.result()   # the last draw, an empty one, is read too
 
 
 def haar_orbit_sample(orbit: OrbitSpec, seed: int, count: int) -> OrbitSamples:
@@ -326,17 +308,22 @@ def _exponentials(coords: np.ndarray, kx: np.ndarray, out: np.ndarray) -> None:
     np.exp(out, out=out)
 
 
-def _merge_chunk(moments: np.ndarray, lo: int, vals: np.ndarray) -> None:
-    """Merge the values of samples lo .. lo + len(vals) - 1 into ``moments``.
+def _merge_chunk(moments: np.ndarray, lo: int, coords: np.ndarray,
+                 kx: np.ndarray) -> None:
+    """Value samples lo .. lo + len(coords) - 1, merge them into ``moments``.
 
-    ``moments`` is (sum Re, sum Im, M2 Re, M2 Im) over samples 0 .. lo - 1,
-    M2 the sum of squared deviations from the mean.  The chunk's sums and
-    its M2 about its own mean join the totals by the pairwise update of
-    Chan, Golub and LeVeque (Amer. Statist. 37, 1983): M2 = M2_a + M2_b +
-    delta^2 n_a n_b / (n_a + n_b), delta the difference of the two means.
-    No BLAS call: it would contend with the Haar threads for the cores.
+    The values exp(<x, zeta>) come from ``_exponentials`` on the rows of
+    ``coords`` alone.  ``moments`` is (sum Re, sum Im, M2 Re, M2 Im) over
+    samples 0 .. lo - 1, M2 the sum of squared deviations from the mean.
+    The chunk's sums and its M2 about its own mean join the totals by the
+    pairwise update of Chan, Golub and LeVeque (Amer. Statist. 37, 1983):
+    M2 = M2_a + M2_b + delta^2 n_a n_b / (n_a + n_b), delta the difference
+    of the two means.  The merge itself makes no BLAS call: it would
+    contend with the two threads of the Haar pass for the cores.
     """
-    take = len(vals)
+    take = len(coords)
+    vals = np.empty(take, dtype=complex)
+    _exponentials(coords, kx, vals)
     for k, part in enumerate((vals.real, vals.imag)):
         total = part.sum()
         dev = part - total / take
@@ -409,16 +396,12 @@ def _mc_estimates(orbit: OrbitSpec, xs: Sequence[AlgebraElement], seed: int,
     chunk = np.empty((min(_CHUNK, count), orbit.algebra.dim))
 
     def value(p: int, lo: int, coords: np.ndarray) -> None:
-        vals = np.empty(len(coords), dtype=complex)
-        _exponentials(coords, kxs[p], vals)
         for m in marks[p]:
-            if lo < m <= lo + len(vals):
-                head = np.empty(m - lo, dtype=complex)
-                _exponentials(coords[:m - lo], kxs[p], head)
+            if lo < m <= lo + len(coords):
                 read = moments[p].copy()
-                _merge_chunk(read, lo, head)
+                _merge_chunk(read, lo, coords[:m - lo], kxs[p])
                 reads[p].append(read)
-        _merge_chunk(moments[p], lo, vals)
+        _merge_chunk(moments[p], lo, coords, kxs[p])
 
     _haar_pass(zeta, seed, count, lambda lo, take: chunk[:take],
                value, len(kxs))
@@ -442,11 +425,8 @@ def mc_fourier_integral(orbit: OrbitSpec, x: AlgebraElement, seed: int,
         return _mc_estimates(orbit, [x], seed, count, scale)[0]
     kx = samples.orbit.algebra.killing @ x.coords
     moments = np.zeros(4)
-    vals = np.empty(min(_CHUNK, samples.count), dtype=complex)
     for lo in range(0, samples.count, _CHUNK):
-        chunk = samples.coords[lo:lo + _CHUNK]
-        _exponentials(chunk, kx, vals[:len(chunk)])
-        _merge_chunk(moments, lo, vals[:len(chunk)])
+        _merge_chunk(moments, lo, samples.coords[lo:lo + _CHUNK], kx)
     return _estimate(moments, samples.count, scale, samples.seed)
 
 

@@ -436,6 +436,11 @@ def _oracle_suite(st: SuiteSettings) -> list[CheckResult]:
     out = []
 
     if spec.family == "su":
+        if st.mc_samples < 8:
+            raise AlgebraError(
+                f"the su(n) oracle suite needs oracle.samples >= 8 for its "
+                f"dyadic counts N/8, N/4, N/2; got {st.mc_samples}"
+            )
         samples = haar_orbit_sample(orbit, st.seed, min(st.mc_samples, 4000))
         target = np.sort(np.linalg.eigvalsh(1j * orbit.dual_element.matrix))
         n = spec.n
@@ -449,20 +454,17 @@ def _oracle_suite(st: SuiteSettings) -> list[CheckResult]:
         x_ref = _random_regular(spec, rng)
         coords = np.array([x_ref.coords] + [_random_regular(spec, rng).coords
                                             for _ in range(20)])
-        dyadic = [c for c in (st.mc_samples // 8, st.mc_samples // 4,
-                              st.mc_samples // 2) if c]
+        dyadic = [st.mc_samples // 8, st.mc_samples // 4, st.mc_samples // 2]
         ests = _calibrated_estimates(orbit, coords, st.seed + 23,
                                      st.mc_samples, prefixes=[dyadic])
-        runs, ests = ests[:len(dyadic) + 1], ests[len(dyadic) + 1:]
-        # Under 8 samples a dyadic count holds no sample: both rows fail.
-        full = len(runs) == 4
+        runs, ests = ests[:4], ests[4:]
         errs = [r.stderr for r in runs]
-        monotone = full and all(
+        monotone = all(
             errs[i + 1] < 2.0 * errs[i] / np.sqrt(2.0) for i in range(3)
         )
         out.append(_check("standard error decays along dyadic sample counts",
                           0.0 if monotone else 1.0, 0.5))
-        consistent = full and all(
+        consistent = all(
             abs(a.mean - b.mean) <= 3.0 * np.hypot(a.stderr, b.stderr)
             for a in runs for b in runs
         )

@@ -582,6 +582,8 @@ NAN = float("nan")
     (SL3, ("weight",), [1e308, 1e308]),
     (USER_SU2, ("multiplicities",), {"e": 1e20, "s1": 1}),
     (SU3, ("weight", 0), 10 ** 400),
+    (SL2, ("mode",), []),
+    (SU3, ("mode",), {}),
 ], ids=[
     "su2-start-nan", "su3-start-nan", "sl3-stop-nan", "direction-nan",
     "weight-inf", "n-fractional", "n-text", "steps-text", "steps-fractional",
@@ -591,7 +593,8 @@ NAN = float("nan")
     "path-number", "reference-null", "reference-nan", "reference-text",
     "weight-text", "direction-text", "direction-empty-text",
     "direction-empty", "weight-overflow-su", "weight-overflow-sl",
-    "multiplicity-overflow", "weight-int-beyond-float",
+    "multiplicity-overflow", "weight-int-beyond-float", "mode-list",
+    "mode-object",
 ])
 def test_malformed_fields_exit_2(tmp_path, capsys, base, path, value):
     cfg = json.loads(json.dumps(base))
@@ -1119,6 +1122,41 @@ def test_compact_oracle_with_no_usable_row_draws_nothing_and_exits_3(
                  "--out", str(out)]) == 3
     assert out.read_text() == (
         "x_coords,re_formula,im_formula,re_mc,im_mc,stderr,agree_3sigma\n")
+    assert calls == []
+
+
+def test_split_oracle_with_no_split_row_writes_the_header_and_exits_3(
+        tmp_path, monkeypatch):
+    # X = 0 is no split row: the header is written, as on compact grids,
+    # and no quadrature is run.
+    from orbit_localize import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "damped_oscillatory_integral",
+                        lambda *a, **k: calls.append(a))
+    cfg = dict(SL2, grid={"axes": [{"start": 0.0, "stop": 0.0, "steps": 1}]})
+    out = tmp_path / "o.csv"
+    assert main(["oracle", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 3
+    assert out.read_text() == "eps,re_estimate,im_estimate\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("samples", [2, 5])
+def test_compact_oracle_suite_refuses_under_8_samples_before_any_draw(
+        tmp_path, monkeypatch, capsys, samples):
+    # The dyadic counts N/8, N/4 and N/2 need 8 samples: fewer is a config
+    # error, not a FAIL row.
+    from orbit_localize import oracle
+
+    calls = []
+    monkeypatch.setattr(oracle, "_haar_pass", lambda *a, **k: calls.append(a))
+    cfg = dict(SU3_VERIFY, oracle={"seed": 1, "samples": samples})
+    assert main(["verify", "--config", write_config(tmp_path, cfg),
+                 "--suite", "oracle"]) == 2
+    got = capsys.readouterr()
+    assert "FAIL" not in got.out
+    assert "oracle.samples >= 8" in got.err
     assert calls == []
 
 

@@ -147,6 +147,8 @@ def workdir(tmp_path_factory):
 # An sl(2,R) weight whose square overflows, in the cycle-limit model.
 @example(base="sl2", mutations=[(("weight", 0), 1e308)], command="cycle-limit",
          flags=[])
+# A mode that is not a string (unhashable, so no rule lookup takes it).
+@example(base="sl2", mutations=[(("mode",), [])], command="eval", flags=[])
 def test_cli_never_raises(workdir, capsys, base, mutations, command, flags):
     _run(workdir, base, mutations, command, flags)
     capsys.readouterr()

@@ -186,6 +186,21 @@ def test_multi_chunk_sampling_deterministic_and_joins_its_thread():
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("fused", [False, True], ids=["sample", "estimates"])
+def test_a_pass_starts_one_helper_thread(monkeypatch, fused):
+    # Four chunks: one helper thread draws and values for the whole pass.
+    started = []
+    real_start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or real_start(self))
+    orbit = make_orbit(build_algebra("su", 3), [0.9, 0.4])
+    if fused:
+        oracle._mc_estimates(orbit, _points(orbit, 4), 5, 3 * _CHUNK + 17)
+    else:
+        haar_orbit_sample(orbit, seed=5, count=3 * _CHUNK + 17)
+    assert len(started) == 1
+
+
 class _FailingThirdFill:
     """A Philox generator whose third fill raises.
 
