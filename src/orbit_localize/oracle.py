@@ -6,9 +6,10 @@ evaluator and to pin its calibration constants:
 * compact forms: Monte Carlo over the orbit, sampled by conjugating the
   dual Cartan element with Haar-random unitaries (Gram-Schmidt of Ginibre
   matrices, which is their QR factor with the standard phase correction).
-  Only the first n-1 columns are formed: u_n u_n^H = I - sum_{k<n}
-  u_k u_k^H, so U diag(zeta) U^H = zeta_n I + sum_{k<n} (zeta_k -
-  zeta_n) u_k u_k^H, and the coordinates are written from that sum.
+  Only the first n-1 columns are drawn and formed: u_n u_n^H = I -
+  sum_{k<n} u_k u_k^H, so U diag(zeta) U^H = zeta_n I + sum_{k<n}
+  (zeta_k - zeta_n) u_k u_k^H, and the coordinates are written from that
+  sum.
 * sl(2,R), split parameter: Gaussian-damped integral over the explicit
   one-sheeted hyperboloid carrier orbit, the circle angle in closed form
   (a Bessel function) and the hyperbolic angle by Simpson quadrature, with
@@ -30,14 +31,15 @@ gives the ``agree_3sigma`` column of the ``oracle`` command and the oracle
 suite's "calibrated estimates match" row.
 
 Randomness comes from numpy's Philox counter-based generator keyed by the
-caller's seed and consumed in a fixed chunk order, so every estimate is a
-pure function of (seed, sample count, inputs).  One chunk loop
-(``_haar_pass``) serves the sampler and the estimates.  It keeps one
-helper thread, a one-worker executor whose tasks run in order: per chunk
-it draws the next chunk while the current one is worked on, and then takes
-its share of the current chunk's points.  The stream has one reader at a
-time and is read in the serial order, so the samples are those of a serial
-draw bit for bit.  An estimate without a stored sample set (the
+caller's seed and consumed in a fixed chunk order, one fill of the n-1
+Ginibre columns per chunk, so every estimate is a pure function of (seed,
+sample count, inputs).  One chunk loop (``_haar_pass``) serves the sampler
+and the estimates.  It keeps one helper thread, a one-worker executor
+whose tasks run in order: per chunk it draws the next chunk into the other
+of two draw buffers while the current one is worked on in place, and then
+takes its share of the current chunk's points.  The stream has one reader
+at a time and is read in the serial order, so the samples are those of a
+serial draw bit for bit.  An estimate without a stored sample set (the
 comparison) values its points inside that loop, while each chunk is hot:
 both threads take points from one per-chunk iterator, and the (count, dim)
 sample set is never formed.  Each chunk's values of a point are reduced to
@@ -93,6 +95,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 15     # Haar draws per Philox chunk
+_GS_BLOCK = 1 << 12  # Haar draws per Gram-Schmidt block
 _MAX_SAMPLES = 1 << 32   # Haar draws per pass
 _S_BLOCK = 1 << 16   # hyperbolic-angle nodes per summed block
 _MAX_S_NODES = 1 << 22   # hyperbolic-angle nodes per damping value
@@ -205,39 +208,48 @@ def _haar_pass(zeta: np.ndarray, seed: int, count: int,
     """One pass over ``count`` Haar samples of the orbit of i diag(zeta).
 
     Samples are drawn in fixed-size chunks from one Philox stream, each
-    chunk as the real and then the imaginary parts of (take, n, n) Ginibre
-    matrices.  ``coords_at(lo, take)`` is the (take, dim) array that
-    receives the coordinates of samples lo .. lo + take - 1.  Once they are
-    written, ``value(p, lo, coords)`` runs for p in 0 .. points - 1, while
-    the chunk is hot.
+    chunk in one fill of shape (2, n - 1, n, take): the real and imaginary
+    parts of the first n - 1 Ginibre columns, laid out (column, row,
+    sample) as ``_gram_schmidt`` reads them.  The n-th column is never
+    read, so it is never drawn.  Gram-Schmidt runs in place on the drawn
+    chunk, then ``_orbit_coords`` writes from it, both on sub-blocks of
+    ``_GS_BLOCK`` samples that stay in cache; the per-sample arithmetic is
+    that of one call on the whole chunk.  ``coords_at(lo, take)`` is the
+    (take, dim) array that receives the coordinates of samples lo .. lo +
+    take - 1.  Once they are written, ``value(p, lo, coords)`` runs for p
+    in 0 .. points - 1, while the chunk is hot.
 
     One helper thread shares the work: a one-worker executor, whose tasks
-    run in the order they are submitted.  Per chunk its first task draws
-    the next chunk into the single draw buffer (the current one has been
-    copied out).  Its second, submitted only once this thread has written
-    the chunk's coordinates, takes points from the iterator that this
-    thread takes them from too, and is waited for before the next chunk.
-    The stream has one reader at a time and is read in the serial order,
-    and each point is valued by one thread on the same rows, so the result
-    does not depend on scheduling.  A valuing failure on either thread
-    stops the valuing on both; every failure is raised here, and the
-    helper is joined on every way out.  More than ``_MAX_SAMPLES`` draws
-    (about 40 minutes of su(3) draws at one point on a 2-core x86 host)
-    are refused with ``AlgebraError`` before any is drawn: an estimate
-    keeps no per-sample memory, so no allocation would refuse them.
+    run in the order they are submitted.  This thread draws the first
+    chunk.  Per chunk the helper's first task draws the next chunk into
+    the other of two alternating draw buffers, while this thread works on
+    the current one.  Its second, submitted only once this thread has
+    written the chunk's coordinates, takes points from the iterator that
+    this thread takes them from too, and is waited for before the next
+    chunk.  The stream has one reader at a time and is read in the serial
+    order, and each point is valued by one thread on the same rows, so the
+    result does not depend on scheduling.  A valuing failure on either
+    thread stops the valuing on both; every failure is raised here, and
+    the helper is joined on every way out.  More than ``_MAX_SAMPLES``
+    draws (about 40 minutes of su(3) draws at one point on a 2-core x86
+    host) are refused with ``AlgebraError`` before any is drawn: an
+    estimate keeps no per-sample memory, so no allocation would refuse
+    them.
     """
     if count > _MAX_SAMPLES:
         raise AlgebraError(f"{count:,} Haar samples in one pass; the cap is "
                            f"{_MAX_SAMPLES:,}")
     n = len(zeta)
     rng = _philox(seed)
-    buf = np.empty((2, min(_CHUNK, count), n, n))
+    per_sample = 2 * (n - 1) * n   # normals
+    bufs = [np.empty(per_sample * min(_CHUNK, count)) for _ in range(2)]
     failure = []
     lock = threading.Lock()
 
-    def draw(take: int) -> None:
-        rng.standard_normal(out=buf[0, :take])
-        rng.standard_normal(out=buf[1, :take])
+    def draw(k: int, take: int) -> np.ndarray:
+        block = bufs[k % 2][:per_sample * take].reshape(2, n - 1, n, take)
+        rng.standard_normal(out=block)
+        return block
 
     def work(lo: int, coords: np.ndarray, todo) -> None:
         try:
@@ -252,36 +264,36 @@ def _haar_pass(zeta: np.ndarray, seed: int, count: int,
             raise
 
     with ThreadPoolExecutor(max_workers=1) as helper:
-        drawn = helper.submit(draw, min(_CHUNK, count))
-        for lo in range(0, count, _CHUNK):
+        for k, lo in enumerate(range(0, count, _CHUNK)):
             take = min(_CHUNK, count - lo)
-            drawn.result()
-            # Matrix t of the chunk is buf[:, t] with entry (row, column);
-            # copy its first n-1 columns out as (column, row, sample).
-            re, im = np.ascontiguousarray(
-                buf[:, :take, :, :n - 1].transpose(0, 3, 2, 1))
-            drawn = helper.submit(draw, min(_CHUNK, count - lo - take))
+            re, im = drawn.result() if k else draw(0, take)
+            if lo + take < count:
+                drawn = helper.submit(draw, k + 1,
+                                      min(_CHUNK, count - lo - take))
             coords = coords_at(lo, take)
-            _gram_schmidt(re, im)
-            _orbit_coords(re, im, zeta, coords)
+            for s in range(0, take, _GS_BLOCK):
+                block = slice(s, s + _GS_BLOCK)
+                _gram_schmidt(re[..., block], im[..., block])
+                _orbit_coords(re[..., block], im[..., block], zeta,
+                              coords[block])
             if points:
                 todo = iter(range(points))
                 shared = helper.submit(work, lo, coords, todo)
                 work(lo, coords, todo)
                 shared.result()
-        drawn.result()   # the last draw, an empty one, is read too
 
 
 def haar_orbit_sample(orbit: OrbitSpec, seed: int, count: int) -> OrbitSamples:
     """Conjugate the dual Cartan element by Haar-random unitaries.
 
     Compact form only.  Deterministic in (seed, count): the samples come
-    from one ``_haar_pass`` over a Philox stream.  Only the first n-1
-    Gram-Schmidt columns are formed, since the last column enters the
-    sample only through u_n u_n^H = I - sum_{k<n} u_k u_k^H, and the
-    coordinates are written from them directly.  A helper thread draws
-    the next chunk while this thread works on the current one, and the
-    samples are bit for bit those of a serial draw.
+    from one ``_haar_pass`` over a Philox stream, one fill of the first
+    n-1 Ginibre columns per chunk.  Only those columns are drawn and
+    orthonormalised, since the last column enters the sample only through
+    u_n u_n^H = I - sum_{k<n} u_k u_k^H, and the coordinates are written
+    from them directly.  A helper thread draws the next chunk while this
+    thread works on the current one, and the samples are bit for bit
+    those of a serial draw.
     """
     zeta = _haar_zeta(orbit)
     out = np.empty((count, orbit.algebra.dim))

@@ -30,6 +30,7 @@ from orbit_localize.algebra import (
 from orbit_localize.localize import (
     DegenerateInputError,
     EvalResult,
+    _generator_exp,
     _orthogonal_directions,
     casimir_check,
     fourier_grid,
@@ -521,6 +522,17 @@ def test_invariance_random_sweep(family, n, weight):
         if not rep.flagged:
             worst = max(worst, rep.ad_difference)
     assert worst < 1e-9
+
+
+@pytest.mark.parametrize("family", ["su", "sl_real"])
+def test_generator_exp_matches_scipy_expm(family):
+    from scipy.linalg import expm
+
+    for n in range(2, 10):
+        for e in build_algebra(family, n).basis:
+            for c in (0.4, -0.4, 1.3, -1.3):
+                assert np.max(np.abs(_generator_exp(e, c) - expm(c * e))) \
+                    <= 1e-14, (n, c)
 
 
 @pytest.mark.parametrize("coords", [

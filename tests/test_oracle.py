@@ -120,22 +120,27 @@ def test_determinism_same_seed_identical():
 
 
 def _qr_haar_sample(orbit, seed, count):
-    """Reference sampler: batched LAPACK QR of Ginibre matrices with the
-    phase of R's diagonal moved into Q, conjugating the dense carrier."""
+    """Reference sampler: batched LAPACK thin QR of the (take, n, n - 1)
+    Ginibre blocks, each chunk one fill laid out (re/im, column, row,
+    sample), with the phase of R's diagonal moved into Q.  The carrier i
+    diag(zeta) moves to i H, H = zeta_n I + sum_k (zeta_k - zeta_n) q_k q_k^H.
+    """
     spec = orbit.algebra
     n = spec.n
-    carrier = orbit.dual_element.matrix
+    zeta = np.diagonal(orbit.dual_element.matrix).imag
     rng = _philox(seed)
     out = np.empty((count, spec.dim))
     done = 0
     while done < count:
         take = min(_CHUNK, count - done)
-        z = (rng.standard_normal((take, n, n))
-             + 1j * rng.standard_normal((take, n, n)))
-        q, r = np.linalg.qr(z / np.sqrt(2.0))
+        drawn = rng.standard_normal((2, n - 1, n, take))
+        z = (drawn[0] + 1j * drawn[1]).transpose(2, 1, 0)
+        q, r = np.linalg.qr(z)
         d = np.einsum("...ii->...i", r)
         u = q * (d / np.abs(d))[:, None, :]
-        moved = u @ carrier @ np.conj(np.swapaxes(u, 1, 2))
+        h = zeta[-1] * np.eye(n) + np.einsum(
+            "k,tik,tjk->tij", zeta[:-1] - zeta[-1], u, u.conj())
+        moved = 1j * h
         flat = np.concatenate(
             [moved.real.reshape(take, -1), moved.imag.reshape(take, -1)], axis=1
         )
@@ -204,8 +209,8 @@ def test_a_pass_starts_one_helper_thread(monkeypatch, fused):
 class _FailingThirdFill:
     """A Philox generator whose third fill raises.
 
-    The first chunk takes two fills; the third fill is the helper thread's
-    draw of the second chunk.
+    Each chunk takes one fill, the first on the calling thread; the third
+    fill is the helper thread's draw of the third chunk.
     """
 
     def __init__(self, seed):
@@ -216,6 +221,36 @@ class _FailingThirdFill:
         if self.fills == 3:
             raise MemoryError("fill failed")
         return self.rng.standard_normal(*args, **kwargs)
+
+
+class _CountingPhilox:
+    """A Philox generator that appends the shape of each fill to ``fills``."""
+
+    def __init__(self, seed, fills):
+        self.rng, self.fills = _philox(seed), fills
+
+    def standard_normal(self, *args, out=None, **kwargs):
+        self.fills.append(out.shape)
+        return self.rng.standard_normal(*args, out=out, **kwargs)
+
+
+@pytest.mark.parametrize("n, weight", [
+    (2, [1.3]), (3, [0.9, 0.4]), (5, [1.2, 0.5, -0.1, -0.6]),
+], ids=["2", "3", "5"])
+def test_a_pass_draws_the_first_n_minus_1_columns_in_one_fill_per_chunk(
+        monkeypatch, n, weight):
+    # 2 n (n - 1) normals a sample, one (2, n - 1, n, take) fill a chunk;
+    # the counted pass gives the samples of the plain one.
+    orbit = make_orbit(build_algebra("su", n), weight)
+    count = 3 * _CHUNK + 17
+    plain = haar_orbit_sample(orbit, seed=5, count=count)
+    fills = []
+    monkeypatch.setattr(oracle, "_philox",
+                        lambda seed: _CountingPhilox(seed, fills))
+    counted = haar_orbit_sample(orbit, seed=5, count=count)
+    assert fills == [(2, n - 1, n, _CHUNK)] * 3 + [(2, n - 1, n, 17)]
+    assert sum(math.prod(f) for f in fills) == 2 * n * (n - 1) * count
+    assert np.array_equal(plain.coords, counted.coords)
 
 
 def test_draw_error_reaches_caller_and_leaves_no_thread(monkeypatch):

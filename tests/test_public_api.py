@@ -40,3 +40,22 @@ def test_cli_import_leaves_scipy_special_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_su3_verify_all_leaves_scipy_unloaded(tmp_path):
+    # Importing scipy costs a fresh process about a quarter of a second;
+    # the compact verify suites need none of it.
+    src = str(Path(orbit_localize.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    cfg = tmp_path / "su3.json"
+    cfg.write_text('{"algebra": {"family": "su", "n": 3}, "weight": [0.9, 0.4],'
+                   ' "oracle": {"seed": 1}}')
+    code = ("import sys\n"
+            "from orbit_localize.cli import main\n"
+            f"code = main(['verify', '--suite', 'all', '--config', {str(cfg)!r},"
+            f" '--out', {str(tmp_path / 'report.txt')!r}])\n"
+            "print(code, 'scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "0 False"
