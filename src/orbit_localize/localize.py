@@ -646,6 +646,9 @@ def invariance_checks(orbit: OrbitSpec, x: AlgebraElement,
 
     x and Ad(g)x are one two-row batch.  A refused x raises what
     ``fourier_value`` raises; a wall or indeterminate Ad(g)x is flagged.
+    Each F_(w.weight)(x) is valued at the spectrum of x from that batch,
+    as the block kernel values the row x, so it equals
+    ``fourier_value(make_orbit(..., w.weight), x)`` bit for bit.
     """
     # A non-finite x is refused below, before its image is read.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -653,7 +656,8 @@ def invariance_checks(orbit: OrbitSpec, x: AlgebraElement,
             orbit.algebra, np.asarray(g) @ x.matrix @ np.linalg.inv(np.asarray(g))
         )
     real = np.array([not np.iscomplexobj(x.coords), not np.iscomplexobj(gx.coords)])
-    codes, values, _, seps = _evaluate(orbit, np.stack([x.coords, gx.coords]), real)
+    codes, values, spectra, seps = _evaluate(
+        orbit, np.stack([x.coords, gx.coords]), real)
     _refuse_row(int(codes[0]), float(seps[0]))
     base = complex(values[0])
     flagged = int(codes[1]) in (_WALL, _INDETERMINATE)
@@ -667,12 +671,16 @@ def invariance_checks(orbit: OrbitSpec, x: AlgebraElement,
     if orbit.mode == "compact":
         # The w-image of the parameter has the diagonal zeta_(w^-1 i), and
         # its weight coordinates are the partial sums of that diagonal.
+        # x is regular here, and its value takes the closed form on the
+        # real form and the term sum off it, as in _evaluate_block.
+        value = _closed_form if real[0] else _term_sum
         for label, pos in zip(orbit.cartan._labels, orbit.cartan._table.pos):
             moved_weight = np.cumsum(orbit.zeta[pos])[:-1].tolist()
             moved_orbit = make_orbit(
                 orbit.algebra, moved_weight, mode=orbit.mode, s0=orbit.s0
             )
-            weyl_diffs[label] = abs(fourier_value(moved_orbit, x).value - base)
+            moved = complex(value(moved_orbit, spectra[:1])[0])
+            weyl_diffs[label] = abs(moved - base)
     return InvarianceReport(
         ad_difference=ad_diff, weyl_differences=weyl_diffs, flagged=flagged
     )

@@ -567,6 +567,28 @@ def test_invariance_difference_is_the_pointwise_one(family):
                                         - fourier_value(orbit, x).value)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_weyl_differences_are_the_pointwise_ones(n):
+    # Reference: one moved orbit and one fourier_value call per Weyl element.
+    spec = build_algebra("su", n)
+    rng = np.random.default_rng(11 + n)
+    orbit = make_orbit(spec, rng.uniform(0.3, 1.2, n - 1))
+    for imag in (0.0, 0.0, 0.05):
+        coords = rng.standard_normal(spec.dim) * 0.7
+        if imag:
+            coords = coords + 1j * imag * rng.standard_normal(spec.dim)
+        x = element(spec, coords)
+        g = random_group_element(spec, rng)
+        rep = invariance_checks(orbit, x, g)
+        base = fourier_value(orbit, x).value
+        expected = {}
+        for label, pos in zip(orbit.cartan._labels, orbit.cartan._table.pos):
+            moved = make_orbit(spec, np.cumsum(orbit.zeta[pos])[:-1].tolist())
+            expected[label] = abs(fourier_value(moved, x).value - base)
+        assert rep.weyl_differences == expected
+        assert list(rep.weyl_differences) == list(expected)
+
+
 def test_sign_covariance():
     plus = sl2_orbit(s0=1)
     minus = sl2_orbit(s0=-1)

@@ -400,6 +400,38 @@ def test_no_point_draws_nothing(monkeypatch):
     assert passes == []
 
 
+def exponentials(theta):
+    """The valuer's (cos, sin) rows at the angles ``theta``, read as the
+    one coordinate of each row against kx = (1,)."""
+    out = np.empty((2, len(theta)))
+    oracle._exponentials(np.asarray(theta, float)[:, None], np.ones(1), out)
+    return out
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e-2, 1.0, 3.0, 10.0, 1e3,
+                                   1e6, 1e9, 1e12])
+def test_exponentials_match_the_complex_exponential(scale):
+    theta = scale * np.random.default_rng(8).uniform(-1.0, 1.0, 20_000)
+    cos, sin = exponentials(theta)
+    want = np.exp(1j * theta)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(cos - want.real)) <= 2 * eps
+    assert np.max(np.abs(sin - want.imag)) <= 2 * eps
+
+
+def test_exponentials_at_special_angles():
+    theta = np.array([0.0, -0.0, np.pi, -np.pi, 1e300, -1e300])
+    cos, sin = exponentials(theta)
+    want = np.exp(1j * theta)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(cos - want.real)) <= 2 * eps
+    assert np.max(np.abs(sin - want.imag)) <= 2 * eps
+    assert (cos[:2] == 1.0).all() and (sin[:2] == 0.0).all()
+    assert (cos[2:4] == -1.0).all()
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(exponentials([np.inf, -np.inf, np.nan])).all()
+
+
 def test_merged_moments_match_the_full_sample_mean_and_variance():
     # Against np.mean and np.var(ddof=1) over all values at once, from the
     # origin (all values 1) through the small-variance regime to |X| = 2.
