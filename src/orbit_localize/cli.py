@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
+import orjson
 
 from . import geometry_sl2 as geo
 from .algebra import (_NONREAL, _REGULAR, AlgebraError, _refuse_large_table,
@@ -336,21 +337,42 @@ def cmd_eval(cfg: RunConfig, out: Optional[str], fmt: str) -> int:
 
 
 def _reprs(values: np.ndarray) -> list[str]:
-    """repr of each float of an array, in C order."""
-    return list(map(repr, values.ravel().tolist()))
+    """repr of each float of an array, in C order.
+
+    orjson prints a float64 array in one call, each float as its shortest
+    round-trip digits (Ryu), the digits repr picks too.  The two agree in
+    notation only where both write positional text, 1e-4 <= |x| < 1e16 and
+    +-0.0 (orjson writes 1e16 and 0.000099 where repr writes 1e+16 and
+    9.9e-05), so every float outside that range, NaN and +-inf included
+    (orjson's null), is re-formatted by repr.
+    """
+    flat = np.ascontiguousarray(values, dtype=float).ravel()
+    if not flat.size:
+        return []
+    texts = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] \
+        .decode().split(",")
+    size = np.abs(flat)
+    # NaN fails every comparison, so it is re-formatted too.
+    other = (~((size < 1e16) & ((size >= 1e-4) | (size == 0.0)))).nonzero()[0]
+    for k, x in zip(other.tolist(), flat[other].tolist()):
+        texts[k] = repr(x)
+    return texts
+
+
+# json's text of the non-finite floats, by their repr.
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_floats(values: np.ndarray) -> list[str]:
     """json's text for each float of an array, in C order.
 
-    NaN, Infinity and -0.0 come out as they do in any json.dumps output.
-    json writes a finite float as its repr, and mapping repr over the list
-    is faster than encoding it and splitting the text, so only an array
-    with a non-finite float goes through the C encoder.
+    json writes a finite float as its repr (-0.0 included), and NaN,
+    Infinity and -Infinity for the others.
     """
-    if np.isfinite(values).all():
-        return _reprs(values)
-    return json.dumps(values.ravel().tolist())[1:-1].split(", ")
+    texts = _reprs(values)
+    for k in (~np.isfinite(values)).ravel().nonzero()[0].tolist():
+        texts[k] = _JSON_WORDS[texts[k]]
+    return texts
 
 
 def _grid_text(ranges: Sequence[np.ndarray],

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
 from typing import Mapping, Optional, Sequence
@@ -201,6 +201,16 @@ def _scale(spec: AlgebraSpec) -> complex:
     return -2.0 * spec.n + 0j if spec.family == "su" else 2.0j * spec.n
 
 
+def _diagonal(weight: tuple[float, ...]) -> list[float]:
+    """The diagonal zeta of a weight, as n Python floats.
+
+    Weight coordinate c_k adds c_k to zeta_k and subtracts it from
+    zeta_(k+1), in the order of operations of the array form zeros(n);
+    zeta[:-1] += weight; zeta[1:] -= weight, bit for bit.
+    """
+    return [(0.0 + a) - b for a, b in zip(weight + (0.0,), (0.0,) + weight)]
+
+
 def make_orbit(spec: AlgebraSpec, weight: Sequence[float], mode: str = None,
                s0: int = 1,
                user_multiplicities: Optional[Mapping[str, int]] = None,
@@ -229,9 +239,7 @@ def make_orbit(spec: AlgebraSpec, weight: Sequence[float], mode: str = None,
         raise AlgebraError(
             f"weight needs {cart.rank} coordinates, got {len(weight)}"
         )
-    # n Python floats until stored, in the order of operations of the array
-    # form zeros(n); zeta[:-1] += weight; zeta[1:] -= weight, bit for bit.
-    zeta = [(0.0 + a) - b for a, b in zip(weight + (0.0,), (0.0,) + weight)]
+    zeta = _diagonal(weight)
     finite = all(map(math.isfinite, zeta))
     if finite and mode in RULES:
         zeta = sorted(zeta)[::-1]   # ties in the order of np.sort(zeta)[::-1]
@@ -376,17 +384,22 @@ def _permanent(m: np.ndarray) -> np.ndarray:
     return total * 2.0 ** (1 - n)
 
 
-def _closed_form(orbit: OrbitSpec, ev: np.ndarray) -> np.ndarray:
+def _closed_form(orbit: OrbitSpec, ev: np.ndarray,
+                 zeta: Optional[np.ndarray] = None) -> np.ndarray:
     """The fixed-point sum of an automatic mode at N canonical spectra, (N,).
 
     With M = exp(outer(ev, s zeta)), the term of w is the product of the
     entries M[i, w^-1 i] times m_w det(w) / V.  With the mode's
     m_w = c det(w)^power (``fixedpoints.RULES``) the sum is c det M / V at
     power 0 and c perm M / V at power 1 (Harish-Chandra's formula).  n^2
-    exponentials a row in place of the n! of the term sum.
+    exponentials a row in place of the n! of the term sum.  A (K, 1, n)
+    stack of diagonals in place of ``orbit.zeta`` values K parameters of
+    the mode at one spectrum, (K,), each as its own orbit would.
     """
     _, power, signed = RULES[orbit.mode]
-    m = np.exp(ev[:, :, None] * (_scale(orbit.algebra) * orbit.zeta))
+    if zeta is None:
+        zeta = orbit.zeta
+    m = np.exp(ev[:, :, None] * (_scale(orbit.algebra) * zeta))
     num = _permanent(m) if power else np.linalg.det(m)
     if signed:
         num = orbit.s0 * num
@@ -670,17 +683,22 @@ def invariance_checks(orbit: OrbitSpec, x: AlgebraElement,
     weyl_diffs: dict[str, float] = {}
     if orbit.mode == "compact":
         # The w-image of the parameter has the diagonal zeta_(w^-1 i), and
-        # its weight coordinates are the partial sums of that diagonal.
-        # x is regular here, and its value takes the closed form on the
-        # real form and the term sum off it, as in _evaluate_block.
-        value = _closed_form if real[0] else _term_sum
-        for label, pos in zip(orbit.cartan._labels, orbit.cartan._table.pos):
-            moved_weight = np.cumsum(orbit.zeta[pos])[:-1].tolist()
-            moved_orbit = make_orbit(
-                orbit.algebra, moved_weight, mode=orbit.mode, s0=orbit.s0
-            )
-            moved = complex(value(moved_orbit, spectra[:1])[0])
-            weyl_diffs[label] = abs(moved - base)
+        # its weight coordinates are the partial sums of that diagonal;
+        # make_orbit reads them back into a canonical diagonal.  x is
+        # regular here, and its value takes the closed form on the real
+        # form and the term sum off it, as in _evaluate_block.
+        moved = np.array([
+            sorted(_diagonal(tuple(np.cumsum(orbit.zeta[pos])[:-1].tolist())))[::-1]
+            for pos in orbit.cartan._table.pos])
+        if real[0]:
+            values = _closed_form(orbit, spectra[:1], moved[:, None, :])
+        else:
+            # The term sum reads the orbit's diagonal, table and
+            # multiplicities; only the diagonal moves.
+            values = [_term_sum(replace(orbit, zeta=zeta), spectra[:1])[0]
+                      for zeta in moved]
+        for label, value in zip(orbit.cartan._labels, values):
+            weyl_diffs[label] = abs(complex(value) - base)
     return InvarianceReport(
         ad_difference=ad_diff, weyl_differences=weyl_diffs, flagged=flagged
     )

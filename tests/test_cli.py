@@ -953,8 +953,13 @@ def test_eval_csv_streams_in_blocks():
     assert digest.digest() == hashlib.sha256(("\n".join(lines) + "\n").encode()).digest()
 
 
+# Where repr's and orjson's notations meet: positional text for
+# 1e-4 <= |x| < 1e16, exponents outside.
 EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
-               1.5, 1e16, -1.0 / 3.0]
+               1.5, 1e16, -1.0 / 3.0, math.nextafter(1e-4, -math.inf),
+               math.nextafter(1e-4, math.inf), 1e-4, -1e-4,
+               math.nextafter(1e16, 0.0), 9999999999999998.0, 2.0 ** 53, 1e15,
+               100.0]
 FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
 
 
@@ -969,6 +974,20 @@ def json_texts(values) -> list:
 def test_float_texts_are_repr_and_json_per_element(values):
     assert _reprs(values) == [repr(x) for x in values.ravel().tolist()]
     assert _json_floats(values) == json_texts(values)
+
+
+def test_float_texts_on_random_bit_patterns():
+    # Half the patterns take any exponent, so NaN, subnormals and both
+    # exponent notations come up; half lie in [2^-14, 2^54), across both
+    # ends of the range 1e-4 <= |x| < 1e16 where orjson's text is kept.
+    rng = np.random.default_rng(20261020)
+    bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+    exponents = rng.integers(1023 - 14, 1023 + 54, 100_000, dtype=np.uint64)
+    bits[1::2] = (bits[1::2] & np.uint64(0x800F_FFFF_FFFF_FFFF)) | (exponents << np.uint64(52))
+    values = bits.view(float)
+    floats = values.tolist()
+    assert _reprs(values) == list(map(repr, floats))
+    assert _json_floats(values) == list(map(json.dumps, floats))
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,9 +4,12 @@ Each example takes an su(3) or sl(2,R) config, replaces up to three of its
 fields (or whole blocks) with values of any JSON type, and runs one
 subcommand on it in-process.  Every run must return an exit code of the
 command line (0, 2, 3 or 4) or leave through argparse's SystemExit(2).
-Sizes stay small: grids of at most 3 steps a side, at most 2000 samples,
-and the integers that mutations draw are either small or far beyond any
-size that could be allocated.
+An ``eval`` that exits 0 or 3 must write each CSV float as its repr, and
+JSON that is json.dumps(..., sort_keys=True, indent=1) of itself.  Sizes
+stay small: grids of at most 3 steps a side, at most 2000 samples, and the
+integers that mutations draw are either small or far beyond any size that
+could be allocated.  Grid ends reach +-1e3, where the transform's values
+fall below 1e-4 and take repr's exponent notation.
 """
 
 import json
@@ -70,6 +73,10 @@ VALUES = st.one_of(
     st.lists(SCALARS, max_size=3),
     st.dictionaries(st.sampled_from(WORDS), SCALARS, max_size=2),
 )
+# Grid ends far enough out for values in repr's exponent notation.
+ENDS = st.tuples(st.sampled_from([("grid", "axes", k, end) for k in (0, 1)
+                                  for end in ("start", "stop")]),
+                 st.floats(-1e3, 1e3))
 EPS = st.one_of(st.lists(st.floats(0.02, 1.0), max_size=4),
                 st.sampled_from([[0.1, 0.2], [0.1, -0.05], "0.1", 0.1]))
 COMMANDS = st.sampled_from(["eval", "verify", "calibrate", "oracle", "cycle-limit"])
@@ -112,6 +119,23 @@ def _run(tmp_path, base, mutations, command, flags):
         assert exc.code == 2
         return
     assert code in (0, 2, 3, 4)
+    if command == "eval" and code in (0, 3):
+        _check_eval_text((tmp_path / "out.txt").read_text())
+
+
+def _check_eval_text(text):
+    if text.startswith("{"):
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n"
+        return
+    header, *rows = text.splitlines()
+    names = header.split(",")
+    floats = [k for k, name in enumerate(names) if name in ("re_f", "im_f")
+              or name.startswith("x")]
+    for row in rows:
+        fields = row.split(",")
+        assert len(fields) == len(names)
+        for k in floats:
+            assert fields[k] == repr(float(fields[k]))
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +149,7 @@ def workdir(tmp_path_factory):
     base=st.sampled_from(sorted(BASES)),
     mutations=st.lists(st.one_of(
         st.tuples(st.sampled_from(SITES), VALUES),
+        ENDS,
         st.tuples(st.just(("oracle", "eps_schedule")), EPS),
     ), max_size=3),
     command=COMMANDS,
