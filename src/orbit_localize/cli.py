@@ -336,6 +336,11 @@ def cmd_eval(cfg: RunConfig, out: Optional[str], fmt: str) -> int:
     return EXIT_OK
 
 
+# Below this many floats, mapping repr is faster than orjson's fixed cost
+# of about 5-14 us a call.
+_SHORT_FLOATS = 16
+
+
 def _reprs(values: np.ndarray) -> list[str]:
     """repr of each float of an array, in C order.
 
@@ -344,11 +349,12 @@ def _reprs(values: np.ndarray) -> list[str]:
     notation only where both write positional text, 1e-4 <= |x| < 1e16 and
     +-0.0 (orjson writes 1e16 and 0.000099 where repr writes 1e+16 and
     9.9e-05), so every float outside that range, NaN and +-inf included
-    (orjson's null), is re-formatted by repr.
+    (orjson's null), is re-formatted by repr.  Arrays of fewer than
+    ``_SHORT_FLOATS`` floats are formatted by repr alone.
     """
     flat = np.ascontiguousarray(values, dtype=float).ravel()
-    if not flat.size:
-        return []
+    if flat.size < _SHORT_FLOATS:
+        return list(map(repr, flat.tolist()))
     texts = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] \
         .decode().split(",")
     size = np.abs(flat)

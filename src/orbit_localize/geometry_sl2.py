@@ -29,19 +29,20 @@ array of owning charts; N covectors add an (N,) complex array of chart
 components.  Algebra elements are (N, 3) complex coordinates on the model
 basis (h, e, f), and their Killing-dual carriers are (N, 2, 2) complex
 stacks.  The private kernels (``_flags``, ``_coords``, ``_carriers``,
-``_weights``, ``_moments``, ``_inverse``, ``_invariant_defects``,
+``_weights``, ``_moments``, ``_dets``, ``_inverse``, ``_invariant_defects``,
 ``_real_part_norms``, ``_real_line_defects``) work on these arrays, and
 the three reports run on them.  ``flag_point``, ``group_action``,
 ``moment``, ``weight_at``, ``twisted_moment`` and ``twisted_moment_inverse``
 are one-row wrappers that return the dataclasses below.
 
-Each kernel repeats the one-point arithmetic operation for operation: the
-same LAPACK and BLAS calls per row, CPython's complex division and product
-where the one-point formulas used Python complex numbers, and hypot where
-they took the ``abs`` of a scalar (numpy's array ``abs`` rounds
-differently).  So a row of a batch equals the one-row wrapper bit for bit,
-whatever the batch size.  Every refusal is checked row by row and raised
-for the first failing row in input order.
+The kernels solve each traceless carrier t = [[a, b], [c, -a]] in closed
+form: its coordinates are (a, b, c), its determinant is -(a^2 + bc), and
+the eigenline of the inverse twisted moment is a kernel vector of t - mu
+(see ``_inverse``), with no LAPACK call.  They compute entry by entry on
+(N,) columns with elementwise numpy operations, which round each element
+alike whatever the batch size, so a row of a batch equals the one-row
+wrapper bit for bit.  Every refusal is checked row by row and raised for
+the first failing row in input order.
 """
 
 from __future__ import annotations
@@ -51,13 +52,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .algebra import (
-    AlgebraElement,
-    AlgebraError,
-    _project,
-    build_algebra,
-    element,
-)
+from .algebra import AlgebraElement, AlgebraError, build_algebra, element
 
 __all__ = [
     "FlagPoint",
@@ -95,51 +90,19 @@ def model_algebra():
 # Array kernels
 # ---------------------------------------------------------------------------
 
-def _dot(x: np.ndarray) -> np.ndarray:
-    """Row-wise x . x of a real (N, k) array, one BLAS dot per row.
-
-    This is the dot ``np.linalg.norm`` takes; BLAS fuses its multiply-adds,
-    so an elementwise sum of squares rounds differently.
-    """
-    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+def _sq(z: np.ndarray) -> np.ndarray:
+    """|z|^2 of each complex entry, in real arithmetic."""
+    return z.real ** 2 + z.imag ** 2
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each row of a complex (N, k) array."""
-    return np.sqrt(_dot(a.real) + _dot(a.imag))
+    """Euclidean norm of each row of a complex (N, 2) array."""
+    return np.sqrt(_sq(a[:, 0]) + _sq(a[:, 1]))
 
 
 def _hypot(z: np.ndarray) -> np.ndarray:
     """|z| as ``abs`` of one complex scalar computes it."""
     return np.hypot(z.real, z.imag)
-
-
-def _py_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b as CPython (and numpy's scalar product) rounds it: no fused
-    multiply-add, which numpy's array product uses."""
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-def _py_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a / b with CPython's complex division (Smith's method, dividing by
-    the denominator rather than multiplying by its reciprocal as numpy does)."""
-    out = np.full(a.shape, np.nan, dtype=complex)   # a NaN in b gives NaN
-    by_re = np.abs(b.real) >= np.abs(b.imag)
-    by_im = np.abs(b.imag) > np.abs(b.real)
-    ar, ai, br, bi = a.real[by_re], a.imag[by_re], b.real[by_re], b.imag[by_re]
-    ratio = bi / br
-    denom = br + bi * ratio
-    out.real[by_re] = (ar + ai * ratio) / denom
-    out.imag[by_re] = (ai - ar * ratio) / denom
-    ar, ai, br, bi = a.real[by_im], a.imag[by_im], b.real[by_im], b.imag[by_im]
-    ratio = br / bi
-    denom = br * ratio + bi
-    out.real[by_im] = (ar * ratio + ai) / denom
-    out.imag[by_im] = (ai * ratio - ar) / denom
-    return out
 
 
 def _flags(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +112,7 @@ def _flags(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(nrm < 1e-150):
         raise AlgebraError("flag point requires a nonzero homogeneous pair")
     v = v / nrm[:, None]
-    lead = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)]
+    lead = np.where(np.abs(v[:, 1]) > np.abs(v[:, 0]), v[:, 1], v[:, 0])
     v = v * np.conj(lead / _hypot(lead))[:, None]
     chart = np.where(_hypot(v[:, 0]) >= _hypot(v[:, 1]), 0, 1)
     return v, chart
@@ -160,16 +123,25 @@ def _carriers(coords: np.ndarray) -> np.ndarray:
     return np.dot(coords, _BASIS).reshape(-1, 2, 2)
 
 
+def _stack_coords(h: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """(N, 3) coordinates (h, e, f), with a row's imaginary part zeroed where
+    all of it is below 1e-12, as ``element_from_matrix`` does."""
+    coords = np.stack([h, e, f], axis=1).astype(complex, copy=False)
+    size = np.abs(coords.imag)
+    size = np.maximum(np.maximum(size[:, 0], size[:, 1]), size[:, 2])
+    coords.imag[size < 1e-12] = 0.0
+    return coords
+
+
 def _coords(m: np.ndarray) -> np.ndarray:
     """(N, 3) coordinates of (N, 2, 2) carriers, as ``element_from_matrix``.
 
-    The extra axis keeps one matrix-vector product per row, the BLAS call
-    of the one-matrix projection; one (N, 8) @ (8, 3) product rounds the
-    h coordinate differently.  Imaginary parts below 1e-12 are zeroed and
-    the span is checked, row by row.
+    On the basis (h, e, f) = (diag(1, -1), E_01, E_10) a carrier has
+    coordinates ((m00 - m11)/2, m01, m10); a matrix off the span (one with
+    a trace) is refused.
     """
-    coords = _project(_MODEL, m[:, None], complex_out=True)[:, 0]
-    coords.imag[np.max(np.abs(coords.imag), axis=1) < 1e-12] = 0.0
+    coords = _stack_coords((m[:, 0, 0] - m[:, 1, 1]) / 2.0,
+                           m[:, 0, 1], m[:, 1, 0])
     err = np.max(np.abs(_carriers(coords) - m), axis=(1, 2))
     size = np.fmax(1.0, np.max(np.abs(m), axis=(1, 2)))
     if np.any(err > 1e-9 * size):
@@ -185,66 +157,105 @@ def _element(coords: np.ndarray) -> AlgebraElement:
 
 
 def _weights(v: np.ndarray, lam: complex) -> np.ndarray:
-    """Coordinates of the parameter transported to the flag points v."""
-    outer = v[:, :, None] * np.conj(v)[:, None, :]
-    # Named, so that numpy does not multiply a large temporary in place:
-    # its in-place complex product rounds differently.
-    projector = np.eye(2) - 2.0 * outer
-    return _coords((lam / 8.0) * projector)
+    """Coordinates of the parameter transported to the flag points v.
+
+    The carrier (lam/8)(1 - 2 v v*), entry by entry: for a unit pair its h
+    coordinate is (lam/8)(|v1|^2 - |v0|^2), and its e and f coordinates are
+    -(lam/4) v0 conj(v1) and -(lam/4) v1 conj(v0).  The products are named:
+    numpy multiplies a large unnamed temporary by a complex scalar in place,
+    which rounds differently, so a row would depend on the batch size.
+    """
+    k = lam / 8.0
+    cross = v[:, 0] * np.conj(v[:, 1])
+    cross_conj = np.conj(cross)
+    return _stack_coords(k * (_sq(v[:, 1]) - _sq(v[:, 0])),
+                         (-2.0 * k) * cross, (-2.0 * k) * cross_conj)
 
 
 def _moments(v: np.ndarray, chart: np.ndarray,
              component: np.ndarray) -> np.ndarray:
-    """Coordinates of the moment images of covectors at the flag points v."""
+    """Coordinates of the moment images of covectors at the flag points v.
+
+    In chart 0 the carrier is c [[-t, 1], [-t^2, t]], in chart 1
+    c [[t, -t^2], [1, -t]], with c = component/4 and t the chart coordinate.
+    """
     c = component / 4.0
     on0 = chart == 0
-    t = _py_div(np.where(on0, v[:, 1], v[:, 0]), np.where(on0, v[:, 0], v[:, 1]))
-    tt = _py_mul(-t, t)
-    # chart 0: [[-t, 1], [-t^2, t]];  chart 1: [[t, -t^2], [1, -t]]
-    m = np.empty((len(t), 2, 2), dtype=complex)
-    m[:, 0, 0] = np.where(on0, -t, t)
-    m[:, 0, 1] = np.where(on0, 1.0, tt)
-    m[:, 1, 0] = np.where(on0, tt, 1.0)
-    m[:, 1, 1] = -m[:, 0, 0]
-    return _coords(c[:, None, None] * m)
+    t = np.where(on0, v[:, 1], v[:, 0]) / np.where(on0, v[:, 0], v[:, 1])
+    ct = c * t
+    ctt = -(ct * t)
+    return _stack_coords(np.where(on0, -ct, ct), np.where(on0, c, ctt),
+                         np.where(on0, ctt, c))
+
+
+def _dets(t: np.ndarray) -> np.ndarray:
+    """Determinants -(a^2 + bc) of traceless carriers [[a, b], [c, -a]]."""
+    a = t[:, 0, 0]
+    return -(a * a + t[:, 0, 1] * t[:, 1, 0])
 
 
 def _invariant_defects(t: np.ndarray, lam: complex) -> np.ndarray:
     """Relative mismatch of det(carrier) against the orbit's invariant."""
     target = -(lam / 8.0) ** 2
     scale = max(1.0, abs(target))
-    return _hypot(np.linalg.det(t) - target) / scale
+    return _hypot(_dets(t) - target) / scale
 
 
 def _inverse(t: np.ndarray, lam: complex
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Base points, charts and chart components of the covectors whose
     twisted moments are the (N, 2, 2) carriers t; carriers whose relative
-    invariant mismatch exceeds 1e-8 are refused."""
+    invariant mismatch exceeds 1e-8 (or is NaN) are refused.
+
+    The base is the eigenline of t for mu, the root of a^2 + bc nearest
+    -lam/8.  (t - mu) annihilates (b, mu - a) and (mu + a, c); the one of
+    larger norm is taken.  With t divided by its largest entry, that vector
+    has a norm of at least 1/sqrt(2) whatever the size of t, so nothing
+    underflows or overflows; the zero carrier takes the eigenline (1, 0), as
+    LAPACK does.  An imaginary carrier on the orbit of an imaginary lam has
+    an imaginary mu, so both vectors are imaginary and the base point is
+    exactly real.
+    """
     defect = _invariant_defects(t, lam)
-    bad = np.flatnonzero(defect > 1e-8)
+    bad = np.flatnonzero(~(defect <= 1e-8))
     if bad.size:
         raise AlgebraError(
             "point is off the parameter orbit: invariant mismatch "
             f"{defect[bad[0]]:.3e}"
         )
-    ev, vecs = np.linalg.eig(t)
-    rows = np.arange(len(t))
-    idx = np.argmin(np.abs(ev + lam / 8.0), axis=1)
-    v, chart = _flags(vecs[rows, :, idx])
-    m = t - _carriers(_weights(v, lam))
-    component = 4.0 * np.where(chart == 0, m[:, 0, 1], m[:, 1, 0])
+    size = np.fmax(np.fmax(_hypot(t[:, 0, 0]), _hypot(t[:, 0, 1])),
+                   _hypot(t[:, 1, 0]))
+    zero = size == 0.0
+    size[zero] = 1.0
+    # Divided part by part: numpy's complex division takes the reciprocal
+    # of the divisor, which overflows for a subnormal size.
+    u = np.empty_like(t)
+    u.real, u.imag = t.real / size[:, None, None], t.imag / size[:, None, None]
+    a, b, c = u[:, 0, 0], u[:, 0, 1], u[:, 1, 0]
+    root = np.sqrt(a * a + b * c)
+    # The root on the far side of lam is the nearer to -lam/8.
+    far = root.real * np.real(lam) + root.imag * np.imag(lam) < 0.0
+    mu = np.where(far, root, -root)
+    first = np.stack([b, mu - a], axis=1)
+    second = np.stack([mu + a, c], axis=1)
+    z = np.where((_norms(first) >= _norms(second))[:, None], first, second)
+    z[zero] = (1.0, 0.0)
+    v, chart = _flags(z)
+    w = _weights(v, lam)
+    component = 4.0 * np.where(chart == 0, t[:, 0, 1] - w[:, 1],
+                               t[:, 1, 0] - w[:, 2])
     return v, chart, component
 
 
 def _real_part_norms(t: np.ndarray) -> np.ndarray:
     """Frobenius norms of the real parts of (N, 2, 2) carriers."""
-    return _norms(((t + np.conj(t)) / 2.0).reshape(-1, 4))
+    r = t.real.reshape(-1, 4) ** 2
+    return np.sqrt(r[:, 0] + r[:, 1] + r[:, 2] + r[:, 3])
 
 
 def _real_line_defects(v: np.ndarray) -> np.ndarray:
     """Distances |Im(conj(z0) z1)| of unit pairs from RP^1."""
-    return np.abs(_py_mul(np.conj(v[:, 0]), v[:, 1]).imag)
+    return np.abs(v[:, 0].real * v[:, 1].imag - v[:, 0].imag * v[:, 1].real)
 
 
 def _sample_carriers(samples: Samples) -> np.ndarray:

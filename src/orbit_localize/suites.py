@@ -513,9 +513,9 @@ def _oracle_suite(st: SuiteSettings) -> list[CheckResult]:
 
 def _geometry_suite(st: SuiteSettings) -> list[CheckResult]:
     # Each check draws its random numbers as one array whose row k holds
-    # what sample k takes, in the order a one-sample loop draws them; with
-    # the kernels rounding as the one-point functions do, every residual is
-    # that of the one-point loop (tests/test_geometry_kernels.py pins them).
+    # what sample k takes, in the order a one-sample loop draws them, and
+    # the kernels value a row as the one-row wrappers do, so every residual
+    # is that of a one-sample loop (tests/test_geometry_kernels.py pins them).
     rng = np.random.Generator(np.random.Philox(key=st.seed + 4))
     radius = 1.0
     lam = 8j * radius
@@ -527,7 +527,7 @@ def _geometry_suite(st: SuiteSettings) -> list[CheckResult]:
     r = rng.standard_normal((400, 6))
     v, chart = geo._flags(pairs(r))
     m = geo._carriers(geo._moments(v, chart, r[:, 4] + 1j * r[:, 5]))
-    worst = max(0.0, np.max(geo._hypot(np.linalg.det(m))),
+    worst = max(0.0, np.max(geo._hypot(geo._dets(m))),
                 np.max(geo._hypot(np.trace(m, axis1=1, axis2=2))))
     out.append(_check("moment lands in the nilpotent cone", worst, 1e-10))
 

@@ -715,6 +715,23 @@ def test_cycle_limit_weight_with_overflowing_square_exit_2(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("weight", [0.0, 1e-200, 1e-310])
+def test_cycle_limit_on_a_vanishing_or_tiny_orbit(tmp_path, weight):
+    # The zero carrier has every line as an eigenline: the kernels take
+    # (1, 0), as LAPACK does.  Carriers of size 1e-200 or subnormal size
+    # are scaled before their eigenline is formed, so nothing underflows or
+    # overflows.  The samples are imaginary carriers, so every defect is
+    # exactly 0.0.
+    cfg = dict(SL2, weight=[weight])
+    out = tmp_path / "out.csv"
+    assert main(["cycle-limit", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    rows = [f"{2.0 ** -k!r},0.0,0.0" for k in range(21)]
+    assert out.read_text() == "\n".join(
+        ["s,base_defect,moment_defect", *rows, "identity_at_one,1,",
+         "at_floor,1,", "slope,nan,"]) + "\n"
+
+
 def test_refuses_huge_n_without_forming_its_factorial(tmp_path, capsys):
     # (10^12)! has no printable size: the refusal gives its power of ten.
     n = 10 ** 12
@@ -976,6 +993,18 @@ def test_float_texts_are_repr_and_json_per_element(values):
     assert _json_floats(values) == json_texts(values)
 
 
+def test_float_texts_on_either_side_of_the_short_array_path():
+    # Arrays of fewer than 16 floats are formatted by repr alone, longer
+    # ones through orjson: every length from 0 to 20, each edge float in
+    # several positions.
+    for size in range(21):
+        values = np.resize(np.array(EDGE_FLOATS), size)
+        floats = values.tolist()
+        assert _reprs(values) == list(map(repr, floats))
+        assert _json_floats(values) == list(map(json.dumps, floats))
+        assert _reprs(values[::-1]) == list(map(repr, floats[::-1]))
+
+
 def test_float_texts_on_random_bit_patterns():
     # Half the patterns take any exponent, so NaN, subnormals and both
     # exponent notations come up; half lie in [2^-14, 2^54), across both
@@ -1076,8 +1105,8 @@ def report_digest(tmp_path, capsys, command, cfg) -> str:
 @pytest.mark.parametrize("command,cfg,digest", [
     ("oracle", SU3_ORACLE, "0e045a86358f1c80"),
     ("oracle", SL2, "c44bc18510236c51"),
-    ("verify", SU3_VERIFY, "02274434534a5013"),
-    ("verify", SL2_VERIFY, "2a3939aff4177e78"),
+    ("verify", SU3_VERIFY, "817da41a937c7cc5"),
+    ("verify", SL2_VERIFY, "92d8af9ca8e7af27"),
     ("calibrate", SU3_ORACLE, "e001cbc01f7a08ba"),
     ("calibrate", SL2, "7819a877c38472f1"),
 ], ids=["oracle-su3", "oracle-sl2", "verify-su3", "verify-sl2",
@@ -1091,7 +1120,10 @@ def test_oracle_verify_calibrate_golden_digest(tmp_path, capsys, command, cfg,
     # draw n - 1 Ginibre columns, the Casimir check a five-point stencil
     # and group elements a closed-form exponential.  oracle-su3 was taken
     # again (from b06c1a93e2b68a71) when the Haar values came to be formed
-    # from tan(theta / 2): one mean moved in its last digit.  Like every
+    # from tan(theta / 2): one mean moved in its last digit.  verify-su3
+    # and verify-sl2 were taken again (from 02274434534a5013 and
+    # 2a3939aff4177e78) when the CP^1 kernels came to solve their carriers
+    # in closed form: seven geometry residuals moved.  Like every
     # golden digest, these pin one host with one numpy and OpenBLAS build:
     # numpy's SIMD dispatch (NPY_DISABLE_CPU_FEATURES) and OpenBLAS's
     # kernel choice (OPENBLAS_CORETYPE) can move last bits.

@@ -1,9 +1,11 @@
 """The CP^1 model's array kernels against its one-point forms.
 
-The kernels in ``geometry_sl2`` must equal the one-row wrappers bit for
-bit, stay within 1e-15 of the one-point reference in
-``cp1_scalar_reference``, refuse bad rows as the one-point code does, and
-leave every residual of the geometry suite unchanged.
+The kernels in ``geometry_sl2`` solve each 2 x 2 carrier in closed form.
+They must equal the one-row wrappers bit for bit at any batch size, stay
+within 1e-15 of the one-point reference in ``cp1_scalar_reference`` (which
+keeps LAPACK's eigenvectors, so it stays independent of them), refuse bad
+rows as the one-point code does, and still fail the geometry suite when
+they are wrong.  Digests pin the suite's residuals.
 """
 
 import hashlib
@@ -99,7 +101,20 @@ def test_moments_match_wrapper_and_reference(points):
         assert np.max(np.abs(ref.moment(zeta).coords - m.coords)) <= 1e-15
 
 
-@pytest.mark.parametrize("lam", (8j, 2 + 5j))
+def tied(x):
+    """|z0| and |z1| equal to within 4 ulp: either chart owns the point."""
+    a, b = abs(x.z0), abs(x.z1)
+    return abs(a - b) <= 4 * np.spacing(max(a, b))
+
+
+def phase_as(x, r):
+    """The unit pair of x phase-reduced on the entry r reduces on: at a tie
+    the two may reduce on different entries."""
+    lead = x.vector[int(np.argmax(np.abs(r.vector)))]
+    return x.vector * np.conj(lead) / abs(lead)
+
+
+@pytest.mark.parametrize("lam", LAMS)
 def test_inverse_matches_wrapper_and_reference(points, lam):
     _, v, chart, component = points
     nu = geo._moments(v, chart, component) + geo._weights(v, lam)
@@ -112,10 +127,16 @@ def test_inverse_matches_wrapper_and_reference(points, lam):
         assert_bits(vi[k], back.base.vector)
         assert ci[k] == back.base.chart
         assert_bits(comp[k], back.component)
+        # The closed-form eigenline and LAPACK's round differently, so at a
+        # tie (the z1 = i z0 rows) they may pick different charts.
         r = ref.twisted_moment_inverse(twisted, lam)
-        assert r.base.chart == back.base.chart
-        assert np.max(np.abs(r.base.vector - back.base.vector)) <= 1e-15
-        assert abs(r.component - back.component) <= 1e-15
+        assert r.base.chart == back.base.chart or tied(r.base)
+        assert np.max(np.abs(r.base.vector - phase_as(back.base, r.base))) <= 1e-15
+        # The component is compared at the kernel's own base point: it
+        # carries the eigenline's rounding times |lam|, which for either
+        # solver reaches 2.3e-15 at lam = 8i against the exact preimage.
+        assert abs(ref.chart_component(twisted.matrix, back.base, lam)
+                   - back.component) <= 1e-15
 
 
 def test_real_line_defects_and_norms_match_reference(points):
@@ -134,13 +155,19 @@ def test_reports_match_reference_loops():
     coords = orbit_coords(rng, 300)
     elements = [element(geo.model_algebra(), c) for c in coords]
     lam = 8j
-    base, re_norm = ref.orbit_image(lam, elements)
+    # The reference loops run on the one-row preimages, which
+    # test_inverse_matches_wrapper_and_reference compares with LAPACK's.
+    zetas = [geo.twisted_moment_inverse(nu, lam) for nu in elements]
+    for nu, zeta in zip(elements, zetas):
+        r = ref.twisted_moment_inverse(nu, lam)
+        assert np.max(np.abs(r.base.vector - phase_as(zeta.base, r.base))) <= 1e-15
+    base, re_norm = ref.orbit_image(zetas)
     for samples in (coords, elements):
         rep = geo.orbit_image_check(lam, samples)
         assert np.max(np.abs(rep.base_defects - base)) <= 1e-15
         assert np.max(np.abs(rep.real_part_norms - re_norm)) <= 1e-15
     sched = tuple(2.0 ** (-k) for k in range(8))
-    base, mom = ref.scaling_defects(lam, sched, elements[:50])
+    base, mom = ref.scaling_defects(sched, zetas[:50])
     sc = geo.cycle_scaling_limit(lam, sched, coords[:50])
     assert np.max(np.abs(sc.base_defects - base)) <= 1e-15
     assert np.max(np.abs(sc.moment_defects - mom)) <= 1e-15
@@ -212,14 +239,72 @@ def suite_digest(seed):
 
 
 @pytest.mark.parametrize("seed,digest", [
-    (1, "1600eb4117bccbeb"),
-    (20240802, "6259d5b8929593b5"),
+    (1, "abd246ae1d45f92d"),
+    (20240802, "c42019cc73233e85"),
 ])
 def test_geometry_suite_golden(seed, digest):
-    # Digests of the rows (name, repr(residual), threshold, passed) as the
-    # one-point suite computed them: they pin the random stream and the
-    # rounding of every residual.
+    # Digests of the rows (name, repr(residual), threshold, passed): they pin
+    # the random stream and the rounding of every residual.  Taken again
+    # (from 1600eb4117bccbeb and 6259d5b8929593b5) when the kernels came to
+    # solve the carriers in closed form instead of repeating the one-point
+    # LAPACK and BLAS calls.
     assert suite_digest(seed) == digest
+
+
+# --- the suite still fails wrong kernels -------------------------------------
+#
+# "projected orbit lies on the real line", "fiber offsets are purely
+# conormal" and "scaling defects at 2^-20" read exactly 0.0: the suite's
+# orbit samples are imaginary carriers, and for an imaginary carrier and
+# lam = 8i the closed-form eigenline is an imaginary pair, which phase
+# reduction makes exactly real.  These tests show that the suite and the
+# reports can still fail.
+
+SUITE_SETTINGS = [
+    SuiteSettings(family="su", n=3, weight=(0.9, 0.4), seed=1),
+    SuiteSettings(family="sl_real", n=2, weight=(1.0,), seed=20240802),
+]
+
+
+@pytest.mark.parametrize("settings", SUITE_SETTINGS, ids=["su3", "sl2"])
+def test_geometry_suite_needs_no_eig(monkeypatch, settings):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eig called")
+
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    rows = run_suite("geometry", settings)
+    assert len(rows) == 11 and all(r.passed for r in rows)
+    exact = {"projected orbit lies on the real line",
+             "fiber offsets are purely conormal", "scaling defects at 2^-20"}
+    assert {r.name: r.residual for r in rows if r.name in exact} == \
+        dict.fromkeys(exact, 0.0)
+
+
+def test_wrong_eigenline_fails_the_round_trip(monkeypatch):
+    inverse = geo._inverse
+
+    def plus_eigenline(t, lam):
+        # -t has t's invariant, and its eigenline for -lam/8 is that of t
+        # for +lam/8; the component is then read off t at that base.
+        v, chart, _ = inverse(-t, lam)
+        w = geo._weights(v, lam)
+        return v, chart, 4.0 * np.where(chart == 0, t[:, 0, 1] - w[:, 1],
+                                        t[:, 1, 0] - w[:, 2])
+
+    monkeypatch.setattr(geo, "_inverse", plus_eigenline)
+    rows = {r.name: r for r in run_suite("geometry", SUITE_SETTINGS[1])}
+    assert not rows["twisted moment round trip"].passed
+
+
+def test_conjugated_orbit_leaves_the_real_line():
+    # g t g^-1 keeps the invariant, so no row is refused, but for g in
+    # SL(2,C) off SL(2,R) the base points leave RP^1.
+    rng = np.random.default_rng(1205)
+    t = geo._carriers(orbit_coords(rng, 200).astype(complex))
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    g /= np.sqrt(np.linalg.det(g))
+    moved = geo._coords(g @ t @ np.linalg.inv(g))
+    assert geo.orbit_image_check(8j, moved).max_base_defect > 1e-3
 
 
 # --- the compact bound against its closed form -------------------------------
