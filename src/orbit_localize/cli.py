@@ -336,11 +336,6 @@ def cmd_eval(cfg: RunConfig, out: Optional[str], fmt: str) -> int:
     return EXIT_OK
 
 
-# Below this many floats, mapping repr is faster than orjson's fixed cost
-# of about 5-14 us a call.
-_SHORT_FLOATS = 16
-
-
 def _reprs(values: np.ndarray) -> list[str]:
     """repr of each float of an array, in C order.
 
@@ -349,12 +344,11 @@ def _reprs(values: np.ndarray) -> list[str]:
     notation only where both write positional text, 1e-4 <= |x| < 1e16 and
     +-0.0 (orjson writes 1e16 and 0.000099 where repr writes 1e+16 and
     9.9e-05), so every float outside that range, NaN and +-inf included
-    (orjson's null), is re-formatted by repr.  Arrays of fewer than
-    ``_SHORT_FLOATS`` floats are formatted by repr alone.
+    (orjson's null), is re-formatted by repr.
     """
     flat = np.ascontiguousarray(values, dtype=float).ravel()
-    if flat.size < _SHORT_FLOATS:
-        return list(map(repr, flat.tolist()))
+    if not flat.size:
+        return []
     texts = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] \
         .decode().split(",")
     size = np.abs(flat)

@@ -63,15 +63,9 @@ def twisted_moment_inverse(nu, lam, tol=1e-8):
     ev, vecs = np.linalg.eig(t)
     idx = int(np.argmin(np.abs(ev + lam / 8.0)))
     x = flag_point(vecs[0, idx], vecs[1, idx])
-    return CotangentPoint(base=x, component=chart_component(t, x, lam))
-
-
-def chart_component(t, x, lam):
-    """Chart component at the flag point x of the covector whose twisted
-    moment is the carrier t: the moment carrier t - weight_at(x) read off
-    the chart's pattern."""
     m = t - weight_at(x, lam).matrix
-    return complex(4.0 * m[0, 1] if x.chart == 0 else 4.0 * m[1, 0])
+    comp = 4.0 * m[0, 1] if x.chart == 0 else 4.0 * m[1, 0]
+    return CotangentPoint(base=x, component=complex(comp))
 
 
 def real_part_norm(x):
@@ -89,17 +83,21 @@ def max_real_weight_norm(lam, resolution=72):
     return worst
 
 
-def orbit_image(zetas):
-    """(base defects, moment real-part norms) of covectors, as
-    ``orbit_image_check`` reports them for their twisted moments."""
-    base = [zeta.base.real_line_defect() for zeta in zetas]
-    re_norm = [real_part_norm(moment(zeta)) for zeta in zetas]
+def orbit_image(lam, samples, inverse=twisted_moment_inverse):
+    """(base defects, moment real-part norms) of the projected samples;
+    ``inverse`` projects them."""
+    base, re_norm = [], []
+    for nu in samples:
+        zeta = inverse(nu, lam)
+        base.append(zeta.base.real_line_defect())
+        re_norm.append(real_part_norm(moment(zeta)))
     return np.array(base), np.array(re_norm)
 
 
-def scaling_defects(s_schedule, zetas):
-    """(base defects, moment defects) per scale, as ``cycle_scaling_limit``
-    reports them for the covectors' twisted moments."""
+def scaling_defects(lam, s_schedule, samples, inverse=twisted_moment_inverse):
+    """(base defects, moment defects) per scale, as ``cycle_scaling_limit``;
+    ``inverse`` projects the samples."""
+    zetas = [inverse(nu, lam) for nu in samples]
     base, mom = [], []
     for s in s_schedule:
         scaled = [CotangentPoint(z.base, s * z.component) for z in zetas]

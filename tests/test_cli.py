@@ -993,10 +993,9 @@ def test_float_texts_are_repr_and_json_per_element(values):
     assert _json_floats(values) == json_texts(values)
 
 
-def test_float_texts_on_either_side_of_the_short_array_path():
-    # Arrays of fewer than 16 floats are formatted by repr alone, longer
-    # ones through orjson: every length from 0 to 20, each edge float in
-    # several positions.
+def test_float_texts_of_short_arrays():
+    # Every length from 0 to 20, the empty array included, with each edge
+    # float in several positions.
     for size in range(21):
         values = np.resize(np.array(EDGE_FLOATS), size)
         floats = values.tolist()
