@@ -12,7 +12,7 @@ Matrix realizations, fixed once and for all:
   ``i (E_jk + E_kj)``.
 
 No structure constants are stored: brackets are matrix commutators
-projected back onto the basis, and the Killing form is the trace form
+read back by index, and the Killing form is the trace form
 B(X, Y) = 2n tr(XY), whose matrix over the basis is an exact integer
 matrix.  Everything downstream -- brackets, ad matrices, Cartan data,
 Weyl groups, conjugation into a Cartan -- is expressed against this
@@ -117,17 +117,6 @@ class AlgebraSpec:
         basis = self.basis
         return _readonly(2 * self.n * np.einsum("iab,jba->ij", basis, basis).real)
 
-    @functools.cached_property
-    def _proj(self) -> np.ndarray:
-        """Real-linear projector from matrices to coordinates, formed on first read.
-
-        Coordinates are real for real-form elements and extend
-        complex-linearly on the complexification.
-        """
-        basis = self.basis
-        flat = np.concatenate([basis.real, basis.imag], axis=1).reshape(self.dim, -1)
-        return _readonly(np.linalg.pinv(flat.T))
-
     def __repr__(self) -> str:
         return f"AlgebraSpec({self.family}({self.n}), dim={self.dim})"
 
@@ -192,17 +181,50 @@ def _basis_matrices(family: str, n: int) -> np.ndarray:
     return basis
 
 
-def _matrix_to_coords(proj: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Real-linear coordinates of matrices stacked along the last two axes."""
-    flat = np.concatenate([m.real, m.imag], axis=-2)
-    return flat.reshape(flat.shape[:-2] + (-1,)) @ proj.T
+def _coords(spec: AlgebraSpec, m: np.ndarray) -> np.ndarray:
+    """Coordinates of matrices stacked along the last two axes, read by index.
+
+    The least-squares projection onto the basis, complex-linear; its real
+    part is the projection of a complex matrix onto the real form.
+    Diagonal coordinate k is ((n - k) P_k - k Q_k) / n, with P_k the sum of
+    the first k diagonal entries and Q_k the sum of the other n - k (times
+    -i for su(n)).  An sl(n,R) pair (j, l) is the entry m_jl; an su(n) pair
+    j < l is (m_jl - m_lj)/2, then (m_jl + m_lj)/2i.  The weights are
+    integers, so integer matrices have exact coordinates.
+    """
+    n = spec.n
+    m = np.asarray(m, dtype=complex)
+    d = np.diagonal(m, axis1=-2, axis2=-1)
+    if spec.family == "su":
+        d = -1j * d
+    k = np.arange(1, n)
+    head = np.cumsum(d, axis=-1)[..., :-1]
+    tail = np.cumsum(d[..., ::-1], axis=-1)[..., -2::-1]
+    if spec.family == "sl_real":
+        j, l = np.nonzero(~np.eye(n, dtype=bool))   # j != l, row-major
+        pairs = m[..., j, l]
+    else:
+        j, l = _upper_pairs(n)
+        upper, lower = m[..., j, l], m[..., l, j]
+        pairs = np.stack([(upper - lower) / 2, (upper + lower) / 2j], axis=-1)
+    diag = ((n - k) * head - k * tail) / n
+    return np.concatenate([diag, pairs.reshape(m.shape[:-2] + (-1,))], axis=-1)
 
 
-def _project(spec: AlgebraSpec, m: np.ndarray, complex_out: bool) -> np.ndarray:
-    """Coordinates of matrices in the span; complex-linear when complex_out."""
-    coords = _matrix_to_coords(spec._proj, m)
-    if complex_out:
-        coords = coords + 1j * _matrix_to_coords(spec._proj, -1j * m)
+def _in_span(spec: AlgebraSpec, m: np.ndarray) -> np.ndarray:
+    """(N, dim) coordinates of (N, n, n) matrices in the complexified span:
+    a row's imaginary part is dropped where all of it is below 1e-12, and a
+    row its coordinates rebuild no closer than 1e-9 max(1, max|m|) refused."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape[1:] != (spec.n, spec.n):
+        raise AlgebraError(f"expected {spec.n} x {spec.n} matrices, "
+                           f"got shape {m.shape[1:]}")
+    coords = _coords(spec, m)
+    coords.imag[np.max(np.abs(coords.imag), axis=1) < 1e-12] = 0.0
+    flat = m.reshape(len(m), -1)
+    err = np.max(np.abs(coords @ spec.basis.reshape(spec.dim, -1) - flat), axis=1)
+    if np.any(err > 1e-9 * np.fmax(1.0, np.max(np.abs(flat), axis=1))):
+        raise AlgebraError("matrix does not lie in the algebra span")
     return coords
 
 
@@ -236,24 +258,23 @@ def element(spec: AlgebraSpec, coords: Sequence) -> AlgebraElement:
     return AlgebraElement(spec, _readonly(arr))
 
 
+def _row_element(spec: AlgebraSpec, coords: np.ndarray) -> AlgebraElement:
+    """One ``_in_span`` row as an element, real where its imaginary part was dropped."""
+    return AlgebraElement(spec, _readonly(coords if coords.imag.any() else coords.real))
+
+
 def element_from_matrix(spec: AlgebraSpec, m: np.ndarray) -> AlgebraElement:
     """Coordinates of a matrix lying in the algebra or its complexification."""
-    m = np.asarray(m, dtype=complex)
-    coords = _project(spec, m, complex_out=True)
-    if np.max(np.abs(coords.imag)) < 1e-12:
-        coords = coords.real
-    recon = np.tensordot(coords, spec.basis, axes=(0, 0))
-    if np.max(np.abs(recon - m)) > 1e-9 * max(1.0, np.max(np.abs(m))):
-        raise AlgebraError("matrix does not lie in the algebra span")
-    return AlgebraElement(spec, _readonly(coords))
+    return _row_element(spec, _in_span(spec, np.asarray(m)[None])[0])
 
 
 def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """[x, y] as the projected matrix commutator; complex if either input is."""
+    """[x, y] as the matrix commutator read back; complex if either input is."""
     _check_same(x, y)
     mx, my = x.matrix, y.matrix
-    complex_out = np.iscomplexobj(x.coords) or np.iscomplexobj(y.coords)
-    out = _project(x.algebra, mx @ my - my @ mx, complex_out)
+    out = _coords(x.algebra, mx @ my - my @ mx)
+    if not (np.iscomplexobj(x.coords) or np.iscomplexobj(y.coords)):
+        out = out.real
     return AlgebraElement(x.algebra, _readonly(out))
 
 
@@ -266,7 +287,8 @@ def killing_form(x: AlgebraElement, y: AlgebraElement):
 def adjoint_matrix(x: AlgebraElement) -> np.ndarray:
     """Matrix of ad(x) on the algebra basis: column j holds [x, e_j]."""
     basis, m = x.algebra.basis, x.matrix
-    return _project(x.algebra, m @ basis - basis @ m, np.iscomplexobj(x.coords)).T
+    ad = _coords(x.algebra, m @ basis - basis @ m)
+    return (ad if np.iscomplexobj(x.coords) else ad.real).T
 
 
 # Outcomes of ``_spectra``, one per row.

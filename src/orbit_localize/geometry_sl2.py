@@ -28,10 +28,11 @@ an (N, 2) complex array of unit, phase-reduced pairs with an (N,) int
 array of owning charts; N covectors add an (N,) complex array of chart
 components.  Algebra elements are (N, 3) complex coordinates on the model
 basis (h, e, f), and their Killing-dual carriers are (N, 2, 2) complex
-stacks.  The private kernels (``_flags``, ``_coords``, ``_carriers``,
+stacks.  The private kernels (``_flags``, ``_carriers``, ``_stack``,
 ``_weights``, ``_moments``, ``_dets``, ``_inverse``, ``_invariant_defects``,
 ``_real_part_norms``, ``_real_line_defects``) work on these arrays, and
-the three reports run on them.  ``flag_point``, ``group_action``,
+the three reports run on them; carriers are read back into coordinates by
+the algebra's batched ``_in_span``.  ``flag_point``, ``group_action``,
 ``moment``, ``weight_at``, ``twisted_moment`` and ``twisted_moment_inverse``
 are one-row wrappers that return the dataclasses below.
 
@@ -52,7 +53,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraError, build_algebra, element
+from .algebra import (AlgebraElement, AlgebraError, _in_span, _row_element,
+                      build_algebra)
 
 __all__ = [
     "FlagPoint",
@@ -76,6 +78,7 @@ __all__ = [
 
 _MODEL = build_algebra("sl_real", 2)
 _BASIS = _MODEL.basis.reshape(3, 4)
+_RESOLUTION = 72   # polar angles of the sphere grid; twice as many azimuths
 
 # Orbit samples: AlgebraElements, or their (N, 3) coordinate rows.
 Samples = Union[Sequence[AlgebraElement], np.ndarray]
@@ -123,37 +126,13 @@ def _carriers(coords: np.ndarray) -> np.ndarray:
     return np.dot(coords, _BASIS).reshape(-1, 2, 2)
 
 
-def _stack_coords(h: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """(N, 3) coordinates (h, e, f), with a row's imaginary part zeroed where
-    all of it is below 1e-12, as ``element_from_matrix`` does."""
-    coords = np.stack([h, e, f], axis=1).astype(complex, copy=False)
-    size = np.abs(coords.imag)
-    size = np.maximum(np.maximum(size[:, 0], size[:, 1]), size[:, 2])
-    coords.imag[size < 1e-12] = 0.0
-    return coords
-
-
-def _coords(m: np.ndarray) -> np.ndarray:
-    """(N, 3) coordinates of (N, 2, 2) carriers, as ``element_from_matrix``.
-
-    On the basis (h, e, f) = (diag(1, -1), E_01, E_10) a carrier has
-    coordinates ((m00 - m11)/2, m01, m10); a matrix off the span (one with
-    a trace) is refused.
-    """
-    coords = _stack_coords((m[:, 0, 0] - m[:, 1, 1]) / 2.0,
-                           m[:, 0, 1], m[:, 1, 0])
-    err = np.max(np.abs(_carriers(coords) - m), axis=(1, 2))
-    size = np.fmax(1.0, np.max(np.abs(m), axis=(1, 2)))
-    if np.any(err > 1e-9 * size):
-        raise AlgebraError("matrix does not lie in the algebra span")
-    return coords
-
-
-def _element(coords: np.ndarray) -> AlgebraElement:
-    """The element of one coordinate row; real when its imaginary part was
-    dropped (a kept imaginary part has an entry of at least 1e-12)."""
-    c = coords[0]
-    return element(_MODEL, c if c.imag.any() else c.real)
+def _stack(h: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """(N, 3) coordinates of the carriers [[h, e], [f, -h]], read as
+    ``element_from_matrix`` reads one: (h, e, f), with a row's imaginary
+    part dropped where all of it is below 1e-12."""
+    t = np.empty(h.shape + (2, 2), dtype=complex)
+    t[:, 0, 0], t[:, 0, 1], t[:, 1, 0], t[:, 1, 1] = h, e, f, -h
+    return _in_span(_MODEL, t)
 
 
 def _weights(v: np.ndarray, lam: complex) -> np.ndarray:
@@ -168,8 +147,8 @@ def _weights(v: np.ndarray, lam: complex) -> np.ndarray:
     k = lam / 8.0
     cross = v[:, 0] * np.conj(v[:, 1])
     cross_conj = np.conj(cross)
-    return _stack_coords(k * (_sq(v[:, 1]) - _sq(v[:, 0])),
-                         (-2.0 * k) * cross, (-2.0 * k) * cross_conj)
+    return _stack(k * (_sq(v[:, 1]) - _sq(v[:, 0])),
+                  (-2.0 * k) * cross, (-2.0 * k) * cross_conj)
 
 
 def _moments(v: np.ndarray, chart: np.ndarray,
@@ -184,8 +163,8 @@ def _moments(v: np.ndarray, chart: np.ndarray,
     t = np.where(on0, v[:, 1], v[:, 0]) / np.where(on0, v[:, 0], v[:, 1])
     ct = c * t
     ctt = -(ct * t)
-    return _stack_coords(np.where(on0, -ct, ct), np.where(on0, c, ctt),
-                         np.where(on0, ctt, c))
+    return _stack(np.where(on0, -ct, ct), np.where(on0, c, ctt),
+                  np.where(on0, ctt, c))
 
 
 def _dets(t: np.ndarray) -> np.ndarray:
@@ -329,8 +308,8 @@ def moment(zeta: CotangentPoint) -> AlgebraElement:
     The image is nilpotent: trace and determinant of the carrier vanish.
     """
     base = zeta.base
-    return _element(_moments(base.vector[None], np.array([base.chart]),
-                             np.array([zeta.component])))
+    return _row_element(_MODEL, _moments(base.vector[None], np.array([base.chart]),
+                                         np.array([zeta.component]))[0])
 
 
 def weight_at(x: FlagPoint, lam: complex) -> AlgebraElement:
@@ -339,7 +318,7 @@ def weight_at(x: FlagPoint, lam: complex) -> AlgebraElement:
     ``lam`` is the parameter's value on diag(1,-1).  Equivariant under the
     compact form: weight_at(u.x) = u weight_at(x) u^-1 for u in SU(2).
     """
-    return _element(_weights(x.vector[None], lam))
+    return _row_element(_MODEL, _weights(x.vector[None], lam)[0])
 
 
 def twisted_moment(zeta: CotangentPoint, lam: complex) -> AlgebraElement:
@@ -364,12 +343,12 @@ def twisted_moment_inverse(nu: AlgebraElement, lam: complex) -> CotangentPoint:
 # Orbit-image, fiber and scaling-limit reports
 # ---------------------------------------------------------------------------
 
-def _max_real_weight_norm(lam: complex, resolution: int = 72) -> float:
+def _max_real_weight_norm(lam: complex) -> float:
     """Largest real-part norm of the transported parameter on a
-    resolution x 2 resolution grid of polar angles over the sphere."""
-    theta = np.linspace(0.0, np.pi, resolution)[:, None]
-    phi = np.linspace(0.0, 2.0 * np.pi, 2 * resolution, endpoint=False)[None, :]
-    z0 = np.broadcast_to(np.cos(theta / 2.0), (resolution, 2 * resolution))
+    _RESOLUTION x 2 _RESOLUTION grid of polar angles over the sphere."""
+    theta = np.linspace(0.0, np.pi, _RESOLUTION)[:, None]
+    phi = np.linspace(0.0, 2.0 * np.pi, 2 * _RESOLUTION, endpoint=False)[None, :]
+    z0 = np.broadcast_to(np.cos(theta / 2.0), (_RESOLUTION, 2 * _RESOLUTION))
     z1 = np.sin(theta / 2.0) * np.exp(1j * phi)
     v, _ = _flags(np.stack([z0, z1], axis=-1))
     norms = _real_part_norms(_carriers(_weights(v, lam)))
@@ -436,7 +415,7 @@ def fiber_structure_check(lam: complex, nu: AlgebraElement,
     nil = np.outer(v, np.array([v[1], -v[0]]))
 
     t = np.array([float(s) for s in t_values])
-    moved = _carriers(_coords(t_mat + (1j * t)[:, None, None] * nil))
+    moved = _carriers(_in_span(_MODEL, t_mat + (1j * t)[:, None, None] * nil))
     vt, _, component = _inverse(moved, lam)
     offset = component - component0
     return FiberReport(

@@ -72,6 +72,7 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     AlgebraError,
+    adjoint_matrix,
     bracket,
     element,
     killing_form,
@@ -592,7 +593,7 @@ def split_orbit_liouville_density(radius: float, s) -> np.ndarray:
 def kks_density_bruteforce(orbit: OrbitSpec, s: float, phi: float) -> float:
     """|orbit two-form / ds dphi| from brackets alone, for validation.
 
-    Solves [u, Y] = dY/ds and [v, Y] = dY/dphi by least squares (the
+    Solves [Y, u] = dY/ds and [Y, v] = dY/dphi by least squares (the
     centralizer ambiguity drops out of B(Y,[u,v])) and divides by 2 pi.
     """
     step = 1e-6   # central-difference step
@@ -603,13 +604,9 @@ def kks_density_bruteforce(orbit: OrbitSpec, s: float, phi: float) -> float:
            - split_orbit_carrier(r, s - step, phi)) / (2 * step)
     t_phi = (split_orbit_carrier(r, s, phi + step)
              - split_orbit_carrier(r, s, phi - step)) / (2 * step)
-    ad_y = np.stack(
-        [bracket(element(spec, np.eye(3)[i]), element(spec, y)).coords
-         for i in range(3)],
-        axis=1,
-    )
-    u = np.linalg.lstsq(ad_y, -t_s, rcond=None)[0]
-    v = np.linalg.lstsq(ad_y, -t_phi, rcond=None)[0]
+    ad_y = adjoint_matrix(element(spec, y))
+    u = np.linalg.lstsq(ad_y, t_s, rcond=None)[0]
+    v = np.linalg.lstsq(ad_y, t_phi, rcond=None)[0]
     two_form = killing_form(
         element(spec, y),
         bracket(element(spec, u), element(spec, v)),

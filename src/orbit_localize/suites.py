@@ -17,6 +17,7 @@ from . import geometry_sl2 as geo
 from .algebra import (
     AlgebraError,
     AlgebraSpec,
+    _coords,
     _unit,
     _upper_pairs,
     adjoint_matrix,
@@ -206,9 +207,9 @@ def _algebra_suite(st: SuiteSettings) -> list[CheckResult]:
     out = []
 
     # Structure tensor [e_i, e_j] = sum_k c[i,j,k] e_k, only for these
-    # checks: row j of ad(e_i)^T holds [e_i, e_j].
-    c = np.array([adjoint_matrix(element(spec, row)).T
-                  for row in np.eye(spec.dim)])
+    # checks, read off the commutators of the basis.
+    basis = spec.basis
+    c = _coords(spec, basis[:, None] @ basis - basis @ basis[:, None]).real
     jac = (
         np.einsum("ijm,mkl->ijkl", c, c)
         + np.einsum("jkm,mil->ijkl", c, c)

@@ -27,7 +27,7 @@ from orbit_localize.algebra import (
     killing_form,
     reduce_to_cartan,
 )
-from orbit_localize import localize
+from orbit_localize import algebra, localize
 from orbit_localize.fixedpoints import enumerate_fixed_points
 from orbit_localize.localize import make_orbit, standard_cartan
 
@@ -55,6 +55,12 @@ def test_rejects_bad_input():
         build_algebra("so_real", 3)
     with pytest.raises(AlgebraError):
         build_algebra("su", 1)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (3, 3, 3), (9,)])
+def test_element_from_matrix_refuses_a_wrong_shape(shape):
+    with pytest.raises(AlgebraError, match="expected 3 x 3 matrices"):
+        element_from_matrix(su(3), np.zeros(shape))
 
 
 def _reference_algebra(family, n):
@@ -92,18 +98,65 @@ def _reference_algebra(family, n):
 @pytest.mark.parametrize("n", range(2, 10))
 def test_build_matches_the_loop_built_reference_bytes(family, n):
     # Index assignment lays out the same basis, signed zeros included, and
-    # the Killing matrix and projector formed on first read are the same
-    # bytes as forming them at construction.
+    # the Killing matrix formed on first read is the same bytes as forming
+    # it at construction.
     spec = build_algebra(family, n)
-    assert "killing" not in vars(spec) and "_proj" not in vars(spec)
-    basis, labels, killing, proj = _reference_algebra(family, n)
+    assert "killing" not in vars(spec)
+    basis, labels, killing, _ = _reference_algebra(family, n)
     assert spec.labels == labels
-    for got, want in ((spec.basis, basis), (spec.killing, killing),
-                      (spec._proj, proj)):
+    for got, want in ((spec.basis, basis), (spec.killing, killing)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert not got.flags.writeable
-    assert spec.killing is spec.killing and spec._proj is spec._proj
+    assert spec.killing is spec.killing
+
+
+def _reference_coords(proj, m):
+    """The pseudo-inverse projection of matrices onto the basis, extended
+    complex-linearly: real part from (Re m, Im m), imaginary part from -i m."""
+    def real_linear(m):
+        flat = np.concatenate([m.real, m.imag], axis=-2)
+        return flat.reshape(flat.shape[:-2] + (-1,)) @ proj.T
+    return real_linear(m) + 1j * real_linear(-1j * m)
+
+
+@pytest.mark.parametrize("family", ["su", "sl_real"])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_coordinates_read_by_index_match_the_pinv_projection(family, n):
+    # In-span and off-span stacks, real and complex coefficients, over six
+    # decades of scale: the map read by index is the least-squares
+    # projection, and its real part the projection onto the real form.
+    spec = build_algebra(family, n)
+    proj = _reference_algebra(family, n)[3]
+    rng = np.random.default_rng(1000 * n + len(family))
+    for cplx, off_span in itertools.product((False, True), repeat=2):
+        c = rng.standard_normal((6, spec.dim)) * 10.0 ** rng.uniform(-3, 3, (6, 1))
+        if cplx:
+            c = c + 1j * rng.standard_normal((6, spec.dim))
+        m = np.tensordot(c, spec.basis, axes=(1, 0))
+        if off_span:
+            m = m + rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+        got, want = algebra._coords(spec, m), _reference_coords(proj, m)
+        bound = 1e-14 * max(1.0, np.max(np.abs(m)))
+        assert got.shape == want.shape == (6, spec.dim)
+        assert np.max(np.abs(got - want)) <= bound
+        if not off_span:
+            assert np.max(np.abs(got - c)) <= bound
+
+
+@pytest.mark.parametrize("family", ["su", "sl_real"])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_structure_constants_are_exact_integers(family, n):
+    # Basis commutators have entries 0, +-1, +-2 and +-i, +-2i, and the map
+    # reads them with real integer weights: every ad(e_i) is integer-valued
+    # and the Jacobi tensor is exactly zero.
+    spec = build_algebra(family, n)
+    c = np.array([adjoint_matrix(element(spec, row)).T for row in np.eye(spec.dim)])
+    assert c.dtype == np.float64
+    assert np.array_equal(c, np.round(c))
+    jac = (np.einsum("ijm,mkl->ijkl", c, c) + np.einsum("jkm,mil->ijkl", c, c)
+           + np.einsum("kim,mjl->ijkl", c, c))
+    assert not jac.any()
 
 
 def test_cold_build_forms_no_killing_matrix_or_projector(monkeypatch):

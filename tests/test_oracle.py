@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from test_algebra import _reference_algebra
 from orbit_localize.algebra import (
     AlgebraError,
     build_algebra,
@@ -127,6 +128,7 @@ def _qr_haar_sample(orbit, seed, count):
     """
     spec = orbit.algebra
     n = spec.n
+    proj = _reference_algebra("su", n)[3]
     zeta = np.diagonal(orbit.dual_element.matrix).imag
     rng = _philox(seed)
     out = np.empty((count, spec.dim))
@@ -144,7 +146,7 @@ def _qr_haar_sample(orbit, seed, count):
         flat = np.concatenate(
             [moved.real.reshape(take, -1), moved.imag.reshape(take, -1)], axis=1
         )
-        out[done:done + take] = flat @ spec._proj.T
+        out[done:done + take] = flat @ proj.T
         done += take
     return out
 
