@@ -33,6 +33,7 @@ from .algebra import (_NONREAL, _REGULAR, AlgebraError, _refuse_large_table,
                       build_algebra, element)
 from .localize import OrbitSpec, _evaluate, _terms, fourier_grid, make_orbit
 from .oracle import (
+    EPS_SCHEDULE,
     CalibrationError,
     _calibrated_comparison,
     _calibrated_estimates,
@@ -193,9 +194,10 @@ def _parse_config(raw: dict) -> RunConfig:
     reference = oracle.get("reference")
     if reference is not None:
         reference = _numbers(reference, "oracle.reference")
-    eps = _numbers(oracle.get("eps_schedule", [0.2, 0.1, 0.05, 0.025]),
+    eps = _numbers(oracle.get("eps_schedule", list(EPS_SCHEDULE)),
                    "oracle.eps_schedule")
-    samples = _integer(oracle.get("samples", 200_000), "oracle.samples")
+    samples = _integer(oracle.get("samples", SuiteSettings.mc_samples),
+                       "oracle.samples")
     if samples < 2:
         raise ConfigError(f"oracle.samples must be >= 2, got {samples}")
     _allocatable(samples, "oracle.samples")
@@ -545,7 +547,8 @@ def cmd_verify(cfg: RunConfig, suite: str, out: Optional[str],
     if suite not in SUITE_NAMES + ("all",):
         raise ConfigError(f"unknown suite {suite!r}")
     seed = _oracle_seed(cfg, seed_override,
-                        None if suite in ("oracle", "all") else 20240801)
+                        None if suite in ("oracle", "all")
+                        else SuiteSettings.seed)
     settings = SuiteSettings(
         family=cfg.family,
         n=cfg.n,
@@ -679,6 +682,13 @@ def cmd_cycle_limit(cfg: RunConfig, out: Optional[str],
         raise ConfigError(
             f"cycle-limit needs a finite weight^2 (|weight| below about "
             f"1.34e154); got {radius:g}"
+        )
+    if 0.0 < radius < sys.float_info.min:
+        # A subnormal carrier keeps too few bits: its samples fall off the
+        # orbit, so its defects would measure the rounding, not the model.
+        raise ConfigError(
+            f"cycle-limit needs a zero or normal weight (|weight| at least "
+            f"{sys.float_info.min:g}); got {radius:g}"
         )
     lam = 8j * radius
     rng = np.random.Generator(np.random.Philox(key=seed))

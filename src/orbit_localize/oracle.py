@@ -34,34 +34,31 @@ Randomness comes from numpy's Philox counter-based generator keyed by the
 caller's seed and consumed in a fixed chunk order, one fill of the n-1
 Ginibre columns per chunk, so every estimate is a pure function of (seed,
 sample count, inputs).  One chunk loop (``_haar_pass``) serves the sampler
-and the estimates.  It keeps one helper thread, a one-worker executor
-whose tasks run in order: per chunk it draws the next chunk into the other
-of two draw buffers while the current one is worked on in place, and then
-takes its share of the current chunk's points.  The stream has one reader
-at a time and is read in the serial order, so the samples are those of a
-serial draw bit for bit.  An estimate without a stored sample set (the
-comparison) values its points inside that loop, while each chunk is hot:
-both threads take points from one per-chunk iterator, and the (count, dim)
-sample set is never formed.  Each chunk's values of a point are reduced to
+and the estimates.  It keeps one helper thread, a one-worker executor that
+only draws ahead: per chunk it draws the next chunk into the other of two
+draw buffers while the calling thread works on the current one in place.
+The stream has one reader at a time and is read in the serial order, so
+the samples are those of a serial draw bit for bit.  An estimate without a
+stored sample set (the comparison) values its points inside that loop, on
+the calling thread, while each chunk is hot, and the (count, dim) sample
+set is never formed.  Each chunk's values of a point are reduced to
 running moments (sums and squared deviations of Re and Im, merged chunk by
 chunk in a fixed order) and dropped, so a point costs four floats however
 many samples it takes.  The values are formed as cos and sin through
 tan of the half angle (``_exponentials``), since numpy's float64 tan has
-SIMD loops and its sin, cos and complex exp do not.  Each point's values
-come from the same rows whichever thread takes it, and its chunks are
-merged in order, so the output does not depend on scheduling.  A point
-can also be read at nested prefixes of the pass (the oracle suite's dyadic
-sample counts): at a prefix m a copy of its moments takes the first m
-samples' values, and the estimate equals the stored-set estimate on those
-m samples bit for bit, while its running moments, and so its estimate
-over the whole pass, are left as they are.
+SIMD loops and its sin, cos and complex exp do not.  Every point is valued
+by one thread, in chunk order, so the output does not depend on
+scheduling.  A point can also be read at nested prefixes of the pass (the
+oracle suite's dyadic sample counts): at a prefix m a copy of its moments
+takes the first m samples' values, and the estimate equals the stored-set
+estimate on those m samples bit for bit, while its running moments, and
+so its estimate over the whole pass, are left as they are.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
@@ -102,6 +99,7 @@ _GS_BLOCK = 1 << 12  # Haar draws per Gram-Schmidt block
 _MAX_SAMPLES = 1 << 32   # Haar draws per pass
 _S_BLOCK = 1 << 16   # hyperbolic-angle nodes per summed block
 _MAX_S_NODES = 1 << 22   # hyperbolic-angle nodes per damping value
+EPS_SCHEDULE = (0.2, 0.1, 0.05, 0.025)   # default vanishing damping values
 
 
 class CalibrationError(AlgebraError):
@@ -206,8 +204,8 @@ def _haar_zeta(orbit: OrbitSpec) -> np.ndarray:
 
 def _haar_pass(zeta: np.ndarray, seed: int, count: int,
                coords_at: Callable[[int, int], np.ndarray],
-               value: Optional[Callable[[int, int, np.ndarray], None]] = None,
-               points: int = 0) -> None:
+               value: Optional[Callable[[int, np.ndarray], None]] = None
+               ) -> None:
     """One pass over ``count`` Haar samples of the orbit of i diag(zeta).
 
     Samples are drawn in fixed-size chunks from one Philox stream, each
@@ -219,21 +217,17 @@ def _haar_pass(zeta: np.ndarray, seed: int, count: int,
     ``_GS_BLOCK`` samples that stay in cache; the per-sample arithmetic is
     that of one call on the whole chunk.  ``coords_at(lo, take)`` is the
     (take, dim) array that receives the coordinates of samples lo .. lo +
-    take - 1.  Once they are written, ``value(p, lo, coords)`` runs for p
-    in 0 .. points - 1, while the chunk is hot.
+    take - 1.  Once they are written, ``value(lo, coords)`` runs on this
+    thread, while the chunk is hot.
 
-    One helper thread shares the work: a one-worker executor, whose tasks
-    run in the order they are submitted.  This thread draws the first
-    chunk.  Per chunk the helper's first task draws the next chunk into
-    the other of two alternating draw buffers, while this thread works on
-    the current one.  Its second, submitted only once this thread has
-    written the chunk's coordinates, takes points from the iterator that
-    this thread takes them from too, and is waited for before the next
-    chunk.  The stream has one reader at a time and is read in the serial
-    order, and each point is valued by one thread on the same rows, so the
-    result does not depend on scheduling.  A valuing failure on either
-    thread stops the valuing on both; every failure is raised here, and
-    the helper is joined on every way out.  More than ``_MAX_SAMPLES``
+    One helper thread draws ahead: a one-worker executor.  This thread
+    draws the first chunk.  Per chunk the helper draws the next chunk into
+    the other of two alternating draw buffers, while this thread
+    orthonormalises, writes and values the current one.  The stream has
+    one reader at a time and is read in the serial order, and every chunk
+    is valued on this thread in chunk order, so the result does not depend
+    on scheduling.  A failure on either thread is raised here, and the
+    helper is joined on every way out.  More than ``_MAX_SAMPLES``
     draws (about 40 minutes of su(3) draws at one point on a 2-core x86
     host) are refused with ``AlgebraError`` before any is drawn: an
     estimate keeps no per-sample memory, so no allocation would refuse
@@ -246,25 +240,11 @@ def _haar_pass(zeta: np.ndarray, seed: int, count: int,
     rng = _philox(seed)
     per_sample = 2 * (n - 1) * n   # normals
     bufs = [np.empty(per_sample * min(_CHUNK, count)) for _ in range(2)]
-    failure = []
-    lock = threading.Lock()
 
     def draw(k: int, take: int) -> np.ndarray:
         block = bufs[k % 2][:per_sample * take].reshape(2, n - 1, n, take)
         rng.standard_normal(out=block)
         return block
-
-    def work(lo: int, coords: np.ndarray, todo) -> None:
-        try:
-            while not failure:
-                with lock:
-                    p = next(todo, None)
-                if p is None:
-                    return
-                value(p, lo, coords)
-        except BaseException:
-            failure.append(True)   # stops the other thread's valuing
-            raise
 
     with ThreadPoolExecutor(max_workers=1) as helper:
         for k, lo in enumerate(range(0, count, _CHUNK)):
@@ -279,11 +259,8 @@ def _haar_pass(zeta: np.ndarray, seed: int, count: int,
                 _gram_schmidt(re[..., block], im[..., block])
                 _orbit_coords(re[..., block], im[..., block], zeta,
                               coords[block])
-            if points:
-                todo = iter(range(points))
-                shared = helper.submit(work, lo, coords, todo)
-                work(lo, coords, todo)
-                shared.result()
+            if value is not None:
+                value(lo, coords)
 
 
 def haar_orbit_sample(orbit: OrbitSpec, seed: int, count: int) -> OrbitSamples:
@@ -294,8 +271,8 @@ def haar_orbit_sample(orbit: OrbitSpec, seed: int, count: int) -> OrbitSamples:
     n-1 Ginibre columns per chunk.  Only those columns are drawn and
     orthonormalised, since the last column enters the sample only through
     u_n u_n^H = I - sum_{k<n} u_k u_k^H, and the coordinates are written
-    from them directly.  A helper thread draws the next chunk while this
-    thread works on the current one, and the samples are bit for bit
+    from them directly.  A helper thread only draws the next chunk while
+    this thread works on the current one, and the samples are bit for bit
     those of a serial draw.
     """
     zeta = _haar_zeta(orbit)
@@ -356,7 +333,7 @@ def _merge_chunk(moments: np.ndarray, lo: int, coords: np.ndarray,
     totals by the pairwise update of Chan, Golub and LeVeque (Amer.
     Statist. 37, 1983): M2 = M2_a + M2_b + delta^2 n_a n_b / (n_a + n_b),
     delta the difference of the two means.  The merge itself makes no BLAS
-    call: it would contend with the two threads of the Haar pass for the
+    call: it would contend with the Haar pass's draw-ahead thread for the
     cores.
     """
     take = len(coords)
@@ -397,14 +374,14 @@ def _mc_estimates(orbit: OrbitSpec, xs: Sequence[AlgebraElement], seed: int,
                   prefixes: Sequence[Sequence[int]] = ()) -> list[McEstimate]:
     """``mc_fourier_integral`` at each of ``xs`` on one Haar sample set.
 
-    The points are valued inside the sampler's chunk loop, on both of its
-    threads, and the (count, dim) sample set is never formed: each chunk's
+    The points are valued inside the sampler's chunk loop, on the calling
+    thread, and the (count, dim) sample set is never formed: each chunk's
     coordinates go to one reused buffer.  Each chunk's values are merged
     into their point's running moments (``_merge_chunk``) and dropped, so
     what is kept is four floats a point, and every point is valued in one
     pass whatever the number of points and samples.  Chunk k of a point is
-    merged before chunk k + 1, by whichever thread takes the point, so the
-    moments do not depend on scheduling.  With no point nothing is drawn.
+    merged before chunk k + 1, so the moments do not depend on
+    scheduling.  With no point nothing is drawn.
 
     ``prefixes[p]``, if given, holds ascending sample counts in 1 .. count
     at which point p is also read, and its estimates at them come just
@@ -433,16 +410,16 @@ def _mc_estimates(orbit: OrbitSpec, xs: Sequence[AlgebraElement], seed: int,
     reads = [[] for _ in kxs]    # moments at each prefix of a point
     chunk = np.empty((min(_CHUNK, count), orbit.algebra.dim))
 
-    def value(p: int, lo: int, coords: np.ndarray) -> None:
-        for m in marks[p]:
-            if lo < m <= lo + len(coords):
-                read = moments[p].copy()
-                _merge_chunk(read, lo, coords[:m - lo], kxs[p])
-                reads[p].append(read)
-        _merge_chunk(moments[p], lo, coords, kxs[p])
+    def value(lo: int, coords: np.ndarray) -> None:
+        for p, kx in enumerate(kxs):
+            for m in marks[p]:
+                if lo < m <= lo + len(coords):
+                    read = moments[p].copy()
+                    _merge_chunk(read, lo, coords[:m - lo], kx)
+                    reads[p].append(read)
+            _merge_chunk(moments[p], lo, coords, kx)
 
-    _haar_pass(zeta, seed, count, lambda lo, take: chunk[:take],
-               value, len(kxs))
+    _haar_pass(zeta, seed, count, lambda lo, take: chunk[:take], value)
     return [_estimate(m, c, scale, seed)
             for p in range(len(kxs))
             for m, c in zip(reads[p] + [moments[p]], marks[p] + [count])]
@@ -533,8 +510,7 @@ def calibrate(orbit: OrbitSpec, x0: AlgebraElement) -> CalibrationResult:
         raise CalibrationError(
             "sign calibration applies to the automatic split mode"
         )
-    eps = (0.2, 0.1, 0.05, 0.025)
-    seq = damped_oscillatory_integral(orbit, x0, eps)
+    seq = damped_oscillatory_integral(orbit, x0, EPS_SCHEDULE)
     limit = seq.extrapolated
     # The value at s0 = +1: split values are s0 perm M / V.
     plus = orbit.s0 * fourier_value(orbit, x0).value

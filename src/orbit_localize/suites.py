@@ -41,6 +41,7 @@ from .localize import (
     standard_cartan,
 )
 from .oracle import (
+    EPS_SCHEDULE,
     _calibrated_comparison,
     _calibrated_estimates,
     calibrate,
@@ -92,7 +93,7 @@ class SuiteSettings:
     s0: int = 1
     seed: int = 20240801
     mc_samples: int = 200_000
-    eps_schedule: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025)
+    eps_schedule: tuple[float, ...] = EPS_SCHEDULE
     user_multiplicities: Optional[dict] = None
 
 
@@ -216,11 +217,11 @@ def _algebra_suite(st: SuiteSettings) -> list[CheckResult]:
         + np.einsum("kim,mjl->ijkl", c, c)
     )
     out.append(_check("jacobi identity (all basis triples)",
-                      np.max(np.abs(jac)), 1e-12))
+                      np.max(np.abs(jac)), 0.0))
     inv = np.einsum("zxm,my->zxy", c, spec.killing) \
         + np.einsum("zym,xm->zxy", c, spec.killing)
     out.append(_check("killing invariance (all basis triples)",
-                      np.max(np.abs(inv)), 1e-10))
+                      np.max(np.abs(inv)), 0.0))
 
     out.append(_check("root count = dim - rank",
                       abs(len(cart.roots) - (spec.dim - spec.rank)), 0.5))

@@ -734,13 +734,27 @@ def test_cycle_limit_weight_with_overflowing_square_exit_2(tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("weight", [0.0, 1e-200, 1e-310])
+@pytest.mark.parametrize("weight", [5e-324, 1e-310])
+def test_cycle_limit_subnormal_weight_exit_2(tmp_path, capsys, weight):
+    # A subnormal carrier is quantized off the orbit: at 5e-324 every
+    # base defect would read 0.354 on a correct model.
+    cfg = dict(SL2, weight=[weight])
+    out = tmp_path / "out.csv"
+    assert main(["cycle-limit", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cycle-limit needs a zero or normal weight (|weight| at least "
+        f"2.22507e-308); got {weight:g}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("weight", [0.0, 1e-200, sys.float_info.min])
 def test_cycle_limit_on_a_vanishing_or_tiny_orbit(tmp_path, weight):
     # The zero carrier has every line as an eigenline: the kernels take
-    # (1, 0), as LAPACK does.  Carriers of size 1e-200 or subnormal size
-    # are scaled before their eigenline is formed, so nothing underflows or
-    # overflows.  The samples are imaginary carriers, so every defect is
-    # exactly 0.0.
+    # (1, 0), as LAPACK does.  Carriers of size 1e-200 or the smallest
+    # normal size are scaled before their eigenline is formed, so nothing
+    # underflows or overflows.  The samples are imaginary carriers, so
+    # every defect is exactly 0.0.
     cfg = dict(SL2, weight=[weight])
     out = tmp_path / "out.csv"
     assert main(["cycle-limit", "--config", write_config(tmp_path, cfg),
@@ -1123,8 +1137,8 @@ def report_digest(tmp_path, capsys, command, cfg) -> str:
 @pytest.mark.parametrize("command,cfg,digest", [
     ("oracle", SU3_ORACLE, "0e045a86358f1c80"),
     ("oracle", SL2, "c44bc18510236c51"),
-    ("verify", SU3_VERIFY, "107eba9a45d7a48b"),
-    ("verify", SL2_VERIFY, "c4bf5e17479efa26"),
+    ("verify", SU3_VERIFY, "9c43425ddfd1fba6"),
+    ("verify", SL2_VERIFY, "9008e7c6626f44cd"),
     ("calibrate", SU3_ORACLE, "e001cbc01f7a08ba"),
     ("calibrate", SL2, "7819a877c38472f1"),
 ], ids=["oracle-su3", "oracle-sl2", "verify-su3", "verify-sl2",
@@ -1155,6 +1169,10 @@ def test_oracle_verify_calibrate_golden_digest(tmp_path, capsys, command, cfg,
     #           cartan reduction round trip  1.554e-15 -> 1.110e-15
     #           ad and weyl invariance       6.273e-14 -> 6.661e-15
     #           orbit measure (brackets)     1.0424550e-09 -> 1.0424541e-09
+    # verify-su3 and verify-sl2 were taken again (from 107eba9a45d7a48b and
+    # c4bf5e17479efa26) when the jacobi identity and killing invariance
+    # thresholds came down from 1e-12 and 1e-10 to 0.0: only those two
+    # threshold fields changed.
     # Like every golden digest, these pin one host with one numpy and
     # OpenBLAS build: numpy's SIMD dispatch (NPY_DISABLE_CPU_FEATURES) and
     # OpenBLAS's kernel choice (OPENBLAS_CORETYPE) can move last bits.

@@ -195,7 +195,7 @@ def test_multi_chunk_sampling_deterministic_and_joins_its_thread():
 
 @pytest.mark.parametrize("fused", [False, True], ids=["sample", "estimates"])
 def test_a_pass_starts_one_helper_thread(monkeypatch, fused):
-    # Four chunks: one helper thread draws and values for the whole pass.
+    # Four chunks: one helper thread draws ahead for the whole pass.
     started = []
     real_start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start",
@@ -296,8 +296,8 @@ def test_fused_estimates_equal_stored_sample_estimates(count, points):
 
 @pytest.mark.parametrize("points", [2, 20])
 def test_fused_estimates_independent_of_thread_switching(points):
-    # Threads switch every microsecond, so which thread values which point
-    # changes from chunk to chunk.
+    # Threads switch every microsecond, so the draw-ahead thread and the
+    # valuing on the calling thread interleave at many more points.
     orbit = make_orbit(build_algebra("su", 3), [0.9, 0.4])
     xs = _points(orbit, points)
     count = 3 * _CHUNK + 17
@@ -337,8 +337,8 @@ _PREFIXES = [1, _CHUNK - 1, _CHUNK, _CHUNK + 5, 3 * _CHUNK + 17]
 def test_prefix_reads_equal_stored_estimates_on_the_first_rows(points, switch):
     # A read at m is the stored-sample estimate on the first m rows of the
     # pass, and the reads leave the estimates at count as they are.  At a
-    # 1 us switch interval which thread values which point changes from
-    # chunk to chunk.
+    # 1 us switch interval the draw-ahead thread and the valuing on the
+    # calling thread interleave at many more points.
     orbit = make_orbit(build_algebra("su", 3), [0.9, 0.4])
     xs = _points(orbit, points)
     count = 3 * _CHUNK + 17
@@ -502,24 +502,11 @@ def test_fused_draw_error_reaches_caller_and_leaves_no_thread(monkeypatch):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("failing", ["caller", "helper"])
-def test_valuing_error_reaches_caller_and_leaves_no_thread(monkeypatch,
-                                                           failing):
-    # The other thread holds its point until the failing one has taken
-    # one, so each thread values at least one point.
-    caller = threading.current_thread()
-    entered = threading.Event()
-    real = oracle._exponentials
+def test_valuing_error_reaches_caller_and_leaves_no_thread(monkeypatch):
+    def fail(*args):
+        raise MemoryError("valuing failed")
 
-    def value(coords, kx, out):
-        on_caller = threading.current_thread() is caller
-        if on_caller == (failing == "caller"):
-            entered.set()
-            raise MemoryError("valuing failed")
-        assert entered.wait(10)
-        real(coords, kx, out)
-
-    monkeypatch.setattr(oracle, "_exponentials", value)
+    monkeypatch.setattr(oracle, "_exponentials", fail)
     orbit = make_orbit(build_algebra("su", 3), [0.9, 0.4])
     before = threading.active_count()
     with pytest.raises(MemoryError, match="valuing failed"):
@@ -527,8 +514,29 @@ def test_valuing_error_reaches_caller_and_leaves_no_thread(monkeypatch,
     assert threading.active_count() == before
 
 
+def test_every_point_is_valued_on_the_calling_thread(monkeypatch):
+    # The helper thread only draws ahead: each of the 20 points is valued
+    # on the calling thread, once per chunk.
+    caller = threading.current_thread()
+    threads = []
+    real = oracle._exponentials
+
+    def value(coords, kx, out):
+        threads.append(threading.current_thread())
+        real(coords, kx, out)
+
+    monkeypatch.setattr(oracle, "_exponentials", value)
+    orbit = make_orbit(build_algebra("su", 3), [0.9, 0.4])
+    before = threading.active_count()
+    oracle._mc_estimates(orbit, _points(orbit, 20), 5, 3 * _CHUNK + 17)
+    assert threading.active_count() == before
+    assert len(threads) == 20 * 4
+    assert all(t is caller for t in threads)
+
+
 def test_coordinate_error_stops_the_helper_before_it_values(monkeypatch):
-    # The helper is released from its wait but values no unwritten chunk.
+    # The pass stops before any unwritten chunk is valued, and the
+    # draw-ahead thread is joined.
     def fail(*args):
         raise MemoryError("coordinates failed")
 
