@@ -294,16 +294,23 @@ def adjoint_matrix(x: AlgebraElement) -> np.ndarray:
 # Outcomes of ``_spectra``, one per row.
 _REGULAR, _NONREAL, _SINGULAR, _INDETERMINATE, _NONFINITE = range(5)
 
+# LAPACK's eigensolvers rescale a matrix whose largest entry lies outside
+# [2^-459, 2^459] (zgeev; zheevd's range is wider), which rounds the
+# eigenvalues of a diagonal matrix; diagonal rows beyond this range keep
+# the matrix path.
+_UNSCALED = (2.0 ** -450, 2.0 ** 450)
+
 
 def _spectra(spec: AlgebraSpec, coords: np.ndarray, real: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonically ordered spectra of many elements, classified row by row.
 
     ``coords`` holds one element per row over the basis; ``real`` marks
-    the rows that lie in the real form (for su(n) those matrices are
-    anti-Hermitian, and take the Hermitian eigensolver).  Returns, per row,
-    an outcome, the defining-matrix eigenvalues and their relative
-    separation (smallest gap over the Frobenius norm):
+    the rows that lie in the real form, whose imaginary parts are 0 (for
+    su(n) those matrices are anti-Hermitian, and take the Hermitian
+    eigensolver).  Returns, per row, an outcome, the defining-matrix
+    eigenvalues and their relative separation (smallest gap over the
+    Frobenius norm):
 
     * ``_NONFINITE``: a matrix entry is inf or NaN; nothing is solved.
     * ``_SINGULAR``: zero or non-finite norm, or separation < REGULAR_TOL.
@@ -315,40 +322,80 @@ def _spectra(spec: AlgebraSpec, coords: np.ndarray, real: np.ndarray
     Spectra are (N, n) complex, ordered by descending real part with ties
     broken by descending imaginary part; for regular elements the order
     identifies the dominant chamber.  sl(n,R) spectra are returned real.
-    Every step is elementwise, along a row's own axis or one LAPACK call
-    per matrix, so a row's results do not depend on the rows beside it.
+
+    A real-form row whose coordinates off the Cartan are all 0.0 is
+    diagonal, and its spectrum is read off the diagonal by index, with the
+    bits the matrix path gives.  Every other row takes the basis product
+    and one LAPACK call per matrix (``_matrix_spectra``).  Each row is
+    routed by its own coordinates and every step is elementwise or along
+    a row's own axis, so a row's results do not depend on the rows beside
+    it.
     """
-    rows, n = len(coords), spec.n
+    rows, n, rank = len(coords), spec.n, spec.rank
     ev = np.zeros((rows, n), dtype=complex)
-    i, j = _upper_pairs(n)
+    scale = np.empty(rows)
+    finite = np.ones(rows, dtype=bool)
+    index = real & (coords[:, rank:] == 0).all(axis=1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # Basis entries are 0, +-1 and +-i, so each entry is the same sum of
-        # at most two exact products in any summation order; adding 0.0
-        # makes the sign of zero entries the same too.
-        m = coords @ spec.basis.reshape(spec.dim, n * n) + 0.0
-        parts = m.view(np.float64)
-        scale = np.sqrt(np.add.accumulate(parts * parts, axis=1)[:, -1])
-        m = m.reshape(rows, n, n)
-        solve = (scale > 0.0) & (scale < np.inf)
-        hermitian = solve & real if spec.family == "su" else np.zeros(rows, bool)
-        general = solve & ~hermitian
-        if hermitian.any():
-            # Ascending eigenvalues of i*m: already the canonical order.
-            ev[hermitian] = -1j * np.linalg.eigvalsh(1j * m[hermitian])
-        if general.any():
-            g = np.linalg.eigvals(m[general])
-            order = np.lexsort((-g.imag, -g.real), axis=1)
-            ev[general] = g[np.arange(len(g))[:, None], order]
+        if index.any():
+            # Diagonal entry k is c_k - c_(k-1), with c_(-1) = c_(n-1) = 0:
+            # the one rounding the basis product makes (for su(n), in the
+            # imaginary part).  Zero and non-finite rows fail the range test.
+            c = coords[index, :rank].real
+            d = np.zeros((len(c), n))
+            d[:, :-1] = c
+            d[:, 1:] -= c
+            peak = np.abs(d).max(axis=1)
+            keep = (peak >= _UNSCALED[0]) & (peak <= _UNSCALED[1])
+            index[index] = keep
+            d = d[keep]
+            # The squares accumulate in the matrix path's order (the zeros
+            # between them add exactly).  LAPACK returns the diagonal, with
+            # +0.0 for a zero eigenvalue where the sorted diagonal may hold
+            # -0.0: for su(n) the ascending eigenvalues of i*m = diag(-d),
+            # times -i as below; for sl(n,R) the descending diagonal.
+            scale[index] = np.sqrt(np.add.accumulate(d * d, axis=1)[:, -1])
+            ev[index] = (-1j * (np.sort(-d, axis=1) + 0.0) if spec.family == "su"
+                         else np.sort(d, axis=1)[:, ::-1] + 0.0)
+        if not index.all():
+            rest = ~index
+            ev[rest], scale[rest], finite[rest] = _matrix_spectra(
+                spec, coords[rest], real[rest])
+        i, j = _upper_pairs(n)
         sep = np.abs(ev[:, i] - ev[:, j]).min(axis=1) / scale
     status = np.where(sep < 10 * REGULAR_TOL, _INDETERMINATE, _REGULAR).astype(np.int8)
     status[sep < REGULAR_TOL] = _SINGULAR
-    if not solve.all():
-        status[~solve] = np.where(np.isfinite(m[~solve]).all(axis=(1, 2)),
-                                  _SINGULAR, _NONFINITE)
+    unsolved = ~((scale > 0.0) & (scale < np.inf))
+    status[unsolved] = np.where(finite[unsolved], _SINGULAR, _NONFINITE)
     if spec.family == "sl_real":
         status[(status == _REGULAR) & _non_real(ev)] = _NONREAL
         ev = ev.real.astype(complex)
     return status, ev, sep
+
+
+def _matrix_spectra(spec: AlgebraSpec, coords: np.ndarray, real: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spectrum, Frobenius norm and finiteness of rows through their matrices."""
+    rows, n = len(coords), spec.n
+    # Basis entries are 0, +-1 and +-i, so each entry is the same sum of at
+    # most two exact products in any summation order; adding 0.0 makes the
+    # sign of zero entries the same too.
+    m = coords @ spec.basis.reshape(spec.dim, n * n) + 0.0
+    parts = m.view(np.float64)
+    scale = np.sqrt(np.add.accumulate(parts * parts, axis=1)[:, -1])
+    m = m.reshape(rows, n, n)
+    ev = np.zeros((rows, n), dtype=complex)
+    solve = (scale > 0.0) & (scale < np.inf)
+    hermitian = solve & real if spec.family == "su" else np.zeros(rows, bool)
+    general = solve & ~hermitian
+    if hermitian.any():
+        # Ascending eigenvalues of i*m: already the canonical order.
+        ev[hermitian] = -1j * np.linalg.eigvalsh(1j * m[hermitian])
+    if general.any():
+        g = np.linalg.eigvals(m[general])
+        order = np.lexsort((-g.imag, -g.real), axis=1)
+        ev[general] = g[np.arange(len(g))[:, None], order]
+    return ev, scale, np.isfinite(m).all(axis=(1, 2))
 
 
 @functools.lru_cache(maxsize=None)

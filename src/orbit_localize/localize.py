@@ -384,6 +384,26 @@ def _permanent(m: np.ndarray) -> np.ndarray:
     return total * 2.0 ** (1 - n)
 
 
+def _det(m: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of n x n matrices, (N,).
+
+    At n = 2 and n = 3 the products run elementwise on (N,) columns (ad - bc;
+    cofactor expansion along the first row), with an error of a few eps
+    times the sum of the |products|, as LAPACK's LU has; they make no
+    LAPACK call and a row's value does not depend on its stack.  Larger n
+    take np.linalg.det.
+    """
+    n = m.shape[1]
+    if n == 2:
+        return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    if n == 3:
+        a, b, c = m[:, 0, 0], m[:, 0, 1], m[:, 0, 2]
+        d, e, f = m[:, 1, 0], m[:, 1, 1], m[:, 1, 2]
+        g, h, k = m[:, 2, 0], m[:, 2, 1], m[:, 2, 2]
+        return a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+    return np.linalg.det(m)
+
+
 def _closed_form(orbit: OrbitSpec, ev: np.ndarray,
                  zeta: Optional[np.ndarray] = None) -> np.ndarray:
     """The fixed-point sum of an automatic mode at N canonical spectra, (N,).
@@ -392,7 +412,8 @@ def _closed_form(orbit: OrbitSpec, ev: np.ndarray,
     entries M[i, w^-1 i] times m_w det(w) / V.  With the mode's
     m_w = c det(w)^power (``fixedpoints.RULES``) the sum is c det M / V at
     power 0 and c perm M / V at power 1 (Harish-Chandra's formula).  n^2
-    exponentials a row in place of the n! of the term sum.  A (K, 1, n)
+    exponentials a row in place of the n! of the term sum; det M is taken
+    elementwise at n <= 3 (``_det``) and by LAPACK above.  A (K, 1, n)
     stack of diagonals in place of ``orbit.zeta`` values K parameters of
     the mode at one spectrum, (K,), each as its own orbit would.
     """
@@ -400,7 +421,7 @@ def _closed_form(orbit: OrbitSpec, ev: np.ndarray,
     if zeta is None:
         zeta = orbit.zeta
     m = np.exp(ev[:, :, None] * (_scale(orbit.algebra) * zeta))
-    num = _permanent(m) if power else np.linalg.det(m)
+    num = _permanent(m) if power else _det(m)
     if signed:
         num = orbit.s0 * num
     return num / _vandermonde(ev)

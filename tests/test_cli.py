@@ -930,9 +930,9 @@ def test_eval_json_is_the_sorted_indent_1_encoding(tmp_path, cfg):
 
 
 @pytest.mark.parametrize("cfg,digest", [
-    (SU3_WALL, "c36486bca6bb4997"),
+    (SU3_WALL, "a86ded91a3c92312"),
     (SL3_ROTATED, "6eac3e3dd8de4364"),
-    (dict(SU3_WALL, output={"format": "csv"}), "eea3e79b05a687a3"),
+    (dict(SU3_WALL, output={"format": "csv"}), "13cdabdcc920ec53"),
     (dict(SL3_ROTATED, output={"format": "json"}), "6ed3f4cca8fb5b75"),
     (SL2_MIXED, "3c7574743f2b6811"),
 ], ids=["su3-json", "sl3-csv", "su3-csv", "sl3-json", "sl2-outside-json"])
@@ -945,11 +945,38 @@ def test_eval_output_golden_digest(tmp_path, cfg, digest):
     # taken at commit 42830b2, where both writers still formatted every
     # axis value and denominator of every row, before they were changed to
     # format each distinct one once: they pin the other writer of each
-    # family, and rows outside the real form in JSON.  Like every golden
-    # digest they pin one host with one numpy and OpenBLAS build: under
-    # OPENBLAS_CORETYPE=Haswell the two su3 ones change.
+    # family, and rows outside the real form in JSON.  su3-json and
+    # su3-csv were taken again (from c36486bca6bb4997 and eea3e79b05a687a3)
+    # when det M came to be taken elementwise at n <= 3: 24 floats moved,
+    # the largest by 2.2e-15 (3.8346385591276255 -> 3.8346385591276277).
+    # Like every golden digest they pin one numpy build.  The su3 grids
+    # run along the Cartan, so they make no LAPACK call and keep their
+    # bytes under every OPENBLAS_CORETYPE; the sl3 rows along the rotated
+    # direction still take LAPACK's eigvals.  A CI step checks all four
+    # su3 and sl3 configs under four core types and with AVX-512 off.
     text = eval_output(tmp_path, cfg)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+SL3_CARTAN = dict(SL3_ROTATED, grid={"axes": [{"start": -1.2, "stop": 1.2, "steps": 7},
+                                             {"start": -0.8, "stop": 0.8, "steps": 5}]})
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("cfg", [SU2, SU3_WALL, SL2, SL3_CARTAN],
+                         ids=["su2", "su3", "sl2", "sl3"])
+def test_default_axis_eval_makes_no_lapack_call(tmp_path, monkeypatch, cfg, fmt):
+    # Rows along the real Cartan basis are diagonal: their spectra are read
+    # off the diagonal and, at n <= 3, det M is taken elementwise.
+    cfg = dict(cfg, output={"format": fmt})
+    expected = eval_output(tmp_path, cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    for name in ("eigvalsh", "eigvals", "det"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert eval_output(tmp_path, cfg) == expected
 
 
 def test_eval_json_terms_stay_blocked(tmp_path):
@@ -1135,9 +1162,9 @@ def report_digest(tmp_path, capsys, command, cfg) -> str:
 
 
 @pytest.mark.parametrize("command,cfg,digest", [
-    ("oracle", SU3_ORACLE, "0e045a86358f1c80"),
+    ("oracle", SU3_ORACLE, "a738d52cd199ac6c"),
     ("oracle", SL2, "c44bc18510236c51"),
-    ("verify", SU3_VERIFY, "9c43425ddfd1fba6"),
+    ("verify", SU3_VERIFY, "8fc3f84a7c3db499"),
     ("verify", SL2_VERIFY, "9008e7c6626f44cd"),
     ("calibrate", SU3_ORACLE, "e001cbc01f7a08ba"),
     ("calibrate", SL2, "7819a877c38472f1"),
@@ -1172,7 +1199,14 @@ def test_oracle_verify_calibrate_golden_digest(tmp_path, capsys, command, cfg,
     # verify-su3 and verify-sl2 were taken again (from 107eba9a45d7a48b and
     # c4bf5e17479efa26) when the jacobi identity and killing invariance
     # thresholds came down from 1e-12 and 1e-10 to 0.0: only those two
-    # threshold fields changed.
+    # threshold fields changed.  oracle-su3 and verify-su3 were taken again
+    # (from 0e045a86358f1c80 and 9c43425ddfd1fba6) when det M came to be
+    # taken elementwise at n <= 3.  Five oracle floats moved in their last
+    # digit, the largest by 2.7e-15 (-4.06156501180547 -> -4.061565011805468);
+    # three verify residuals moved, every name, threshold and verdict stayed:
+    #   closed form equals the sum over the multiplicities  8.063e-16 -> 8.297e-16
+    #   ad and weyl invariance of the transform             1.667e-15 -> 1.680e-15
+    #   quadratic invariant eigenvalue identity             1.5483e-07 -> 1.5611e-07
     # Like every golden digest, these pin one host with one numpy and
     # OpenBLAS build: numpy's SIMD dispatch (NPY_DISABLE_CPU_FEATURES) and
     # OpenBLAS's kernel choice (OPENBLAS_CORETYPE) can move last bits.
