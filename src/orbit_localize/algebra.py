@@ -23,8 +23,8 @@ roots are index pairs (i, j), root vectors the elementary matrices E_ij,
 and the Weyl group the permutations of range(n).  Its real basis is the
 first rank coordinate rows (h_k for sl(n,R), i h_k for su(n)), so laying
 it out takes no linear algebra.  Points are brought to it by their
-spectrum (``standard_spectrum``) or, with a group element, by
-``reduce_to_cartan``.
+spectrum (``standard_spectrum``) or, with a group element from one more
+eigensolve, by ``reduce_to_cartan``, which reads that same spectrum.
 
 All public values are immutable after construction (arrays are marked
 read-only) and every operation is a pure function.
@@ -341,10 +341,7 @@ def _spectra(spec: AlgebraSpec, coords: np.ndarray, real: np.ndarray
             # Diagonal entry k is c_k - c_(k-1), with c_(-1) = c_(n-1) = 0:
             # the one rounding the basis product makes (for su(n), in the
             # imaginary part).  Zero and non-finite rows fail the range test.
-            c = coords[index, :rank].real
-            d = np.zeros((len(c), n))
-            d[:, :-1] = c
-            d[:, 1:] -= c
+            d = np.diff(coords[index, :rank].real, prepend=0.0, append=0.0)
             peak = np.abs(d).max(axis=1)
             keep = (peak >= _UNSCALED[0]) & (peak <= _UNSCALED[1])
             index[index] = keep
@@ -646,13 +643,19 @@ def _non_real(ev: np.ndarray) -> np.ndarray:
     return np.abs(ev.imag).max(axis=-1) > 1e-9 * scale
 
 
+def _cartan_sums(spec: AlgebraSpec, ev: np.ndarray) -> np.ndarray:
+    """Coordinates of diag(ev): the partial sums of ev (of -i ev for su(n))."""
+    return np.cumsum(-1j * ev if spec.family == "su" else ev)[:-1]
+
+
 def standard_spectrum(x: AlgebraElement) -> Optional[np.ndarray]:
     """Canonically ordered spectrum ev of a regular x, without eigenvectors.
 
-    reduce_to_cartan conjugates x to diag(ev): over the standard Cartan
-    basis its coordinates are cumsum(ev)[:-1], its root values ev_i - ev_j.
-    Returns None where reduce_to_cartan does (sl(n,R): a non-real
-    spectrum); raises AlgebraError when x is not regular semisimple.
+    reduce_to_cartan conjugates x to diag(ev), whose coordinates over the
+    standard Cartan basis are the partial sums of ev (of -i ev for su(n))
+    bit for bit, and whose root values are ev_i - ev_j.  Returns None where
+    reduce_to_cartan does (sl(n,R): a non-real spectrum); raises
+    AlgebraError when x is not regular semisimple.
     """
     status, ev = _spectrum(x)
     if status == _SINGULAR:
@@ -666,53 +669,42 @@ def reduce_to_cartan(x: AlgebraElement,
                      target: CartanDatum) -> Optional[CartanReduction]:
     """Conjugate a regular element into the target (standard) Cartan.
 
-    Returns None when no real conjugation exists (for sl(n,R) with the
-    split Cartan: a non-real spectrum).  None is an ordinary outcome, not
-    an error.
+    Outcome, refusals and spectrum ev are ``_spectrum``'s; ``reduced`` is
+    diag(ev) (``standard_spectrum``), and the group element the inverse
+    eigenbasis with unit determinant: ``eigh`` of i x, ascending, for the
+    su(n) real form, elsewhere ``eig`` in the order of ev.  A real-form x
+    that ``_spectra`` reads as diagonal, descending, returns (I, x).
+    Returns None when no real conjugation exists (sl(n,R): a non-real
+    spectrum, or eigenvectors not real up to phase).  None is an ordinary
+    outcome, not an error.
     """
-    if not is_regular_semisimple(x):
+    status, ev = _spectrum(x)
+    if status == _SINGULAR:
         raise AlgebraError("reduce_to_cartan requires a regular semisimple element")
-    spec = x.algebra
-    n = spec.n
-    m = x.matrix
-
-    # Fast path: already diagonal in the canonical (dominant) order.
-    diag = np.diagonal(m)
-    if np.max(np.abs(m - np.diag(diag))) < 1e-14 * max(1.0, np.max(np.abs(m))):
-        order = np.lexsort((-diag.imag, -diag.real))
-        if np.array_equal(order, np.arange(n)):
-            return CartanReduction(np.eye(n), x)
-
-    if spec.family == "su":
-        vals, vecs = np.linalg.eigh(1j * m)
-        ev = -1j * vals
-        order = np.lexsort((-ev.imag, -ev.real))
-        ev, vecs = ev[order], vecs[:, order]
-        det = np.linalg.det(vecs)
-        vecs[:, 0] = vecs[:, 0] / det  # unit determinant, still unitary
-        g = vecs.conj().T
-        reduced = element_from_matrix(spec, np.diag(ev))
-        return CartanReduction(_readonly(g), reduced)
-
-    ev, vecs = np.linalg.eig(m)
-    if _non_real(ev):
+    if status == _NONREAL:
         return None
-    order = np.argsort(-ev.real)
-    ev, vecs = ev[order].real, vecs[:, order]
-    # Real spectrum of a real matrix: eigenvectors are real up to phase.
-    v = np.zeros((n, n))
-    for k in range(n):
-        col = vecs[:, k]
-        i = int(np.argmax(np.abs(col)))
-        col = col / (col[i] / abs(col[i]))
-        if np.max(np.abs(col.imag)) > 1e-8:
+    spec, real = x.algebra, not np.iscomplexobj(x.coords)
+    n, rank = spec.n, spec.rank
+    if real and not x.coords[rank:].any():
+        d = np.diff(x.coords[:rank], prepend=0.0, append=0.0)   # as in _spectra
+        if (d[:-1] > d[1:]).all():
+            return CartanReduction(_readonly(np.eye(n)), x)
+    if real and spec.family == "su":
+        vecs = np.linalg.eigh(1j * x.matrix)[1]
+    else:
+        vals, vecs = np.linalg.eig(x.matrix)
+        # Regular eigenvalues lie far apart next to the solvers' error, so
+        # each of ev takes the eigenvector of the eigenvalue nearest it.
+        vecs = vecs[:, np.abs(ev[:, None] - vals).argmin(axis=1)]
+    if spec.family == "sl_real":
+        # Real spectrum of a real matrix: eigenvectors are real up to phase.
+        top = vecs[np.abs(vecs).argmax(axis=0), np.arange(n)]
+        vecs = vecs / (top / np.abs(top))
+        if np.abs(vecs.imag).max() > 1e-8:
             return None
-        v[:, k] = col.real / np.linalg.norm(col.real)
-    det = np.linalg.det(v)
-    if det < 0:
-        v[:, 0] = -v[:, 0]
-        det = -det
-    v = v / det ** (1.0 / n)
-    g = np.linalg.inv(v)
-    reduced = element_from_matrix(spec, np.diag(ev))
-    return CartanReduction(_readonly(g), reduced)
+        vecs = vecs.real
+        vecs[:, 0] *= np.sign(np.linalg.det(vecs))   # a real root below
+    g = np.linalg.inv(vecs / np.linalg.det(vecs) ** (1.0 / n))
+    coords = np.zeros(spec.dim, dtype=complex)
+    coords[:rank] = _cartan_sums(spec, ev)
+    return CartanReduction(_readonly(g), _row_element(spec, coords))

@@ -675,6 +675,8 @@ def cmd_cycle_limit(cfg: RunConfig, out: Optional[str],
                     seed_override: Optional[int]) -> int:
     if (cfg.family, cfg.n) != ("sl_real", 2):
         raise ConfigError("cycle-limit requires the sl(2,R) model")
+    if len(cfg.weight) != 1:   # make_orbit's message; no orbit, so 0 still runs
+        raise ConfigError(f"weight needs 1 coordinates, got {len(cfg.weight)}")
     seed = _oracle_seed(cfg, seed_override)
     radius = abs(cfg.weight[0])
     if not math.isfinite(radius * radius):

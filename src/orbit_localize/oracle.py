@@ -69,13 +69,14 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     AlgebraError,
+    _cartan_sums,
     adjoint_matrix,
     bracket,
     element,
     killing_form,
     standard_spectrum,
 )
-from .localize import OrbitSpec, _scale, fourier_value
+from .localize import OrbitSpec, _diagonal, _scale, fourier_value
 
 __all__ = [
     "CalibrationError",
@@ -195,11 +196,14 @@ def _orbit_coords(re: np.ndarray, im: np.ndarray, zeta: np.ndarray,
 
 
 def _haar_zeta(orbit: OrbitSpec) -> np.ndarray:
-    """zeta with carrier i diag(zeta); compact forms only."""
+    """zeta with carrier i diag(zeta); compact forms only.
+
+    Read off the weight with the dual element's diagonal bits, not
+    ``orbit.zeta``'s (they may differ in the last bits); no matrix is formed.
+    """
     if orbit.algebra.family != "su":
         raise AlgebraError("Haar orbit sampling requires the compact form")
-    # The carrier is i diag(zeta), so U D U^H = i U diag(zeta) U^H.
-    return np.diagonal(orbit.dual_element.matrix).imag
+    return np.array(_diagonal(orbit.weight))
 
 
 def _haar_pass(zeta: np.ndarray, seed: int, count: int,
@@ -633,9 +637,8 @@ def damped_oscillatory_integral(orbit: OrbitSpec, x: AlgebraElement,
         raise AlgebraError(
             "damped integral requires a split-class evaluation point"
         )
-    # diag(ev) has the coordinates cumsum(ev)[:-1] over the diagonal basis.
     reduced = np.zeros(orbit.algebra.dim)
-    reduced[:orbit.algebra.rank] = np.cumsum(ev)[:-1]
+    reduced[:orbit.algebra.rank] = _cartan_sums(orbit.algebra, ev)
     kx = orbit.algebra.killing @ reduced
     rate_scale = float(np.sum(np.abs(kx)))
     rho = float(np.hypot(kx[0], kx[1] + kx[2]))

@@ -44,6 +44,7 @@ from .oracle import (
     EPS_SCHEDULE,
     _calibrated_comparison,
     _calibrated_estimates,
+    _haar_zeta,
     calibrate,
     damped_oscillatory_integral,
     haar_orbit_sample,
@@ -444,7 +445,7 @@ def _oracle_suite(st: SuiteSettings) -> list[CheckResult]:
                 f"dyadic counts N/8, N/4, N/2; got {st.mc_samples}"
             )
         samples = haar_orbit_sample(orbit, st.seed, min(st.mc_samples, 4000))
-        target = np.sort(np.linalg.eigvalsh(1j * orbit.dual_element.matrix))
+        target = np.sort(-_haar_zeta(orbit))   # the spectrum of i * i diag(zeta)
         n = spec.n
         carriers = samples.coords[:2000] @ spec.basis.reshape(spec.dim, n * n)
         got = np.linalg.eigvalsh(1j * carriers.reshape(-1, n, n))   # ascending

@@ -26,6 +26,7 @@ from orbit_localize.algebra import (
     is_regular_semisimple,
     killing_form,
     reduce_to_cartan,
+    standard_spectrum,
 )
 from orbit_localize import algebra, localize
 from orbit_localize.fixedpoints import enumerate_fixed_points
@@ -603,13 +604,33 @@ def test_reduce_identity_on_dominant_diagonal():
     assert red.reduced is x
 
 
-@pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("sl_real", 3)])
-def test_reduce_roundtrip_random(family, n):
+def test_reduction_group_element_is_read_only():
+    # On the diagonal fast path too, as every public array.
+    spec = sl2()
+    cart = standard_cartan(spec)
+    for coords in ([0.7, 0.0, 0.0], [0.7, 0.3, 0.1]):
+        red = reduce_to_cartan(element(spec, coords), cart)
+        assert not red.group_element.flags.writeable
+
+
+@pytest.mark.parametrize("family,n,complexified", [
+    pytest.param("su", 2, False, id="su-2"),
+    pytest.param("su", 3, False, id="su-3"),
+    pytest.param("sl_real", 3, False, id="sl_real-3"),
+    # Complexified su(n) elements are not normal matrices: eigh of i x
+    # would not diagonalize them.
+    pytest.param("su", 3, True, id="su-3-complexified"),
+    pytest.param("su", 4, True, id="su-4-complexified"),
+])
+def test_reduce_roundtrip_random(family, n, complexified):
     spec = build_algebra(family, n)
     cart = standard_cartan(spec)
     tried = 0
     for _ in range(40):
-        x = element(spec, RNG.standard_normal(spec.dim))
+        coords = RNG.standard_normal(spec.dim)
+        if complexified:
+            coords = coords + 1j * RNG.standard_normal(spec.dim)
+        x = element(spec, coords)
         try:
             if not is_regular_semisimple(x):
                 continue
@@ -630,4 +651,42 @@ def test_reduce_roundtrip_random(family, n):
                 element(spec, red.reduced.coords.astype(complex)), h
             )
             assert np.max(np.abs(moved.coords)) < 1e-9
+    assert tried >= 5
+
+
+@pytest.mark.parametrize("family,n,complexified", [
+    ("su", 3, False), ("su", 5, False), ("sl_real", 3, False),
+    ("sl_real", 4, False), ("su", 3, True), ("su", 4, True),
+])
+def test_reduced_coordinates_are_the_partial_sums_of_the_spectrum(
+        family, n, complexified):
+    # diag(ev) has diagonal entry k = c_k - c_(k-1) over the Cartan basis
+    # (i times it for su(n)), so c is cumsum(ev)[:-1], of -i ev for su(n):
+    # the reduced element carries these coordinates to the bit, and is
+    # real exactly when x is.
+    spec = build_algebra(family, n)
+    cart = standard_cartan(spec)
+    rng = np.random.default_rng(n)
+    tried = 0
+    for _ in range(40):
+        coords = rng.standard_normal(spec.dim)
+        if complexified:
+            coords = coords + 1j * rng.standard_normal(spec.dim)
+        x = element(spec, coords)
+        try:
+            ev = standard_spectrum(x)
+        except AlgebraError:
+            continue
+        red = reduce_to_cartan(x, cart)
+        if ev is None:
+            assert red is None
+            continue
+        tried += 1
+        sums = np.cumsum(-1j * ev if family == "su" else ev)[:-1]
+        expected = np.concatenate([sums, np.zeros(spec.dim - spec.rank)])
+        if not complexified:
+            assert not expected.imag.any()
+            expected = expected.real
+        assert red.reduced.coords.dtype == expected.dtype
+        assert red.reduced.coords.tobytes() == expected.tobytes()
     assert tried >= 5

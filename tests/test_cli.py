@@ -496,6 +496,20 @@ def test_cycle_limit_requires_sl2(tmp_path, capsys):
     assert "sl(2,R)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weight", [[], [1.0, 2.0]], ids=["empty", "two"])
+@pytest.mark.parametrize("command", ["cycle-limit", "eval", "oracle"])
+def test_cycle_limit_refuses_a_weight_off_the_rank_as_eval_does(tmp_path, capsys,
+                                                               command, weight):
+    # sl(2,R) has rank 1: an empty weight has no coordinate to read, and a
+    # second one would be dropped without a word.
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", write_config(tmp_path, dict(SL2, weight=weight)),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: weight needs 1 coordinates, got {len(weight)}\n")
+    assert not out.exists()
+
+
 def test_seed_required_for_oracle_commands(tmp_path, capsys):
     no_seed = json.loads(json.dumps(SL2))
     del no_seed["oracle"]["seed"]
@@ -1164,8 +1178,8 @@ def report_digest(tmp_path, capsys, command, cfg) -> str:
 @pytest.mark.parametrize("command,cfg,digest", [
     ("oracle", SU3_ORACLE, "a738d52cd199ac6c"),
     ("oracle", SL2, "c44bc18510236c51"),
-    ("verify", SU3_VERIFY, "8fc3f84a7c3db499"),
-    ("verify", SL2_VERIFY, "9008e7c6626f44cd"),
+    ("verify", SU3_VERIFY, "d472c64ccc22bb81"),
+    ("verify", SL2_VERIFY, "e4bfd09c184ecc06"),
     ("calibrate", SU3_ORACLE, "e001cbc01f7a08ba"),
     ("calibrate", SL2, "7819a877c38472f1"),
 ], ids=["oracle-su3", "oracle-sl2", "verify-su3", "verify-sl2",
@@ -1207,10 +1221,34 @@ def test_oracle_verify_calibrate_golden_digest(tmp_path, capsys, command, cfg,
     #   closed form equals the sum over the multiplicities  8.063e-16 -> 8.297e-16
     #   ad and weyl invariance of the transform             1.667e-15 -> 1.680e-15
     #   quadratic invariant eigenvalue identity             1.5483e-07 -> 1.5611e-07
+    # verify-su3 and verify-sl2 were taken again (from 8fc3f84a7c3db499 and
+    # 9008e7c6626f44cd) when reduce_to_cartan came to build its reduced
+    # element from the partial sums of the evaluator's spectrum.  Only the
+    # cartan reduction round trip moved, every name, threshold and verdict
+    # stayed: su(3) 1.778e-15 -> 2.070e-15, sl(2,R) 1.110e-15 -> 1.776e-15.
     # Like every golden digest, these pin one host with one numpy and
     # OpenBLAS build: numpy's SIMD dispatch (NPY_DISABLE_CPU_FEATURES) and
     # OpenBLAS's kernel choice (OPENBLAS_CORETYPE) can move last bits.
     assert report_digest(tmp_path, capsys, command, cfg) == digest
+
+
+@pytest.mark.parametrize("command,cfg", [
+    (["oracle"], SU3_ORACLE), (["verify", "--suite", "oracle"], SU3_VERIFY),
+], ids=["oracle", "verify-oracle"])
+def test_compact_oracle_needs_no_dual_element(tmp_path, monkeypatch, command, cfg):
+    # The Haar carrier's diagonal is read off the weight: the dual element
+    # and its n x n matrix are never formed, and the bytes do not move.
+    from orbit_localize.localize import OrbitSpec
+
+    def refuse(self):
+        raise AssertionError("OrbitSpec.dual_element read")
+
+    path = write_config(tmp_path, cfg)
+    plain, patched = tmp_path / "plain.out", tmp_path / "patched.out"
+    assert main([*command, "--config", path, "--out", str(plain)]) == 0
+    monkeypatch.setattr(OrbitSpec, "dual_element", property(refuse))
+    assert main([*command, "--config", path, "--out", str(patched)]) == 0
+    assert patched.read_bytes() == plain.read_bytes()
 
 
 def test_compact_oracle_makes_one_haar_pass(tmp_path, monkeypatch):
