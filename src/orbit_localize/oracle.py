@@ -198,8 +198,8 @@ def _orbit_coords(re: np.ndarray, im: np.ndarray, zeta: np.ndarray,
 def _haar_zeta(orbit: OrbitSpec) -> np.ndarray:
     """zeta with carrier i diag(zeta); compact forms only.
 
-    Read off the weight with the dual element's diagonal bits, not
-    ``orbit.zeta``'s (they may differ in the last bits); no matrix is formed.
+    It is read off the weight (``_diagonal``), bit for bit the dual
+    element's diagonal, which ``orbit.zeta`` may miss in the last place.
     """
     if orbit.algebra.family != "su":
         raise AlgebraError("Haar orbit sampling requires the compact form")
