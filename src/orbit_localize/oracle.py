@@ -12,10 +12,12 @@ evaluator and to pin its calibration constants:
   sum.
 * sl(2,R), split parameter: Gaussian-damped integral over the explicit
   one-sheeted hyperboloid carrier orbit, the circle angle in closed form
-  (a Bessel function) and the hyperbolic angle by Simpson quadrature, with
-  a vanishing-damping schedule and Richardson-style extrapolation.  The
-  damping error is linear in eps, so on the default schedule the
-  extrapolated limit is good to about 1%.
+  (the Bessel function J0, evaluated by ``_j0`` in numpy alone: fitted
+  polynomials up to 8, the Hankel form of DLMF 10.17.3 beyond) and the
+  hyperbolic angle by Simpson quadrature, with a vanishing-damping
+  schedule and Richardson-style extrapolation.  The damping error is
+  linear in eps, so on the default schedule the extrapolated limit is good
+  to about 1%.
 
 The Haar average equals the Liouville integral only up to a constant (both
 are invariant measures on the orbit, and the Haar average of exp<X, .> is 1
@@ -594,6 +596,142 @@ def kks_density_bruteforce(orbit: OrbitSpec, s: float, phi: float) -> float:
     return abs(two_form) / (2.0 * np.pi)
 
 
+# Coefficients of ``_j0``, fitted and checked by tests/fit_j0.py: Chebyshev
+# interpolants in powers of the variable each piece is evaluated in, highest
+# power first.  _J0_NEAR is J0 in t = x^2 for x < 2; _J0_MID is
+# J0 / prod_k (t - j_k^2) in t - 32 for 2 <= x <= 8, with the squares of the
+# first three zeros of J0 in _J0_ZEROS_SQ; for x > 8, _J0_FAR_P and
+# _J0_FAR_Q are P~ = P / sqrt(8 pi) and Q~ = Q x / (8 sqrt(8 pi)) in
+# w = (8/x)^2, with P and Q of DLMF 10.17.3 (Q x / 8 is smooth in w, Q is
+# not).
+_J0_NEAR = (
+    -1.4352164561879054e-22,
+    7.235883549287085e-20,
+    -2.896865066102433e-17,
+    9.385965527190444e-15,
+    -2.4028075458327086e-12,
+    4.709502797005742e-10,
+    -6.781684027777088e-08,
+    6.781684027777773e-06,
+    -0.00043402777777777775,
+    0.015625,
+    -0.25,
+    1.0,
+)
+_J0_MID = (
+    -3.156763507444827e-34,
+    2.8122857589112826e-31,
+    -2.1069236128188674e-28,
+    1.3552825354723792e-25,
+    -7.362232629067482e-23,
+    3.321179045758951e-20,
+    -1.2187879838809508e-17,
+    3.544320970546894e-15,
+    -7.889560851830899e-13,
+    1.2807123787128287e-10,
+    -1.4085626477131445e-08,
+    9.229049195470852e-07,
+    -2.6662941994458524e-05,
+)
+_J0_ZEROS_SQ = (
+    5.783185962946784,
+    30.471262343662087,
+    74.88700679069518,
+)
+_J0_FAR_P = (
+    6.886628031271258e-11,
+    -4.76786389575215e-10,
+    1.6105460938052322e-09,
+    -3.8129922401324615e-09,
+    8.15337794133156e-09,
+    -2.024114547209942e-08,
+    7.217844833873318e-08,
+    -4.35624439190851e-07,
+    5.461695813153546e-06,
+    -0.000219145539764515,
+    0.19947114020071632,
+)
+_J0_FAR_Q = (
+    -6.204823353242398e-11,
+    4.2141310694639793e-10,
+    -1.3776035904056015e-09,
+    3.077109901489483e-09,
+    -5.946574033915837e-09,
+    1.2604914188159083e-08,
+    -3.619559470416219e-08,
+    1.643287837071477e-07,
+    -1.3824915493989953e-06,
+    2.8534575484372546e-05,
+    -0.0031167365656361652,
+)
+
+
+def _horner(coefs, z):
+    """sum_k coefs[k] z^(d - k), by Horner's rule."""
+    p = coefs[0] * z
+    p += coefs[1]
+    for c in coefs[2:]:
+        p *= z
+        p += c
+    return p
+
+
+def _j0_mid(x: np.ndarray) -> np.ndarray:
+    """J0 for 2 <= x <= 8; overwrites x."""
+    t = np.multiply(x, x, out=x)
+    v = t - 32.0
+    j = _horner(_J0_MID, v)
+    for zero in _J0_ZEROS_SQ:
+        j *= np.subtract(t, zero, out=v)
+    return j
+
+
+def _j0_far(x: np.ndarray) -> np.ndarray:
+    """J0 for x > 8; overwrites x.
+
+    With cos(x - pi/4) = (cos x + sin x) / sqrt(2), DLMF 10.17.3 reads
+    J0 = p (cos x + sin x) + q (cos x - sin x), p = sqrt(8/x) P~ and
+    q = sqrt(8/x) (8/x) Q~.  x - pi/4 is never rounded, and numpy's cos and
+    sin reduce x exactly.
+    """
+    y = np.divide(8.0, x)
+    w = np.square(y)
+    p = _horner(_J0_FAR_P, w)
+    q = _horner(_J0_FAR_Q, w)
+    q *= y
+    np.sqrt(y, out=y)
+    p *= y
+    q *= y
+    np.add(p, q, out=y)
+    p -= q
+    y *= np.cos(x, out=w)
+    p *= np.sin(x, out=x)
+    y += p
+    return y
+
+
+def _j0(x) -> np.ndarray:
+    """Bessel function J0 of float input, elementwise.
+
+    Against 50-digit mpmath (tests/test_j0.py) the absolute error is at
+    most 1e-15 for |x| <= 8 and at most eps (1 + |x|) sqrt(2 / (pi |x|))
+    beyond, what one rounding of x in the phase would cost.  NaN gives
+    NaN.
+    """
+    x = np.abs(np.asarray(x, dtype=float))
+    j = np.empty_like(x)
+    far = x > 8.0
+    j[far] = _j0_far(x[far])
+    # Below 2 J0 is near 1, where a zero-factored fit rounds to 5.6e-16.
+    near = x < 2.0
+    if near.any():
+        j[near] = _horner(_J0_NEAR, np.square(x[near]))
+        far |= near
+    mid = ~far
+    j[mid] = _j0_mid(x[mid])
+    return j
+
+
 @dataclass(frozen=True, eq=False)
 class DampedIntegralResult:
     eps_schedule: tuple[float, ...]
@@ -616,7 +754,8 @@ def damped_oscillatory_integral(orbit: OrbitSpec, x: AlgebraElement,
     Cartan, ev its sorted spectrum (elliptic points are refused).  The
     damping does not depend on the circle angle, so the circle integral is
     exact: with rho = |(kx_h, kx_e + kx_f)| and c = kx_e - kx_f it is
-    2 pi J0(r cosh(s) rho) exp(i c r sinh(s)) (DLMF 10.9.1).  What remains
+    2 pi J0(r cosh(s) rho) exp(i c r sinh(s)) (DLMF 10.9.1), with J0 from
+    ``_j0`` (the Hankel form of DLMF 10.17.3 beyond 8).  What remains
     is Simpson quadrature in the hyperbolic angle, on a mesh that scales
     with the phase rate unless pinned by ``s_nodes``, summed in fixed-size
     blocks of nodes.  A mesh of ``_MAX_S_NODES`` nodes or more (a tiny eps
@@ -624,8 +763,6 @@ def damped_oscillatory_integral(orbit: OrbitSpec, x: AlgebraElement,
     quadrature is done.  The vanishing-damping extrapolation converges to
     the transform; the damping error is linear in eps.
     """
-    from scipy.special import j0
-
     eps_schedule = tuple(float(e) for e in eps_schedule)
     if not (eps_schedule and np.isfinite(eps_schedule).all()
             and all(b < a for a, b in zip(eps_schedule, eps_schedule[1:]))
@@ -671,7 +808,7 @@ def damped_oscillatory_integral(orbit: OrbitSpec, x: AlgebraElement,
             w_simpson = np.where(i % 2 == 1, 4.0, 2.0)
             w_simpson[(i == 0) | (i == ns - 1)] = 1.0
             rs, rc = r * np.sinh(s), r * np.cosh(s)
-            circle = 2.0 * np.pi * j0(rc * rho) * np.exp(1j * c * rs)
+            circle = 2.0 * np.pi * _j0(rc * rho) * np.exp(1j * c * rs)
             density = split_orbit_liouville_density(r, s)
             damping = np.exp(-eps * (2.0 * r * r + 4.0 * rs ** 2))
             total += np.sum(circle * density * damping * w_simpson)
